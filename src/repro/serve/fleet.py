@@ -89,6 +89,7 @@ from .server import (
     close_quietly,
     read_http_request,
     sanitizer_health,
+    split_head,
     write_json_response,
 )
 from .testing import ServerThread
@@ -287,11 +288,13 @@ class LocalWorker:
     @property
     def address(self) -> Tuple[str, int]:
         """``(host, port)`` of the running worker."""
-        if self._handle is None:
-            raise ServeWorkerError(
-                f"worker {self.worker_id} is not running"
-            )
-        return self._handle.server.host, self._handle.port
+        handle = self._handle
+        if handle is not None:
+            try:
+                return handle.server.host, handle.port
+            except ServeRequestError:
+                pass  # mid-kill: socket closed, thread not yet joined
+        raise ServeWorkerError(f"worker {self.worker_id} is not running")
 
 
 class ProcessWorker:
@@ -397,13 +400,61 @@ class ProcessWorker:
         return self._address
 
 
+_Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
+class _WorkerConnections:
+    """Idle keep-alive connections from the front to one worker.
+
+    A pool belongs to one worker incarnation: the front closes it when
+    the worker goes down or is stopped, and a respawned worker gets a
+    fresh one, so no connection outlives the process it talks to.  Only
+    a connection that carried a complete reply not marked ``Connection:
+    close`` is handed back (:meth:`give`); a closed pool, or one holding
+    ``cap`` idle connections already, closes it instead.
+    """
+
+    def __init__(self, cap: int) -> None:
+        self._cap = cap
+        self._idle: List[_Connection] = []
+        self.closed = False
+
+    def take(self) -> Optional[_Connection]:
+        """The most recently used idle connection, or ``None``.
+
+        A connection the worker has hung up on is not screened out here:
+        the exchange notices it before the first reply byte and resends.
+        """
+        return self._idle.pop() if self._idle else None
+
+    def give(self, conn: _Connection) -> None:
+        if self.closed or len(self._idle) >= self._cap:
+            conn[1].close()
+        else:
+            self._idle.append(conn)
+
+    def close(self) -> List[asyncio.StreamWriter]:
+        """Close every idle connection; later :meth:`give` calls close too.
+
+        Returns the closed writers, for a caller that must wait until the
+        worker has been told (:func:`~repro.serve.server.close_quietly`).
+        """
+        self.closed = True
+        closing = [writer for _, writer in self._idle]
+        for writer in closing:
+            writer.close()
+        self._idle.clear()
+        return closing
+
+
 class _WorkerSlot:
     """Supervisor bookkeeping for one worker replica.
 
     ``index`` is fleet-global (stable across shards), ``replica`` is the
     shard-local position handed to the factory, ``digest`` names the
     shard the replica serves, and ``factory`` is kept so respawns build
-    a replica of the *same* shard.
+    a replica of the *same* shard.  ``idle_cap`` bounds the idle
+    connections the front keeps open to the replica.
     """
 
     def __init__(
@@ -413,13 +464,17 @@ class _WorkerSlot:
         digest: str,
         replica: int,
         factory: Callable[[int], object],
+        idle_cap: int,
     ) -> None:
         self.index = index
         self.worker = worker
         self.digest = digest
         self.replica = replica
         self.factory = factory
-        self.state = "starting"  # starting | up | down | respawning | ejected
+        self.idle_cap = idle_cap
+        self.pool = _WorkerConnections(idle_cap)
+        # starting | up | down | respawning | ejected | stopping
+        self.state = "starting"
         self.missed = 0
         self.respawns = 0
         self.respawn_times: Deque[float] = deque()
@@ -561,6 +616,10 @@ class PlacementFleet:
         self.degraded = 0
         self.corrupt_detected = 0
         self.rejected = 0
+        #: Connections the front opened to workers, and requests it
+        #: resent after a pooled connection turned out stale.
+        self.worker_connects = 0
+        self.worker_resends = 0
         self.shard_served: Dict[str, int] = {
             shard: 0 for shard in self._shards
         }
@@ -622,7 +681,12 @@ class PlacementFleet:
             factory = self._shards[shard]
             for replica in range(self._config.workers):
                 slot = _WorkerSlot(
-                    index, factory(replica), shard, replica, factory
+                    index,
+                    factory(replica),
+                    shard,
+                    replica,
+                    factory,
+                    self._config.max_inflight,
                 )
                 index += 1
                 self._slots.append(slot)
@@ -684,20 +748,40 @@ class PlacementFleet:
             await self._server.wait_closed()
         for batcher in self._front_batchers.values():
             await batcher.drain()
+        await self._stop_slots(self._slots, "fleet.shutdown_errors")
+        from ..devtools import sanitize  # local: opt-in tooling, lazy
+
+        sanitize.check_loop_shutdown("fleet.shutdown")
+
+    async def _stop_slots(
+        self, slots: Sequence[_WorkerSlot], error_counter: str
+    ) -> None:
+        """Close each slot's pooled connections, then stop its worker.
+
+        The pools go first: a worker's graceful drain waits for its open
+        connections (``Server.wait_closed`` does from Python 3.12), so
+        idle keep-alive connections still held here would stall it.
+        The closes are awaited, so the hang-up is on the wire before the
+        worker is told to stop.  Marking the slots ``stopping`` keeps
+        probes, forwards and the ``/metrics`` fan-out from opening new
+        connections in the meantime.
+        """
+        running = [slot for slot in slots if slot.state in ("up", "starting")]
+        for slot in running:
+            slot.state = "stopping"
+        closing = [writer for slot in slots for writer in slot.pool.close()]
+        await asyncio.gather(
+            *(close_quietly(writer, where="fleet") for writer in closing)
+        )
         loop = asyncio.get_running_loop()
         stops = [
-            loop.run_in_executor(None, slot.worker.stop)
-            for slot in self._slots
-            if slot.state in ("up", "starting")
+            loop.run_in_executor(None, slot.worker.stop) for slot in running
         ]
         if stops:
             outcomes = await asyncio.gather(*stops, return_exceptions=True)
             for outcome in outcomes:
                 if isinstance(outcome, Exception):
-                    obs.count("fleet.shutdown_errors")
-        from ..devtools import sanitize  # local: opt-in tooling, lazy
-
-        sanitize.check_loop_shutdown("fleet.shutdown")
+                    obs.count(error_counter)
 
     def worker_handle(self, index: int) -> object:
         """The live worker in slot ``index`` (chaos-harness hook).
@@ -758,6 +842,7 @@ class PlacementFleet:
                         digest,
                         replica,
                         worker_factory,
+                        self._config.max_inflight,
                     )
                     new_slots.append(slot)
                     spawns.append(
@@ -775,18 +860,6 @@ class PlacementFleet:
                         spawned += 1
                 if not any(slot.state == "up" for slot in new_slots):
                     # Failed swap leaves the fleet exactly as it was.
-                    stops = [
-                        loop.run_in_executor(None, slot.worker.stop)
-                        for slot in new_slots
-                        if slot.state == "up"
-                    ]
-                    if stops:
-                        outcomes = await asyncio.gather(
-                            *stops, return_exceptions=True
-                        )
-                        for outcome in outcomes:
-                            if isinstance(outcome, Exception):
-                                obs.count("fleet.swap_stop_errors")
                     raise ServeWorkerError(
                         f"no worker came up for incoming shard {digest[:12]}"
                     )
@@ -838,17 +911,7 @@ class PlacementFleet:
         batcher = self._front_batchers.pop(digest, None)
         if batcher is not None:
             await batcher.drain()
-        loop = asyncio.get_running_loop()
-        stops = [
-            loop.run_in_executor(None, slot.worker.stop)
-            for slot in old_slots
-            if slot.state in ("up", "starting")
-        ]
-        if stops:
-            outcomes = await asyncio.gather(*stops, return_exceptions=True)
-            for outcome in outcomes:
-                if isinstance(outcome, Exception):
-                    obs.count("fleet.swap_stop_errors")
+        await self._stop_slots(old_slots, "fleet.swap_stop_errors")
         self._slots = [
             slot for slot in self._slots if slot.digest != digest
         ]
@@ -906,9 +969,8 @@ class PlacementFleet:
 
     async def _probe(self, slot: _WorkerSlot) -> None:
         try:
-            host, port = slot.worker.address
             status, payload = await asyncio.wait_for(
-                _http_exchange(host, port, "GET", "/healthz", None, {}),
+                self._exchange(slot, "GET", "/healthz"),
                 self._config.heartbeat_timeout,
             )
             healthy = status == 200 and payload.get("digest") == slot.digest
@@ -936,6 +998,7 @@ class PlacementFleet:
 
     def _declare_down(self, slot: _WorkerSlot) -> None:
         slot.state = "down"
+        slot.pool.close()
         obs.count("fleet.workers_down")
         now = self._clock.now()
         window_start = now - self._config.breaker_window
@@ -974,6 +1037,7 @@ class PlacementFleet:
             if not self._draining:
                 self._declare_down(slot)
             return
+        slot.pool = _WorkerConnections(slot.idle_cap)
         slot.state = "up"
         slot.missed = 0
         slot.backoff_attempt = 0
@@ -1250,18 +1314,22 @@ class PlacementFleet:
         # there, and that attempt must still leave its hop in the tree.
         ctx = obs_trace.current()
         span_id: Optional[str] = None
+        # Filled by the exchange with how the hop travelled: over a
+        # ``new`` or ``reused`` connection, and ``resent`` when a reused
+        # one had gone stale.
+        hop: Optional[Dict[str, object]] = None
         if ctx is not None:
             span_id = ctx.recorder.next_span_id()
             headers[obs_trace.TRACE_HEADER] = obs_trace.format_trace_header(
                 ctx.trace_id, span_id
             )
+            hop = {}
         slot.inflight += 1
         t_start = self._clock.now()
         outcome: object = "error"
         try:
-            host, port = slot.worker.address
             status, payload = await asyncio.wait_for(
-                _http_exchange(host, port, "POST", "/query", body, headers),
+                self._exchange(slot, "POST", "/query", body, headers, hop),
                 budget,
             )
             outcome = status
@@ -1291,6 +1359,7 @@ class PlacementFleet:
                         "hedge": hedged,
                         "status": outcome,
                         "budget": round(budget, 6),
+                        **(hop or {}),
                     },
                 )
         slot.latencies.append(self._clock.now() - t_start)
@@ -1577,10 +1646,11 @@ class PlacementFleet:
         The front's own ``/query`` histogram rides next to a bucket-wise
         sum of every live worker's histogram (identical fixed bounds, so
         merging is addition) plus the fleet-wide counters chaos triage
-        asks for first: retries, hedges, shed, degraded, respawns, and
-        how many workers shm-attached their artifact.
-        Unreachable workers are reported as ``null`` rather than
-        failing the endpoint.
+        asks for first: retries, hedges, shed, degraded, respawns, how
+        many workers shm-attached their artifact, and the connections the
+        front opened to workers (``worker_connects``) and requests it
+        resent on a fresh one (``worker_resends``).  Unreachable workers
+        are reported as ``null`` rather than failing the endpoint.
         """
         live = [slot for slot in self._slots if slot.state == "up"]
         probes = [self._worker_metrics(slot) for slot in live]
@@ -1621,6 +1691,8 @@ class PlacementFleet:
                 "shed": dict(self.shed),
                 "respawns": sum(slot.respawns for slot in self._slots),
                 "shm_attached": shm_attached,
+                "worker_connects": self.worker_connects,
+                "worker_resends": self.worker_resends,
             },
             "slo": self._slo.snapshot(),
             "workers": workers,
@@ -1631,9 +1703,8 @@ class PlacementFleet:
     ) -> Optional[Dict[str, object]]:
         """One worker's ``/metrics`` doc, or ``None`` when unreachable."""
         try:
-            host, port = slot.worker.address
             status, payload = await asyncio.wait_for(
-                _http_exchange(host, port, "GET", "/metrics", None, {}),
+                self._exchange(slot, "GET", "/metrics"),
                 self._config.heartbeat_timeout,
             )
         except (
@@ -1646,61 +1717,124 @@ class PlacementFleet:
             return None
         return payload if status == 200 else None
 
+    # -- front -> worker exchange ---------------------------------------
+    async def _exchange(
+        self,
+        slot: _WorkerSlot,
+        method: str,
+        path: str,
+        body: bytes = b"",
+        headers: Optional[Dict[str, str]] = None,
+        hop: Optional[Dict[str, object]] = None,
+    ) -> Tuple[int, Dict[str, object]]:
+        """One request/reply with ``slot``'s worker; returns (status, JSON).
+
+        Forwards, heartbeat probes and the ``/metrics`` fan-out all go
+        through here.  The request rides an idle keep-alive connection
+        from the slot's pool when one is there, and a new connection
+        otherwise.  A reused connection that fails before the first
+        reply byte was most likely closed by the worker while it sat
+        idle; the request is then resent once on a new connection, which
+        is safe because every request kind is a pure read.  ``hop``, when
+        given, records ``conn: new|reused`` and ``resent: True``.
+        """
+        pool = slot.pool
+        host, port = slot.worker.address
+        request = _request_bytes(method, path, f"{host}:{port}", body, headers)
+        conn = pool.take()
+        if hop is not None:
+            hop["conn"] = "new" if conn is None else "reused"
+        if conn is not None:
+            try:
+                return await _round_trip(conn, request, pool)
+            except _StaleConnection:
+                self.worker_resends += 1
+                obs.count("fleet.worker_resends")
+                if hop is not None:
+                    hop["resent"] = True
+        conn = await asyncio.open_connection(host, port)
+        self.worker_connects += 1
+        obs.count("fleet.worker_connects")
+        return await _round_trip(conn, request, pool)
+
 
 # ----------------------------------------------------------------------
-# raw async HTTP exchange (front -> worker)
+# front -> worker HTTP framing
 # ----------------------------------------------------------------------
-async def _http_exchange(
-    host: str,
-    port: int,
+class _StaleConnection(ServeWorkerError):
+    """The worker closed the connection before any byte of its reply."""
+
+
+def _request_bytes(
     method: str,
     path: str,
-    body: Optional[bytes],
-    headers: Dict[str, str],
+    authority: str,
+    body: bytes,
+    headers: Optional[Dict[str, str]],
+) -> bytes:
+    """One keep-alive HTTP/1.1 request, head and body in a single write."""
+    lines = [f"{method} {path} HTTP/1.1", f"Host: {authority}"]
+    lines.extend(f"{name}: {value}" for name, value in (headers or {}).items())
+    if body:
+        lines.append("Content-Type: application/json")
+    lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+async def _round_trip(
+    conn: _Connection, request: bytes, pool: _WorkerConnections
 ) -> Tuple[int, Dict[str, object]]:
-    """One HTTP request/response against a worker; returns (status, JSON)."""
-    reader, writer = await asyncio.open_connection(host, port)
+    """Send ``request`` over ``conn`` and read the whole JSON reply.
+
+    The reply head comes in with one ``readuntil``, the way
+    :func:`~repro.serve.server.read_http_request` reads a request head.
+    ``conn`` goes back to ``pool`` only after a complete reply that does
+    not say ``Connection: close``.  Anything else closes it: a timeout,
+    a cancelled hedge loser, a framing error or a partial reply could
+    leave a late reply on the socket, to be read as the next request's.
+    """
+    reader, writer = conn
+    complete = False
     try:
-        lines = [f"{method} {path} HTTP/1.1", f"Host: {host}:{port}"]
-        for name, value in headers.items():
-            lines.append(f"{name}: {value}")
-        payload = body or b""
-        if payload:
-            lines.append("Content-Type: application/json")
-        lines.append(f"Content-Length: {len(payload)}")
-        lines.append("Connection: close")
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-        writer.write(payload)
-        await writer.drain()
-        status_line = await reader.readline()
-        parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ServeWorkerError(
-                f"malformed status line from {host}:{port}: {status_line!r}"
-            )
-        status = int(parts[1])
-        length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip() or "0")
-        raw = await reader.readexactly(length) if length else b""
         try:
-            decoded = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ServeWorkerError(
-                f"invalid JSON from {host}:{port}: {error}"
+            writer.write(request)
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as error:
+            if error.partial:
+                raise ServeWorkerError(
+                    f"truncated reply head {error.partial[:64]!r}"
+                ) from None
+            raise _StaleConnection(
+                "worker closed the connection before replying"
             ) from None
-        if not isinstance(decoded, dict):
-            raise ServeWorkerError(
-                f"non-object payload from {host}:{port}: {decoded!r}"
-            )
-        return status, decoded
+        except ConnectionError as error:
+            raise _StaleConnection(
+                f"connection failed before the reply: {error}"
+            ) from None
+        except asyncio.LimitOverrunError:
+            raise ServeWorkerError("reply head over the stream limit") from None
+        status_line, fields = split_head(head)
+        parts = status_line.split(None, 2)
+        if len(parts) < 2 or not parts[1].isdigit():
+            raise ServeWorkerError(f"malformed status line {status_line!r}")
+        try:
+            length = int(fields.get("content-length") or "0")
+            raw = await reader.readexactly(length) if length else b""
+            payload = json.loads(raw.decode("utf-8")) if raw else {}
+        except (ValueError, asyncio.IncompleteReadError) as error:
+            raise ServeWorkerError(f"unreadable reply body: {error}") from None
+        if not isinstance(payload, dict):
+            raise ServeWorkerError(f"non-object reply payload {payload!r}")
+        complete = True
     finally:
-        await close_quietly(writer, where="fleet")
+        if not complete:
+            writer.close()
+    if fields.get("connection", "").lower() == "close":
+        writer.close()
+    else:
+        pool.give(conn)
+    return int(parts[1]), payload
 
 
 # ----------------------------------------------------------------------

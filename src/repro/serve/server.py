@@ -100,6 +100,22 @@ DIGEST_HEADER = "x-rapflow-digest"
 _TOO_LARGE = "__TOO_LARGE__"
 
 
+def split_head(head: bytes) -> Tuple[str, Dict[str, str]]:
+    """The start line and header fields (names lowercased) of an HTTP head.
+
+    Shared by :func:`read_http_request` and the fleet front's reply
+    reader, so both ends of the front→worker hop split heads alike.
+    """
+    lines = head.decode("latin-1").split("\r\n")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return lines[0], headers
+
+
 async def read_http_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes, bool]]:
@@ -130,17 +146,11 @@ async def read_http_request(
     except OSError:  # ConnectionError included: peer vanished mid-read
         obs.count("serve.conn_aborts.read")
         return None
-    lines = head.decode("latin-1").split("\r\n")
-    parts = lines[0].split()
+    start, headers = split_head(head)
+    parts = start.split()
     if len(parts) != 3:
         return None
     method, path, _ = parts
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
     length = int(headers.get("content-length", "0") or "0")
     if length > _MAX_BODY:
         # The body is unread, so the connection cannot be reused.
@@ -766,5 +776,6 @@ __all__ = [
     "read_http_request",
     "run_server",
     "sanitizer_health",
+    "split_head",
     "write_json_response",
 ]

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.errors import ServeClientError, ServeRequestError
+from repro.errors import ServeClientError, ServeRequestError, ServeWorkerError
 from repro.reliability import FaultConfig, FaultInjector
 from repro.serve import (
     FleetConfig,
@@ -342,6 +342,19 @@ class TestResilience:
             for _ in range(4):
                 assert client.evaluate([["V3", "V5"]]) == [21.0]
             assert fleet.retries >= 1
+
+    def test_worker_being_killed_has_no_address(self, artifact):
+        # Between a kill closing the socket and the thread being joined
+        # the worker still holds its server thread; a forward landing
+        # there must see a worker error, which the retry path handles.
+        from repro.serve import LocalWorker
+
+        worker = LocalWorker("w0", lambda: QueryEngine(artifact))
+        worker.start()
+        worker._handle.kill()
+        with pytest.raises(ServeWorkerError):
+            worker.address
+        worker.kill()
 
     def test_corrupt_replies_are_detected_and_retried(self, artifact):
         def engine_for(index):
