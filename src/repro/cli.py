@@ -102,17 +102,6 @@ from .errors import (
     StreamError,
     TraceError,
 )
-from .experiments import (
-    TraceProvider,
-    available_figures,
-    build_figure,
-    classify_intersections,
-    locations_of_class,
-    LocationClass,
-    render_figure,
-    run_figure,
-    save_figure_json,
-)
 from .traces import (
     DUBLIN_SCHEMA,
     SEATTLE_SCHEMA,
@@ -132,6 +121,13 @@ EXIT_STREAM = 9
 #: parser does not import the serve stack; a serve test pins the two
 #: in sync.
 CHAOS_PRESET_CHOICES = ("kill", "stall", "slow", "corrupt", "mixed")
+
+#: Mirrors of :func:`repro.experiments.available_figures` and the
+#: :class:`repro.experiments.LocationClass` values, so building the
+#: parser (as every ``serve`` worker does) does not import the
+#: experiments package; a CLI test pins them in sync.
+FIGURE_CHOICES = ("fig10", "fig11", "fig12", "fig13")
+SHOP_CHOICES = ("center", "city", "suburb")
 
 #: Most-specific-first mapping from error family to exit code.  Note
 #: ``ErrorBudgetExceeded`` is both a TraceError and a ReliabilityError;
@@ -164,7 +160,7 @@ def _add_obs_jsonl(parser: argparse.ArgumentParser) -> None:
 
 def _add_figure_args(figure: argparse.ArgumentParser) -> None:
     """``run-figure`` arguments (shared with ``profile run-figure``)."""
-    figure.add_argument("figure", choices=available_figures())
+    figure.add_argument("figure", choices=FIGURE_CHOICES)
     figure.add_argument(
         "--repetitions", type=int, default=20,
         help="random shop draws per panel (paper: 1000; default: 20)",
@@ -213,7 +209,7 @@ def _add_place_args(place: argparse.ArgumentParser) -> None:
         help="detour threshold D in feet (default: city-appropriate)",
     )
     place.add_argument(
-        "--shop", choices=[c.value for c in LocationClass], default="city",
+        "--shop", choices=SHOP_CHOICES, default="city",
         help="shop location class (default: city)",
     )
     place.add_argument(
@@ -240,7 +236,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         help="detour threshold D in feet (default: city-appropriate)",
     )
     parser.add_argument(
-        "--shop", choices=[c.value for c in LocationClass], default="city",
+        "--shop", choices=SHOP_CHOICES, default="city",
         help="shop location class (default: city)",
     )
     parser.add_argument(
@@ -403,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--utility", default="linear")
     validate.add_argument("--threshold", type=float, default=None)
     validate.add_argument(
-        "--shop", choices=[c.value for c in LocationClass], default="city",
+        "--shop", choices=SHOP_CHOICES, default="city",
     )
     validate.add_argument(
         "--scale", choices=("paper", "small"), default="paper",
@@ -735,6 +731,8 @@ def _cmd_list_algorithms() -> int:
 
 
 def _cmd_generate_trace(args: argparse.Namespace) -> int:
+    from .experiments import TraceProvider
+
     provider = TraceProvider(scale=args.scale, seed=args.seed)
     bundle = provider.get(args.city)
     schema = DUBLIN_SCHEMA if args.city == "dublin" else SEATTLE_SCHEMA
@@ -747,6 +745,14 @@ def _cmd_generate_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_figure(args: argparse.Namespace) -> int:
+    from .experiments import (
+        TraceProvider,
+        build_figure,
+        render_figure,
+        run_figure,
+        save_figure_json,
+    )
+
     spec = build_figure(
         args.figure, repetitions=args.repetitions, seed=args.seed
     )
@@ -797,6 +803,7 @@ def _cmd_run_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    from .experiments import TraceProvider
     from .reliability import ErrorBudget, ingest_trace_csv
 
     provider = TraceProvider(scale=args.scale, seed=args.seed)
@@ -869,6 +876,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
+    from .experiments import (
+        LocationClass,
+        TraceProvider,
+        classify_intersections,
+        locations_of_class,
+    )
+
     provider = TraceProvider(scale=args.scale)
     bundle = provider.get(args.city)
     threshold = args.threshold
@@ -910,6 +924,12 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     from .algorithms import CompositeGreedy
+    from .experiments import (
+        LocationClass,
+        TraceProvider,
+        classify_intersections,
+        locations_of_class,
+    )
     from .viz import render_network, render_placement, save_svg
 
     provider = TraceProvider(scale=args.scale)
@@ -942,6 +962,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .core import has_errors, lint_scenario
+    from .experiments import (
+        LocationClass,
+        TraceProvider,
+        classify_intersections,
+        locations_of_class,
+    )
 
     provider = TraceProvider(scale=args.scale)
     bundle = provider.get(args.city)
@@ -967,7 +993,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_claims(args: argparse.Namespace) -> int:
-    from .experiments import check_all, render_claims
+    from .experiments import (
+        TraceProvider,
+        available_figures,
+        build_figure,
+        check_all,
+        render_claims,
+        run_figure,
+    )
 
     provider = TraceProvider(scale=args.scale)
     results = {}
@@ -988,6 +1021,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from .analysis import sparkline
     from .experiments import (
+        LocationClass,
+        TraceProvider,
+        classify_intersections,
+        locations_of_class,
         sweep_attractiveness,
         sweep_budget,
         sweep_threshold,
@@ -1044,6 +1081,13 @@ def _build_serve_scenario(args: argparse.Namespace) -> Scenario:
     same seed) so a served instance is reproducible from its flags.
     """
     import random
+
+    from .experiments import (
+        LocationClass,
+        TraceProvider,
+        classify_intersections,
+        locations_of_class,
+    )
 
     provider = TraceProvider(scale=args.scale)
     bundle = provider.get(args.city)

@@ -22,11 +22,7 @@ machine-checked as the code scales:
   shutdown.
 
 Neither subsystem is imported by the library's hot paths; importing
-:mod:`repro` alone never pays for them.
+:mod:`repro` alone never pays for them.  Importing this package loads
+neither: the serving stack imports :mod:`~repro.devtools.sanitize` on
+its own, and a serving worker never needs the linter.
 """
-
-from __future__ import annotations
-
-from . import lint, sanitize
-
-__all__ = ["lint", "sanitize"]

@@ -4,9 +4,9 @@
 *weakly*: if the caller discards the reference, the garbage collector
 may cancel the task mid-flight — work silently vanishes, which in the
 serving fleet means a respawn or batch flush that never happens.  The
-supervisor keeps every task it spawns (``self._supervisor``,
-``self._respawn_tasks``, the batcher's ``_flush_tasks``) precisely to
-close this hole.
+supervisor keeps every task it spawns (``self._supervisor``, each
+slot's ``respawn``, the batcher's ``_flush_tasks``) precisely to close
+this hole.
 
 Similarly, calling a coroutine function without ``await`` builds a
 coroutine object and throws it away: the body never runs, and Python

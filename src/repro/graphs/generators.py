@@ -24,6 +24,7 @@ from typing import List, Tuple
 from .digraph import NodeId, RoadNetwork
 from .geometry import Point
 from .validation import (
+    reaches,
     removable_without_disconnecting,
     restrict_to_largest_scc,
 )
@@ -177,11 +178,7 @@ def _delete_streets(
         network.remove_road(tail, head)
         network.remove_road(head, tail)
         # Keep the street only if dropping it would disconnect the city.
-        from .validation import reachable_from
-
-        if head not in reachable_from(network, tail) or tail not in reachable_from(
-            network, head
-        ):
+        if not reaches(network, tail, head) or not reaches(network, head, tail):
             network.add_street(tail, head, length)
         else:
             removed += 1

@@ -6,7 +6,8 @@ Everything the placement model needs reduces to Dijkstra runs:
 * :func:`distances_to_target` — reverse Dijkstra, distances from all nodes
   *to* one target (used for "distance to the shop" and "distance to the
   flow destination" fields);
-* :func:`shortest_path` — a single reconstructed path;
+* :func:`shortest_path` — a single reconstructed path, from a search
+  that stops at the target;
 * :func:`all_pairs_distances` — the paper's ``O(|V|^3)`` preprocessing,
   kept for small instances and for tests;
 * :class:`DistanceField` — an immutable mapping wrapper tagging a Dijkstra
@@ -64,13 +65,18 @@ def dijkstra(
     *,
     with_parents: bool = False,
     cutoff: Optional[float] = None,
+    target: Optional[NodeId] = None,
 ) -> Tuple[Dict[NodeId, float], Dict[NodeId, NodeId]]:
     """Single-source Dijkstra.
 
     Returns ``(distances, parents)``; ``parents`` is empty unless
     ``with_parents`` is set.  ``cutoff`` prunes the search once settled
     distances exceed it (the returned map still contains every node whose
-    distance is ``<= cutoff``).
+    distance is ``<= cutoff``).  ``target`` stops the search once the
+    target is settled and so is every node within the tight-edge
+    tolerance of its distance: every tight predecessor of a node no
+    farther than the target is then settled, so parents recovered for
+    such nodes match the full search's.
     """
     if source not in network:
         raise NodeNotFoundError(source)
@@ -78,13 +84,19 @@ def dijkstra(
     parents: Dict[NodeId, NodeId] = {}
     heap: List[Tuple[float, int, NodeId]] = [(0.0, 0, source)]
     counter = 0
+    target_dist: Optional[float] = None
+    slack = 0.0
     while heap:
         dist, _, node = heapq.heappop(heap)
         if node in distances:
             continue
         if cutoff is not None and dist > cutoff:
             break
+        if target_dist is not None and dist - target_dist > slack:
+            break
         distances[node] = dist
+        if node == target:
+            target_dist, slack = dist, _tolerance(dist)
         for head, length in network.successors(node):
             if head in distances:
                 continue
@@ -98,26 +110,43 @@ def dijkstra(
     return distances, parents
 
 
+def _tolerance(dist: float) -> float:
+    """Slack of the tight-edge test for a node at distance ``dist``."""
+    return 1e-9 * max(1.0, dist)
+
+
+def _tight_parent(
+    network: RoadNetwork, distances: Mapping[NodeId, float], node: NodeId
+) -> Optional[NodeId]:
+    """The parent of ``node`` in the settled distance map, if any.
+
+    That is the first predecessor ``u``, in insertion order, with
+    ``dist(u) + len(u, node) == dist(node)`` up to :func:`_tolerance`
+    (a tight edge).
+    """
+    dist = distances[node]
+    slack = _tolerance(dist)
+    for tail, length in network.predecessors(node):
+        tail_dist = distances.get(tail)
+        if tail_dist is not None and abs(tail_dist + length - dist) <= slack:
+            return tail
+    return None
+
+
 def _exact_parents(
     network: RoadNetwork, distances: Dict[NodeId, float], source: NodeId
 ) -> Dict[NodeId, NodeId]:
-    """Parents derived from the settled distance map.
+    """Parents derived from the settled distance map (see :func:`_tight_parent`).
 
-    ``parent(v)`` is a predecessor ``u`` with ``dist(u) + len(u,v) ==
-    dist(v)`` (tight edge).  Deterministic: the smallest-distance, then
-    insertion-order-first predecessor wins.
+    Deterministic: the insertion-order-first tight predecessor wins.
     """
     parents: Dict[NodeId, NodeId] = {}
-    for node, dist in distances.items():
+    for node in distances:
         if node == source:
             continue
-        for tail, length in network.predecessors(node):
-            tail_dist = distances.get(tail)
-            if tail_dist is None:
-                continue
-            if abs(tail_dist + length - dist) <= 1e-9 * max(1.0, dist):
-                parents[node] = tail
-                break
+        parent = _tight_parent(network, distances, node)
+        if parent is not None:
+            parents[node] = parent
     return parents
 
 
@@ -156,20 +185,45 @@ def shortest_path(
     """One shortest path from ``source`` to ``target`` as a node list.
 
     Deterministic for a fixed network (ties broken by predecessor
-    insertion order).  Raises :class:`NoPathError` when unreachable.
+    insertion order): the path a full Dijkstra's parents give, found by a
+    search that stops at the target.  Raises :class:`NoPathError` when
+    unreachable.
     """
     if target not in network:
         raise NodeNotFoundError(target)
-    distances, parents = dijkstra(network, source, with_parents=True)
+    distances, _ = dijkstra(network, source, target=target)
     if target not in distances:
         raise NoPathError(source, target)
+    path = _walk_parents(network, distances, source, target, distances[target])
+    if path is None:
+        distances, _ = dijkstra(network, source)
+        path = _walk_parents(network, distances, source, target, INFINITY)
+    assert path is not None  # an unlimited walk always completes
+    return path
+
+
+def _walk_parents(
+    network: RoadNetwork,
+    distances: Dict[NodeId, float],
+    source: NodeId,
+    target: NodeId,
+    limit: float,
+) -> Optional[List[NodeId]]:
+    """The tight-parent path from ``source`` to ``target``.
+
+    Returns None if the path climbs past ``limit``.  A search stopped at
+    the target passes ``dist(target)``: only a node no farther than the
+    target is sure to have its tight predecessors settled, and a path
+    climbs past it only over a street shorter than the tight-edge
+    tolerance.
+    """
     path = [target]
     while path[-1] != source:
-        parent = parents.get(path[-1])
+        parent = _tight_parent(network, distances, path[-1])
         if parent is None:
-            # The tolerance check in _exact_parents found no tight
-            # predecessor for this settled node; surface a taxonomy
-            # error instead of a raw KeyError mid-reconstruction.
+            # The tolerance check found no tight predecessor for this
+            # settled node; surface a taxonomy error instead of a raw
+            # KeyError mid-reconstruction.
             raise NoPathError(
                 source,
                 target,
@@ -178,6 +232,8 @@ def shortest_path(
                     f"{path[-1]!r} during path reconstruction"
                 ),
             )
+        if distances[parent] > limit:
+            return None
         path.append(parent)
     path.reverse()
     return path
@@ -189,7 +245,7 @@ def shortest_path_length(
     """Length of the shortest path from ``source`` to ``target``."""
     if target not in network:
         raise NodeNotFoundError(target)
-    distances, _ = dijkstra(network, source)
+    distances, _ = dijkstra(network, source, target=target)
     if target not in distances:
         raise NoPathError(source, target)
     return distances[target]

@@ -9,9 +9,10 @@ restore strong connectivity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from collections import deque
+from typing import Deque, Dict, List, Set
 
-from ..errors import DisconnectedGraphError
+from ..errors import DisconnectedGraphError, NodeNotFoundError
 from .digraph import NodeId, RoadNetwork
 
 
@@ -26,6 +27,30 @@ def reachable_from(network: RoadNetwork, source: NodeId) -> Set[NodeId]:
                 seen.add(head)
                 stack.append(head)
     return seen
+
+
+def reaches(network: RoadNetwork, source: NodeId, target: NodeId) -> bool:
+    """Whether ``target`` is reachable from ``source``.
+
+    Same answer as ``target in reachable_from(network, source)``, but the
+    search returns as soon as it sees ``target``.  It goes breadth-first,
+    so a street's endpoints, which are usually a few blocks apart once
+    the street is gone, are found without sweeping the city.
+    """
+    if source not in network:
+        raise NodeNotFoundError(source)
+    if source == target:
+        return True
+    seen: Set[NodeId] = {source}
+    queue: Deque[NodeId] = deque([source])
+    while queue:
+        for head, _ in network.successors(queue.popleft()):
+            if head == target:
+                return True
+            if head not in seen:
+                seen.add(head)
+                queue.append(head)
+    return False
 
 
 def can_reach(network: RoadNetwork, target: NodeId) -> Set[NodeId]:
@@ -154,7 +179,7 @@ def removable_without_disconnecting(
     length = network.edge_length(tail, head)
     network.remove_road(tail, head)
     try:
-        still_reaches = head in reachable_from(network, tail)
+        still_reaches = reaches(network, tail, head)
     finally:
         network.add_road(tail, head, length)
     return still_reaches

@@ -26,17 +26,17 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from ..errors import CheckpointError
-from ..experiments.results import FigureResult, PanelResult
-from ..experiments.runner import (
-    TraceProvider,
-    aggregate_panel,
-    panel_repetition,
-    panel_shops,
-)
-from ..experiments.spec import FigureSpec, PanelSpec
+
+if TYPE_CHECKING:
+    # The runs below import the experiments package when called, so
+    # importing repro.reliability (as the serving stack does, for its
+    # fault injector) does not load it.
+    from ..experiments.results import FigureResult, PanelResult
+    from ..experiments.runner import TraceProvider
+    from ..experiments.spec import FigureSpec, PanelSpec
 
 #: values[algorithm][k] for one repetition.
 RepValues = Dict[str, Dict[int, float]]
@@ -185,6 +185,13 @@ def run_panel_checkpointed(
     cooperative: a repetition that overruns it still completes and is
     kept, but the panel stops there and aggregates the salvaged prefix.
     """
+    from ..experiments.runner import (
+        TraceProvider,
+        aggregate_panel,
+        panel_repetition,
+        panel_shops,
+    )
+
     if timeout is not None and timeout <= 0:
         raise CheckpointError(f"timeout must be positive, got {timeout}")
     provider = provider or TraceProvider()
@@ -237,6 +244,9 @@ def run_figure_checkpointed(
     Equivalent to :func:`repro.experiments.run_figure` — bit-identical
     results for the same spec — but killable and resumable.
     """
+    from ..experiments.results import FigureResult
+    from ..experiments.runner import TraceProvider
+
     provider = provider or TraceProvider()
     result = FigureResult(spec=figure)
     for panel in figure.panels:

@@ -400,6 +400,12 @@ class ProcessWorker:
         return self._address
 
 
+def _in_order(*steps: Callable[[], object]) -> None:
+    """Call ``steps`` one after another, as one executor job."""
+    for step in steps:
+        step()
+
+
 _Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
 
@@ -477,6 +483,8 @@ class _WorkerSlot:
         self.state = "starting"
         self.missed = 0
         self.respawns = 0
+        #: The pending respawn, if any; stopping the slot cancels it.
+        self.respawn: Optional["asyncio.Task[None]"] = None
         self.respawn_times: Deque[float] = deque()
         self.backoff_attempt = 0
         self.latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
@@ -588,7 +596,6 @@ class PlacementFleet:
         self._slots: List[_WorkerSlot] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._supervisor: Optional["asyncio.Task[None]"] = None
-        self._respawn_tasks: List["asyncio.Task[None]"] = []
         self._front_batchers: Dict[str, MicroBatcher] = {}
         #: Hot-body parse memo: ``(digest, raw body)`` of an already
         #: validated evaluate request → its decoded ``(placements,
@@ -731,18 +738,6 @@ class PlacementFleet:
                 await self._supervisor
             except asyncio.CancelledError:
                 pass
-        for task in self._respawn_tasks:
-            task.cancel()
-        if self._respawn_tasks:
-            # CancelledError is not an Exception, so the cancellations we
-            # just requested pass the filter; anything else is a respawn
-            # path failure that must not vanish into the drain.
-            outcomes = await asyncio.gather(
-                *self._respawn_tasks, return_exceptions=True
-            )
-            for outcome in outcomes:
-                if isinstance(outcome, Exception):
-                    obs.count("fleet.shutdown_errors")
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -756,32 +751,49 @@ class PlacementFleet:
     async def _stop_slots(
         self, slots: Sequence[_WorkerSlot], error_counter: str
     ) -> None:
-        """Close each slot's pooled connections, then stop its worker.
+        """Cancel each slot's respawn, close its pools, stop its worker.
 
-        The pools go first: a worker's graceful drain waits for its open
+        A pending respawn is cancelled and awaited first, so it cannot
+        start a worker after the slot is gone; one cancelled mid-start
+        stops the worker it started (see :meth:`_respawn`).  The pools
+        go next: a worker's graceful drain waits for its open
         connections (``Server.wait_closed`` does from Python 3.12), so
         idle keep-alive connections still held here would stall it.
         The closes are awaited, so the hang-up is on the wire before the
         worker is told to stop.  Marking the slots ``stopping`` keeps
         probes, forwards and the ``/metrics`` fan-out from opening new
-        connections in the meantime.
+        connections in the meantime.  Workers that were up get a
+        graceful stop; the others (down, ejected, or never reaped by a
+        cancelled respawn) are killed, as a respawn would have.
         """
+        respawns = [slot.respawn for slot in slots if slot.respawn is not None]
+        for task in respawns:
+            task.cancel()
         running = [slot for slot in slots if slot.state in ("up", "starting")]
-        for slot in running:
+        for slot in slots:
             slot.state = "stopping"
         closing = [writer for slot in slots for writer in slot.pool.close()]
         await asyncio.gather(
             *(close_quietly(writer, where="fleet") for writer in closing)
         )
+        # CancelledError is not an Exception, so the cancellations just
+        # requested pass the filter below; anything else is a respawn
+        # path failure that must not vanish into the drain.
+        outcomes = await asyncio.gather(*respawns, return_exceptions=True)
         loop = asyncio.get_running_loop()
-        stops = [
-            loop.run_in_executor(None, slot.worker.stop) for slot in running
-        ]
-        if stops:
-            outcomes = await asyncio.gather(*stops, return_exceptions=True)
-            for outcome in outcomes:
-                if isinstance(outcome, Exception):
-                    obs.count(error_counter)
+        outcomes += await asyncio.gather(
+            *(
+                loop.run_in_executor(
+                    None,
+                    slot.worker.stop if slot in running else slot.worker.kill,
+                )
+                for slot in slots
+            ),
+            return_exceptions=True,
+        )
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                obs.count(error_counter)
 
     def worker_handle(self, index: int) -> object:
         """The live worker in slot ``index`` (chaos-harness hook).
@@ -1011,11 +1023,9 @@ class PlacementFleet:
             obs.count("fleet.workers_ejected")
             return
         slot.state = "respawning"
-        task = asyncio.get_running_loop().create_task(self._respawn(slot))
-        self._respawn_tasks.append(task)
-        self._respawn_tasks = [
-            pending for pending in self._respawn_tasks if not pending.done()
-        ]
+        slot.respawn = asyncio.get_running_loop().create_task(
+            self._respawn(slot)
+        )
 
     async def _respawn(self, slot: _WorkerSlot) -> None:
         delay = min(
@@ -1026,11 +1036,19 @@ class PlacementFleet:
         slot.backoff_attempt += 1
         await asyncio.sleep(delay)
         loop = asyncio.get_running_loop()
+        old, slot.worker = slot.worker, slot.factory(slot.replica)
         # Reap whatever is left of the old worker before starting anew.
-        await loop.run_in_executor(None, slot.worker.kill)
-        slot.worker = slot.factory(slot.replica)
+        restart = loop.run_in_executor(
+            None, _in_order, old.kill, slot.worker.start
+        )
         try:
-            await loop.run_in_executor(None, slot.worker.start)
+            await asyncio.shield(restart)
+        except asyncio.CancelledError:
+            # The slot is being stopped.  An executor thread cannot be
+            # cancelled, so let it finish, then stop what it started.
+            await asyncio.wait([restart])
+            await loop.run_in_executor(None, slot.worker.stop)
+            raise
         except Exception:  # rapflow: noqa[RAP003] any spawn failure re-enters the down path for another backoff round
             obs.count("fleet.spawn_failures")
             slot.missed = 0

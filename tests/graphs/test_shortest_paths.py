@@ -133,22 +133,20 @@ class TestDijkstraBehaviour:
             shortest_path(net, ("hub",), "nope")
 
     def test_reconstruction_gap_raises_no_path_error(self, monkeypatch):
-        """A parent map missing a settled node must surface NoPathError.
+        """A settled node with no recovered parent must surface NoPathError.
 
-        If the tight-edge tolerance in ``_exact_parents`` ever fails to
+        If the tight-edge tolerance in ``_tight_parent`` ever fails to
         recover a predecessor, reconstruction must not leak a raw
         KeyError; it raises a taxonomy error naming the stranded node.
         """
         from repro.graphs import shortest_paths as module
 
-        real = module._exact_parents
+        real = module._tight_parent
 
-        def lossy_parents(network, distances, source):
-            parents = real(network, distances, source)
-            parents.pop((2, 2), None)
-            return parents
+        def lossy_parent(network, distances, node):
+            return None if node == (2, 2) else real(network, distances, node)
 
-        monkeypatch.setattr(module, "_exact_parents", lossy_parents)
+        monkeypatch.setattr(module, "_tight_parent", lossy_parent)
         net = manhattan_grid(4, 4, 10.0)
         with pytest.raises(NoPathError) as excinfo:
             shortest_path(net, (0, 0), (2, 2))

@@ -7,6 +7,7 @@ utility the greedy placement is {V3, V5} attracting 21.0.
 
 import pytest
 
+from repro.devtools import sanitize
 from repro.serve import QueryEngine, ScenarioArtifact
 
 
@@ -24,3 +25,21 @@ def linear_artifact(paper_linear_scenario) -> ScenarioArtifact:
 @pytest.fixture
 def engine(artifact) -> QueryEngine:
     return QueryEngine(artifact)
+
+
+@pytest.fixture
+def async_sanitizer():
+    """The asyncio sanitizer's report, installed for this test if needed.
+
+    Under ``RAPFLOW_SANITIZE=1`` the report installed for the whole test
+    run is reused, so tests compare leaked-task counts before and after.
+    """
+    report = sanitize.async_report()
+    if report is not None:
+        yield report
+        return
+    report = sanitize.install_async(budget=1000.0)
+    try:
+        yield report
+    finally:
+        sanitize.uninstall_async()

@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.devtools import sanitize
 from repro.errors import ServeClientError
 from repro.obs import load_traces
 from repro.serve import (
@@ -137,24 +136,6 @@ def wait_closed_factory(artifact, made):
         return worker
 
     return factory
-
-
-@pytest.fixture
-def async_sanitizer():
-    """The asyncio sanitizer's report, installed for this test if needed.
-
-    Under ``RAPFLOW_SANITIZE=1`` the session-wide report is reused, so
-    tests compare leaked-task counts before and after.
-    """
-    report = sanitize.async_report()
-    if report is not None:
-        yield report
-        return
-    report = sanitize.install_async(budget=1000.0)
-    try:
-        yield report
-    finally:
-        sanitize.uninstall_async()
 
 
 class TestReuse:

@@ -10,6 +10,8 @@ from repro.cli import (
     EXIT_GRAPH,
     EXIT_RELIABILITY,
     EXIT_TRACE,
+    FIGURE_CHOICES,
+    SHOP_CHOICES,
     exit_code_for,
     main,
 )
@@ -94,6 +96,21 @@ class TestRunFigure:
     def test_unknown_figure_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["run-figure", "fig99"])
+
+
+class TestParserChoiceMirrors:
+    """The CLI mirrors these choices so building the parser does not
+    import the experiments package; these pins keep them in sync."""
+
+    def test_figure_choices_match_the_registry(self):
+        from repro.experiments import available_figures
+
+        assert FIGURE_CHOICES == available_figures()
+
+    def test_shop_choices_match_the_location_classes(self):
+        from repro.experiments import LocationClass
+
+        assert SHOP_CHOICES == tuple(c.value for c in LocationClass)
 
 
 class TestPlace:
