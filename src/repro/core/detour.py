@@ -7,13 +7,15 @@ intersection ``v``, the detour distance is
 
 where the three terms are the paper's ``d'``, ``d''`` and ``d'''``.
 
-:class:`DetourCalculator` computes this with three families of Dijkstra
-fields instead of the paper's ``O(|V|^3)`` all-pairs step:
+:class:`DetourCalculator` computes this with Dijkstra searches instead of
+the paper's ``O(|V|^3)`` all-pairs step:
 
 * one reverse field anchored at the shop  -> ``dist(v, shop)``;
 * one forward field anchored at the shop  -> ``dist(shop, j)``;
-* one reverse field per *distinct flow destination*  -> ``dist(v, j)``
-  (cached; real workloads share destinations heavily).
+* one reverse sweep per *distinct flow destination*  -> ``dist(v, j)``,
+  settled on demand: a flow asks only about the nodes on its own path,
+  so a sweep runs only until the asked node is settled, and the next
+  query resumes it (real workloads share destinations heavily).
 
 Two modes are supported for ``d'''``:
 
@@ -28,13 +30,14 @@ Two modes are supported for ``d'''``:
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterator, List, Tuple
 
 from ..errors import InvalidScenarioError
 from ..graphs import (
     INFINITY,
-    DistanceField,
     NodeId,
+    ReverseSweep,
     RoadNetwork,
     distances_from,
     distances_to_target,
@@ -47,8 +50,16 @@ DETOUR_MODES = ("shortest", "along-path")
 class DetourCalculator:
     """Per-shop detour-distance engine.
 
-    Thread-compatible for reads after warm-up; destination fields are
-    cached lazily on first use.
+    ``d'''`` comes from one :class:`~repro.graphs.ReverseSweep` per
+    distinct destination, over the network's integer
+    :meth:`~repro.graphs.RoadNetwork.reverse_adjacency`: a flat array of
+    distances, filled only as far as queries have needed.  Every value
+    equals the full reverse Dijkstra field's bit for bit.
+
+    Safe to share between threads: sweeps are created and resumed under
+    one lock per calculator, because one search cannot be resumed by
+    two threads at once, and a distance already settled is read
+    without the lock.
     """
 
     def __init__(
@@ -66,9 +77,11 @@ class DetourCalculator:
         self._network = network
         self._shop = shop
         self._mode = mode
-        self._to_shop: DistanceField = distances_to_target(network, shop)
-        self._from_shop: DistanceField = distances_from(network, shop)
-        self._to_destination: Dict[NodeId, DistanceField] = {}
+        self._to_shop = distances_to_target(network, shop)
+        self._from_shop = distances_from(network, shop)
+        self._adjacency = network.reverse_adjacency()
+        self._sweeps: Dict[NodeId, ReverseSweep] = {}
+        self._lock = threading.Lock()
 
     @property
     def network(self) -> RoadNetwork:
@@ -93,21 +106,44 @@ class DetourCalculator:
         """``d'' = dist(shop, node)``."""
         return self._from_shop[node]
 
-    def _destination_field(self, destination: NodeId) -> DistanceField:
-        field = self._to_destination.get(destination)
-        if field is None:
-            field = distances_to_target(self._network, destination)
-            self._to_destination[destination] = field
-        return field
+    def _sweep(self, destination: NodeId) -> ReverseSweep:
+        """The destination's sweep, created on first use.
+
+        Raises :class:`~repro.errors.NodeNotFoundError` when the
+        destination is not on the network.
+        """
+        sweep = self._sweeps.get(destination)
+        if sweep is None:
+            with self._lock:
+                sweep = self._sweeps.get(destination)
+                if sweep is None:
+                    sweep = ReverseSweep(self._adjacency, destination)
+                    self._sweeps[destination] = sweep
+        return sweep
+
+    def _distance_to(self, sweep: ReverseSweep, node: NodeId) -> float:
+        """``d'''`` for ``node``: a settled read, or the sweep resumed."""
+        slot = self._adjacency.slots.get(node)
+        if slot is None:
+            return INFINITY
+        if sweep.settled[slot]:
+            return sweep.distances[slot]
+        with self._lock:
+            return sweep.settle(slot)
 
     def warm_up(self, flows: List[TrafficFlow]) -> None:
-        """Precompute destination fields for ``flows`` eagerly.
+        """Settle ``d'''`` for every node on the flows' paths, eagerly.
 
-        Optional; useful to front-load cost before timing a placement
-        algorithm.
+        Optional, since queries settle what they need; useful to
+        front-load that cost before building coverage or timing a
+        placement algorithm.  ``"along-path"`` mode has nothing to settle.
         """
+        if self._mode != "shortest":
+            return
         for flow in flows:
-            self._destination_field(flow.destination)
+            sweep = self._sweep(flow.destination)
+            for node in flow.path:
+                self._distance_to(sweep, node)
 
     def detour(self, node: NodeId, flow: TrafficFlow) -> float:
         """Detour distance if flow ``flow`` receives the ad at ``node``.
@@ -124,7 +160,7 @@ class DetourCalculator:
         if d_from_shop == INFINITY:
             return INFINITY
         if self._mode == "shortest":
-            d_direct = self._destination_field(flow.destination)[node]
+            d_direct = self._distance_to(self._sweep(flow.destination), node)
         else:
             d_direct = self._remaining_path_length(node, flow)
         if d_direct == INFINITY:
@@ -141,11 +177,11 @@ class DetourCalculator:
     def detours_along(self, flow: TrafficFlow) -> Iterator[Tuple[NodeId, float]]:
         """``(node, detour)`` for every intersection on the flow's path."""
         if self._mode == "shortest":
+            sweep = self._sweep(flow.destination)
             d_from_shop = self._from_shop[flow.destination]
-            field = self._destination_field(flow.destination)
             for node in flow.path:
                 d_to_shop = self._to_shop[node]
-                d_direct = field[node]
+                d_direct = self._distance_to(sweep, node)
                 if INFINITY in (d_to_shop, d_from_shop, d_direct):
                     yield node, INFINITY
                 else:

@@ -60,7 +60,7 @@ class MultiShopDetourCalculator:
         return self._mode
 
     def warm_up(self, flows: List[TrafficFlow]) -> None:
-        """Precompute destination fields on every branch calculator."""
+        """Settle the flows' destination distances on every branch calculator."""
         for calculator in self._calculators:
             calculator.warm_up(flows)
 

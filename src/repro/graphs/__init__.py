@@ -9,7 +9,7 @@ Seattle / Manhattan-grid settings.
 """
 
 from .astar import astar, bidirectional_dijkstra
-from .digraph import NodeId, RoadNetwork
+from .digraph import NodeId, ReverseAdjacency, RoadNetwork
 from .geometry import BoundingBox, Point, interpolate, midpoint, polyline_length
 from .generators import (
     GridNode,
@@ -34,6 +34,7 @@ from .metrics import (
 from .shortest_paths import (
     INFINITY,
     DistanceField,
+    ReverseSweep,
     all_pairs_distances,
     dijkstra,
     distances_from,
@@ -58,6 +59,8 @@ __all__ = [
     "NetworkMetrics",
     "NodeId",
     "Point",
+    "ReverseAdjacency",
+    "ReverseSweep",
     "RoadNetwork",
     "circuity",
     "network_metrics",

@@ -13,6 +13,7 @@ cross-check it against networkx as an oracle.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import (
@@ -24,6 +25,24 @@ from ..errors import (
 from .geometry import BoundingBox, Point
 
 NodeId = Hashable
+
+
+@dataclass(frozen=True, eq=False)
+class ReverseAdjacency:
+    """A network's incoming streets over integer slots, for reverse searches.
+
+    Slot ``i`` is the ``i``-th intersection in insertion order:
+    ``nodes[i]`` is its id and ``slots`` maps ids back to slots.
+    ``predecessors[i]`` lists ``(tail slot, length)`` in
+    :meth:`RoadNetwork.predecessors` order, so a search over slots breaks
+    ties exactly as one over ids, without hashing a node id per street.
+    Read-only: it is a snapshot that later edits of the network leave
+    as it was.
+    """
+
+    nodes: Tuple[NodeId, ...]
+    slots: Dict[NodeId, int]
+    predecessors: Tuple[List[Tuple[int, float]], ...]
 
 
 class RoadNetwork:
@@ -43,6 +62,7 @@ class RoadNetwork:
         self._positions: Dict[NodeId, Point] = {}
         self._succ: Dict[NodeId, Dict[NodeId, float]] = {}
         self._pred: Dict[NodeId, Dict[NodeId, float]] = {}
+        self._reverse: Optional[ReverseAdjacency] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -57,6 +77,7 @@ class RoadNetwork:
         self._positions[node] = position
         self._succ[node] = {}
         self._pred[node] = {}
+        self._reverse = None
 
     def add_road(
         self, tail: NodeId, head: NodeId, length: Optional[float] = None
@@ -76,13 +97,14 @@ class RoadNetwork:
         if length is None:
             length = self._positions[tail].distance_to(self._positions[head])
         if length <= 0 or math.isnan(length) or math.isinf(length):
-            # Strictly positive lengths keep Dijkstra's tight-edge parent
-            # graph acyclic (see shortest_paths._exact_parents).
+            # Dijkstra needs non-negative lengths, and a street joins two
+            # distinct intersections, so its length is positive.
             raise NegativeWeightError(
                 f"street {tail!r} -> {head!r} has invalid length {length}"
             )
         self._succ[tail][head] = float(length)
         self._pred[head][tail] = float(length)
+        self._reverse = None
 
     def add_street(
         self, a: NodeId, b: NodeId, length: Optional[float] = None
@@ -97,6 +119,7 @@ class RoadNetwork:
             raise EdgeNotFoundError(tail, head)
         del self._succ[tail][head]
         del self._pred[head][tail]
+        self._reverse = None
 
     def remove_intersection(self, node: NodeId) -> None:
         """Remove ``node`` and every incident segment."""
@@ -109,6 +132,7 @@ class RoadNetwork:
         del self._succ[node]
         del self._pred[node]
         del self._positions[node]
+        self._reverse = None
 
     # ------------------------------------------------------------------
     # inspection
@@ -177,6 +201,28 @@ class RoadNetwork:
         except KeyError:
             raise NodeNotFoundError(node) from None
         return iter(items.items())
+
+    def reverse_adjacency(self) -> ReverseAdjacency:
+        """The incoming streets over integer slots (:class:`ReverseAdjacency`).
+
+        Built on first use and kept until the next edit, so every reverse
+        search on an unchanged network shares one snapshot.
+        """
+        reverse = self._reverse
+        if reverse is None:
+            nodes = tuple(self._positions)
+            slots = {node: slot for slot, node in enumerate(nodes)}
+            pred = self._pred
+            reverse = ReverseAdjacency(
+                nodes=nodes,
+                slots=slots,
+                predecessors=tuple(
+                    [(slots[tail], length) for tail, length in pred[node].items()]
+                    for node in nodes
+                ),
+            )
+            self._reverse = reverse
+        return reverse
 
     def out_degree(self, node: NodeId) -> int:
         """Number of outgoing segments at ``node``."""

@@ -105,7 +105,7 @@ def network_from_dict(data: dict) -> RoadNetwork:
 def save_network(network: RoadNetwork, path: PathLike) -> None:
     """Write a network to a JSON file."""
     with open(path, "w") as handle:
-        json.dump(network_to_dict(network), handle)
+        handle.write(json.dumps(network_to_dict(network)))
 
 
 def load_network(path: PathLike) -> RoadNetwork:

@@ -3,9 +3,11 @@
 Everything the placement model needs reduces to Dijkstra runs:
 
 * :func:`dijkstra` — one source, distances (and parents) to all nodes;
-* :func:`distances_to_target` — reverse Dijkstra, distances from all nodes
-  *to* one target (used for "distance to the shop" and "distance to the
-  flow destination" fields);
+* :class:`ReverseSweep` — reverse Dijkstra toward one target that settles
+  nodes on demand and resumes where it stopped (used for "distance to the
+  flow destination", which each flow asks only along its own path);
+* :func:`distances_to_target` — a drained :class:`ReverseSweep`, distances
+  from all nodes *to* one target (used for "distance to the shop");
 * :func:`shortest_path` — a single reconstructed path, from a search
   that stops at the target;
 * :func:`all_pairs_distances` — the paper's ``O(|V|^3)`` preprocessing,
@@ -20,11 +22,12 @@ invariants hold by construction.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import NodeNotFoundError, NoPathError
-from .digraph import NodeId, RoadNetwork
+from .digraph import NodeId, ReverseAdjacency, RoadNetwork
 
 INFINITY = float("inf")
 
@@ -120,17 +123,37 @@ def _tight_parent(
 ) -> Optional[NodeId]:
     """The parent of ``node`` in the settled distance map, if any.
 
-    That is the first predecessor ``u``, in insertion order, with
-    ``dist(u) + len(u, node) == dist(node)`` up to :func:`_tolerance`
-    (a tight edge).
+    That is the first predecessor ``u``, in insertion order, settled
+    before ``node`` with ``dist(u) + len(u, node) == dist(node)`` up to
+    :func:`_tolerance` (a tight edge).  Parents settle before their
+    children, so the parent graph is acyclic even where streets shorter
+    than the tolerance form a cycle.  Dijkstra settles in nondecreasing
+    distance, so only a predecessor at exactly ``dist(node)`` needs the
+    map's insertion order, which is the settle order.
     """
     dist = distances[node]
     slack = _tolerance(dist)
     for tail, length in network.predecessors(node):
         tail_dist = distances.get(tail)
-        if tail_dist is not None and abs(tail_dist + length - dist) <= slack:
+        if tail_dist is None or abs(tail_dist + length - dist) > slack:
+            continue
+        if tail_dist < dist or (
+            tail_dist == dist and _settled_first(distances, tail, node)
+        ):
             return tail
     return None
+
+
+def _settled_first(
+    distances: Mapping[NodeId, float], first: NodeId, second: NodeId
+) -> bool:
+    """Whether ``first`` precedes ``second`` in the settle order."""
+    for node in distances:
+        if node == first:
+            return True
+        if node == second:
+            return False
+    return False
 
 
 def _exact_parents(
@@ -159,24 +182,82 @@ def distances_from(network: RoadNetwork, source: NodeId) -> DistanceField:
 def distances_to_target(network: RoadNetwork, target: NodeId) -> DistanceField:
     """``dist(v, target)`` for every ``v`` that can reach ``target``.
 
-    Implemented as a forward Dijkstra over the reversed adjacency, without
-    materialising a reversed copy of the network.
+    Drains a :class:`ReverseSweep`, so the field lists nodes in settle
+    order, without materialising a reversed copy of the network.
     """
-    if target not in network:
-        raise NodeNotFoundError(target)
-    distances: Dict[NodeId, float] = {}
-    heap: List[Tuple[float, int, NodeId]] = [(0.0, 0, target)]
+    adjacency = network.reverse_adjacency()
+    sweep = ReverseSweep(adjacency, target)
+    nodes, dist = adjacency.nodes, sweep.distances
+    distances = {nodes[slot]: dist[slot] for slot in sweep}
+    return DistanceField(origin=target, toward_origin=True, distances=distances)
+
+
+class ReverseSweep:
+    """A reverse Dijkstra toward one target that settles nodes on demand.
+
+    ``distances[slot]`` is ``dist(v, target)`` for the node ``v`` at
+    ``slot`` of the :class:`~repro.graphs.digraph.ReverseAdjacency` once
+    ``settled[slot]`` is set, and ``inf`` before.  Iterating the sweep
+    resumes the search where it stopped and yields each newly settled
+    slot, nearest first; :meth:`settle` resumes it only until one slot
+    is settled.  The search pops ``(dist, push counter, slot)`` entries
+    just as a full search does, and a settled distance is final, so
+    every value equals the full field's bit for bit, whatever order the
+    queries come in.
+
+    Not thread-safe: callers that share a sweep must serialise
+    iteration and :meth:`settle`.  Reading a slot that is already
+    settled is safe without them, because a slot's distance is stored
+    before its ``settled`` flag.
+    """
+
+    def __init__(self, adjacency: ReverseAdjacency, target: NodeId) -> None:
+        slot = adjacency.slots.get(target)
+        if slot is None:
+            raise NodeNotFoundError(target)
+        size = len(adjacency.nodes)
+        self.distances = array("d", [INFINITY]) * size
+        self.settled = bytearray(size)
+        self._search = _settle_nearest_first(
+            adjacency.predecessors, slot, self.distances, self.settled
+        )
+
+    def __iter__(self) -> Iterator[int]:
+        return self._search
+
+    def settle(self, slot: int) -> float:
+        """``distances[slot]``, resuming the search until it is settled.
+
+        ``inf`` once the search runs out without reaching ``slot``: the
+        node cannot reach the target.
+        """
+        if not self.settled[slot]:
+            for settled in self._search:
+                if settled == slot:
+                    break
+        return self.distances[slot]
+
+
+def _settle_nearest_first(
+    predecessors: Tuple[List[Tuple[int, float]], ...],
+    target: int,
+    distances: "array[float]",
+    settled: bytearray,
+) -> Iterator[int]:
+    """The reverse Dijkstra loop behind :class:`ReverseSweep`."""
+    heap: List[Tuple[float, int, int]] = [(0.0, 0, target)]
     counter = 0
     while heap:
-        dist, _, node = heapq.heappop(heap)
-        if node in distances:
+        dist, _, slot = heapq.heappop(heap)
+        if settled[slot]:
             continue
-        distances[node] = dist
-        for tail, length in network.predecessors(node):
-            if tail not in distances:
+        distances[slot] = dist
+        settled[slot] = 1
+        yield slot
+        for tail, length in predecessors[slot]:
+            if not settled[tail]:
                 counter += 1
                 heapq.heappush(heap, (dist + length, counter, tail))
-    return DistanceField(origin=target, toward_origin=True, distances=distances)
 
 
 def shortest_path(
@@ -186,7 +267,9 @@ def shortest_path(
 
     Deterministic for a fixed network (ties broken by predecessor
     insertion order): the path a full Dijkstra's parents give, found by a
-    search that stops at the target.  Raises :class:`NoPathError` when
+    search that stops at the target.  Every parent settles before its
+    child, so the stopped search holds each parent on the path and
+    picks it as the full search would.  Raises :class:`NoPathError` when
     unreachable.
     """
     if target not in network:
@@ -194,29 +277,6 @@ def shortest_path(
     distances, _ = dijkstra(network, source, target=target)
     if target not in distances:
         raise NoPathError(source, target)
-    path = _walk_parents(network, distances, source, target, distances[target])
-    if path is None:
-        distances, _ = dijkstra(network, source)
-        path = _walk_parents(network, distances, source, target, INFINITY)
-    assert path is not None  # an unlimited walk always completes
-    return path
-
-
-def _walk_parents(
-    network: RoadNetwork,
-    distances: Dict[NodeId, float],
-    source: NodeId,
-    target: NodeId,
-    limit: float,
-) -> Optional[List[NodeId]]:
-    """The tight-parent path from ``source`` to ``target``.
-
-    Returns None if the path climbs past ``limit``.  A search stopped at
-    the target passes ``dist(target)``: only a node no farther than the
-    target is sure to have its tight predecessors settled, and a path
-    climbs past it only over a street shorter than the tight-edge
-    tolerance.
-    """
     path = [target]
     while path[-1] != source:
         parent = _tight_parent(network, distances, path[-1])
@@ -232,8 +292,6 @@ def _walk_parents(
                     f"{path[-1]!r} during path reconstruction"
                 ),
             )
-        if distances[parent] > limit:
-            return None
         path.append(parent)
     path.reverse()
     return path

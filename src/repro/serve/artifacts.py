@@ -293,18 +293,19 @@ class ScenarioArtifact:
                 attractiveness=packed.attractiveness,
             )
             with open(directory / "meta.json", "w") as handle:
-                json.dump(
-                    {
-                        "format": FORMAT_NAME,
-                        "version": FORMAT_VERSION,
-                        "digest": self.digest,
-                        "spec": self.spec,
-                        "stats": self.stats,
-                        "packed_nodes": [
-                            _encode_id(node) for node in packed.nodes
-                        ],
-                    },
-                    handle,
+                handle.write(
+                    json.dumps(
+                        {
+                            "format": FORMAT_NAME,
+                            "version": FORMAT_VERSION,
+                            "digest": self.digest,
+                            "spec": self.spec,
+                            "stats": self.stats,
+                            "packed_nodes": [
+                                _encode_id(node) for node in packed.nodes
+                            ],
+                        }
+                    )
                 )
         except OSError as error:
             raise ServeArtifactError(

@@ -482,7 +482,7 @@ class ShmArtifactPool:
         tmp = existing.with_suffix(".json.tmp")
         try:
             with open(tmp, "w") as handle:
-                json.dump(manifest.to_json(), handle)
+                handle.write(json.dumps(manifest.to_json()))
             os.replace(tmp, existing)
         except OSError as error:
             segment.close()

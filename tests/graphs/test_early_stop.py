@@ -3,9 +3,13 @@
 ``reaches`` must agree with the full sweep of ``reachable_from``,
 ``shortest_path`` with the path a full Dijkstra's parents give, and
 ``shortest_path_length`` with the full search's distance.  Edge
-lengths come from a small set so that many paths tie exactly, and from
-sums like ``0.1 + 0.2`` that tie only within the tight-edge tolerance.
+lengths come from a small set so that many paths tie exactly, from
+sums like ``0.1 + 0.2`` that tie only within the tight-edge tolerance,
+and from streets shorter than that tolerance, which can form cycles of
+tight edges.
 """
+
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +21,14 @@ from repro.graphs import (
     RoadNetwork,
     dijkstra,
     dublin_like_city,
+    is_shortest_path,
     manhattan_grid,
     shortest_path,
     shortest_path_length,
 )
 from repro.graphs.validation import reachable_from, reaches
 
-LENGTHS = [1.0, 2.0, 3.0, 0.1, 0.2, 0.3]
+LENGTHS = [1.0, 2.0, 3.0, 0.1, 0.2, 0.3, 1e-12]
 
 
 @st.composite
@@ -146,13 +151,14 @@ class TestShortestPathStopsAtTarget:
         assert (1, 1) in stopped
         assert len(stopped) < net.node_count // 4
 
-    def test_path_climbing_past_target_uses_full_search(self):
-        """A street shorter than the tolerance lets a tight parent lie
-        beyond ``dist(target)``; the path must still be the full search's.
+    def test_sub_tolerance_path_stays_exact(self):
+        """A parent settles before its child, so a street shorter than
+        the tolerance cannot lead the path past ``dist(target)``.
 
         ``u`` and ``w`` sit just past ``v``, within the tight-edge
         tolerance, and come first in their heads' predecessor order.  The
-        stopped search settles ``u`` but not ``w``.
+        stopped search settles ``u`` but not ``w``; neither settles
+        before ``v``, so the path is the direct street.
         """
         net = RoadNetwork()
         for node in "suvw":
@@ -164,5 +170,37 @@ class TestShortestPathStopsAtTarget:
         net.add_road("s", "v", 1.0)
         stopped, _ = dijkstra(net, "s", target="v")
         assert "u" in stopped and "w" not in stopped
-        assert shortest_path(net, "s", "v") == ["s", "w", "u", "v"]
+        assert shortest_path(net, "s", "v") == ["s", "v"]
         assert shortest_path(net, "s", "v") == reference_path(net, "s", "v")
+
+
+def sub_tolerance_cycle() -> RoadNetwork:
+    """``A`` and ``B`` joined both ways by streets shorter than the
+    tolerance, each listed first among the other's predecessors."""
+    net = RoadNetwork()
+    for node in ("s", "A", "B", "t"):
+        net.add_intersection(node, Point(0.0, 0.0))
+    net.add_road("B", "A", 1e-12)
+    net.add_road("s", "A", 1.0)
+    net.add_road("A", "B", 1e-12)
+    net.add_road("B", "t", 1.0)
+    return net
+
+
+class TestSubToleranceCycle:
+    def test_shortest_path_terminates(self):
+        net = sub_tolerance_cycle()
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(shortest_path(net, "s", "t")),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "shortest_path looped on the cycle"
+        assert result == [["s", "A", "B", "t"]]
+        assert is_shortest_path(net, result[0])
+
+    def test_parents_are_settled_first(self):
+        _, parents = dijkstra(sub_tolerance_cycle(), "s", with_parents=True)
+        assert parents == {"A": "s", "B": "A", "t": "B"}

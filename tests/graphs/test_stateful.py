@@ -91,6 +91,19 @@ class RoadNetworkMachine(RuleBasedStateMachine):
                 assert dict(self.network.successors(tail))[node] == length
 
     @invariant()
+    def reverse_adjacency_follows_edits(self):
+        # Built after every step, so a stale snapshot surfaces at the next.
+        adjacency = self.network.reverse_adjacency()
+        assert list(adjacency.nodes) == list(self.network.nodes())
+        for slot, node in enumerate(adjacency.nodes):
+            assert adjacency.slots[node] == slot
+            incoming = [
+                (adjacency.nodes[tail], length)
+                for tail, length in adjacency.predecessors[slot]
+            ]
+            assert incoming == list(self.network.predecessors(node))
+
+    @invariant()
     def positions_persist(self):
         for node, position in self.model_nodes.items():
             actual = self.network.position(node)
