@@ -2,8 +2,11 @@
 
 Every placement algorithm turns a :class:`~repro.core.scenario.Scenario`
 and a RAP budget ``k`` into an evaluated
-:class:`~repro.core.placement.Placement`.  Algorithms are stateless and
-reusable across scenarios; anything stochastic takes an explicit seed.
+:class:`~repro.core.placement.Placement`: :meth:`PlacementAlgorithm.place`
+runs ``select`` and scores its sites on the array kernel
+(:func:`~repro.core.kernel.score_placement`).  Algorithms are stateless
+and reusable across scenarios; anything stochastic takes an explicit
+seed.
 
 The registry maps stable string names (used by the experiment harness,
 the CLI, and result tables) to factories.
@@ -14,7 +17,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Sequence
 
-from ..core import Placement, Scenario, evaluate_placement
+from ..core import Placement, Scenario
+from ..core.kernel import score_placement
 from ..errors import InfeasiblePlacementError, PlacementError
 from ..graphs import NodeId
 
@@ -34,14 +38,14 @@ class PlacementAlgorithm(ABC):
         """
 
     def place(self, scenario: Scenario, k: int) -> Placement:
-        """Select sites and return the evaluated placement."""
+        """Select sites and return them scored on the array kernel."""
         validate_budget(scenario, k)
         sites = self.select(scenario, k)
         if len(sites) > k:
             raise PlacementError(
                 f"{self.name} returned {len(sites)} sites for budget k={k}"
             )
-        return evaluate_placement(scenario, sites, algorithm=self.name)
+        return score_placement(scenario, sites, algorithm=self.name)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

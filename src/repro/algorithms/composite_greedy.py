@@ -10,150 +10,34 @@ therefore evaluates two candidate intersections per step —
 * **candidate ii** — maximizes *additional* drivers from covered flows,
   by providing them smaller detour distances;
 
-and places a RAP at whichever candidate attracts more drivers.  Theorem 2
-proves a ``1 - 1/sqrt(e)`` approximation ratio for any non-increasing
-utility.  Under the threshold utility candidate ii's gain is always zero,
-so Algorithm 2 reduces to Algorithm 1, as the paper notes.
+and places a RAP at whichever candidate attracts more drivers.  Ties
+between the candidates favour candidate i (covering new flows), matching
+the paper's presentation order; ties among intersections favour
+candidate-site order.  Theorem 2 proves a ``1 - 1/sqrt(e)``
+approximation ratio for any non-increasing utility.  Under the threshold
+utility candidate ii's gain is always zero, so Algorithm 2 reduces to
+Algorithm 1, as the paper notes.
 
-Backends: ``"python"`` is the per-entry reference scan.  ``"numpy"``
+It runs the shared greedy loop (:mod:`repro.algorithms.greedy`).
+``"python"`` is the one exhaustive reference scan.  ``"numpy"``
 (default) evaluates both candidate factors for *every* site in one
 batched segment reduction per step (:meth:`ArrayEvaluator.gain_splits`).
 A CELF lazy scan is deliberately not used for candidate ii: the
 covered-flow gain can *grow* as flows become covered, so a stale bound
 on it is not an upper bound (candidate i alone would qualify — the
-batched scan already prices both factors in one pass).
+batched scan already prices both factors in one pass).  ``place`` scores
+the sites on the array kernel.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
-
-from .. import obs
-from ..core import IncrementalEvaluator, Scenario
-from ..core.kernel import ArrayEvaluator, first_unplaced, resolve_backend
-from ..graphs import NodeId
-from .base import PlacementAlgorithm, register
+from .base import register
+from .greedy import TWO_CANDIDATES, GreedyVariant
 
 
 @register("composite-greedy")
-class CompositeGreedy(PlacementAlgorithm):
-    """Paper Algorithm 2.
-
-    ``stop_when_saturated`` mirrors
-    :class:`~repro.algorithms.greedy_coverage.GreedyCoverage`;
-    ``backend`` picks the evaluation kernel (both produce identical
-    placements).
-    """
+class CompositeGreedy(GreedyVariant):
+    """Paper Algorithm 2: best of candidate i / candidate ii per step."""
 
     name = "composite-greedy"
-
-    def __init__(
-        self,
-        stop_when_saturated: bool = True,
-        backend: Optional[str] = None,
-    ) -> None:
-        self._stop_when_saturated = stop_when_saturated
-        self._backend = backend
-
-    def select(self, scenario: Scenario, k: int) -> List[NodeId]:
-        """Paper Algorithm 2: best of candidate-i / candidate-ii per step."""
-        backend = resolve_backend(self._backend, scenario)
-        with obs.span("select", algorithm=self.name, backend=backend, k=k):
-            if backend == "numpy":
-                return self._select_numpy(scenario, k)
-            return self._select_python(scenario, k)
-
-    def _select_numpy(self, scenario: Scenario, k: int) -> List[NodeId]:
-        """Batched full scan: both Algorithm 2 factors in one reduction."""
-        evaluator = ArrayEvaluator(scenario)
-        sites = scenario.candidate_sites
-        chosen: List[NodeId] = []
-        rounds = 0
-        for _ in range(k):
-            rounds += 1
-            uncovered, covered = evaluator.gain_splits(sites)
-            # np.argmax returns the first maximum, matching the reference
-            # scan's strictly-greater-replaces tie-breaking.
-            i_index = int(np.argmax(uncovered))
-            ii_index = int(np.argmax(covered))
-            i_gain = float(uncovered[i_index])
-            ii_gain = float(covered[ii_index])
-            site: Optional[NodeId] = None
-            if ii_gain > i_gain:
-                site = sites[ii_index]
-            elif i_gain > 0.0:
-                site = sites[i_index]
-            if site is None:
-                if self._stop_when_saturated:
-                    break
-                site = first_unplaced(sites, evaluator)
-                if site is None:
-                    break
-            evaluator.place(site)
-            chosen.append(site)
-        if obs.active() is not None:
-            obs.count_many(
-                {
-                    "algorithm.iterations": len(chosen),
-                    "gain.evaluations": rounds * len(sites),
-                    "scan.batched_rounds": rounds,
-                }
-            )
-        return chosen
-
-    def _select_python(self, scenario: Scenario, k: int) -> List[NodeId]:
-        """Reference implementation: per-entry scan of both factors."""
-        evaluator = IncrementalEvaluator(scenario)
-        sites = scenario.candidate_sites
-        chosen: List[NodeId] = []
-        evaluations = 0
-        for _ in range(k):
-            site = self._best_candidate(scenario, evaluator)
-            # The reference scan prices every unplaced candidate's two
-            # factors each round.
-            evaluations += len(sites) - len(chosen)
-            if site is None:
-                if self._stop_when_saturated:
-                    break
-                site = first_unplaced(sites, evaluator)
-                if site is None:
-                    break
-            evaluator.place(site)
-            chosen.append(site)
-        if obs.active() is not None:
-            obs.count_many(
-                {
-                    "algorithm.iterations": len(chosen),
-                    "gain.evaluations": evaluations,
-                }
-            )
-        return chosen
-
-    @staticmethod
-    def _best_candidate(
-        scenario: Scenario, evaluator: IncrementalEvaluator
-    ) -> Optional[NodeId]:
-        """The better of the paper's two candidate intersections.
-
-        Ties between the candidates favour candidate i (covering new
-        flows), matching the paper's presentation order; ties among
-        intersections favour candidate-site order, keeping the algorithm
-        deterministic.
-        """
-        candidate_i: Tuple[Optional[NodeId], float] = (None, 0.0)
-        candidate_ii: Tuple[Optional[NodeId], float] = (None, 0.0)
-        for site in scenario.candidate_sites:
-            if evaluator.is_placed(site):
-                continue
-            uncovered_gain, covered_gain = evaluator.gain_split(site)
-            if uncovered_gain > candidate_i[1]:
-                candidate_i = (site, uncovered_gain)
-            if covered_gain > candidate_ii[1]:
-                candidate_ii = (site, covered_gain)
-        if candidate_i[0] is None and candidate_ii[0] is None:
-            return None
-        if candidate_ii[1] > candidate_i[1]:
-            return candidate_ii[0]
-        return candidate_i[0]
+    rule = TWO_CANDIDATES

@@ -4,126 +4,32 @@ At each of ``k`` steps, place a RAP at the intersection attracting the
 maximum drivers from *uncovered* traffic flows, then mark the flows it
 reaches as covered.  Under the threshold utility this is exactly the
 classic greedy for weighted maximum coverage and inherits its
-``1 - 1/e`` approximation ratio (Khuller, Moss & Naor 1999).
+``1 - 1/e`` approximation ratio (Khuller, Moss & Naor 1999).  As in the
+paper's example, the algorithm stops early once no intersection gains
+anything ("all the traffic flows are covered").
 
 The implementation is utility-agnostic: with a decreasing utility it
 degenerates into "coverage-only" greedy (the paper's Fig. 4 discussion
 shows why that is insufficient there), which makes it a useful ablation
 against Algorithm 2.
 
-The uncovered-flow gain is itself non-increasing as RAPs are placed
-(placing a RAP can only cover flows or shrink best detours, both of
-which remove terms), so the ``"numpy"`` backend (default) runs a CELF
-lazy scan over it; ``"python"`` keeps the exhaustive reference scan.
+It runs the shared greedy loop (:mod:`repro.algorithms.greedy`).  The
+uncovered-flow gain is non-increasing as RAPs are placed (placing a RAP
+can only cover flows or shrink best detours, both of which remove
+terms), so the ``"numpy"`` backend (default) runs a CELF lazy scan over
+it; ``"python"`` is the one exhaustive reference scan.  ``place`` scores
+the sites on the array kernel.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from .. import obs
-from ..core import IncrementalEvaluator, Scenario
-from ..core.kernel import (
-    ArrayEvaluator,
-    first_unplaced,
-    flush_celf_counters,
-    resolve_backend,
-)
-from ..graphs import NodeId
-from .base import PlacementAlgorithm, register
+from .base import register
+from .greedy import UNCOVERED_GAIN, GreedyVariant
 
 
 @register("greedy-coverage")
-class GreedyCoverage(PlacementAlgorithm):
-    """Paper Algorithm 1.
-
-    Parameters
-    ----------
-    stop_when_saturated:
-        When True (default, matching the paper's example where "the
-        algorithm terminates since all the traffic flows are covered"),
-        stop early once no intersection yields positive gain.  When
-        False, keep placing zero-gain RAPs until ``k`` are down
-        (deterministically, in candidate order).
-    backend:
-        ``"numpy"`` (default) or ``"python"`` — see
-        :mod:`repro.core.kernel`.  Both produce identical placements.
-    """
+class GreedyCoverage(GreedyVariant):
+    """Paper Algorithm 1: greedily cover uncovered flows."""
 
     name = "greedy-coverage"
-
-    def __init__(
-        self,
-        stop_when_saturated: bool = True,
-        backend: Optional[str] = None,
-    ) -> None:
-        self._stop_when_saturated = stop_when_saturated
-        self._backend = backend
-
-    def select(self, scenario: Scenario, k: int) -> List[NodeId]:
-        """Paper Algorithm 1: greedily cover uncovered flows."""
-        backend = resolve_backend(self._backend, scenario)
-        with obs.span("select", algorithm=self.name, backend=backend, k=k):
-            if backend == "numpy":
-                return self._select_numpy(scenario, k)
-            return self._select_python(scenario, k)
-
-    def _select_numpy(self, scenario: Scenario, k: int) -> List[NodeId]:
-        """CELF lazy scan on the (non-increasing) uncovered-flow gain."""
-        evaluator = ArrayEvaluator(scenario)
-        sites = scenario.candidate_sites
-        # At the empty state nothing is covered, so the uncovered-flow
-        # gain equals the total gain and the precompiled seed applies.
-        queue = evaluator.celf_queue(sites)
-
-        def uncovered_gain(site: NodeId) -> float:
-            return evaluator.gain_split(site)[0]
-
-        chosen: List[NodeId] = []
-        for round_number in range(k):
-            popped = queue.pop_best(uncovered_gain, round_number)
-            if popped is None:
-                if self._stop_when_saturated:
-                    break
-                fallback = first_unplaced(sites, evaluator)
-                if fallback is None:
-                    break
-                site: NodeId = fallback
-            else:
-                site = popped[0]
-            evaluator.place(site)
-            chosen.append(site)
-        flush_celf_counters(queue, len(chosen))
-        return chosen
-
-    def _select_python(self, scenario: Scenario, k: int) -> List[NodeId]:
-        """Reference implementation: exhaustive scan per step."""
-        evaluator = IncrementalEvaluator(scenario)
-        chosen: List[NodeId] = []
-        evaluations = 0
-        for _ in range(k):
-            best_site: Optional[NodeId] = None
-            best_gain = 0.0
-            for site in scenario.candidate_sites:
-                if evaluator.is_placed(site):
-                    continue
-                uncovered_gain, _ = evaluator.gain_split(site)
-                evaluations += 1
-                if uncovered_gain > best_gain:
-                    best_site, best_gain = site, uncovered_gain
-            if best_site is None:
-                if self._stop_when_saturated:
-                    break
-                best_site = first_unplaced(scenario.candidate_sites, evaluator)
-                if best_site is None:
-                    break
-            evaluator.place(best_site)
-            chosen.append(best_site)
-        if obs.active() is not None:
-            obs.count_many(
-                {
-                    "algorithm.iterations": len(chosen),
-                    "gain.evaluations": evaluations,
-                }
-            )
-        return chosen
+    rule = UNCOVERED_GAIN

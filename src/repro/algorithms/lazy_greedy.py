@@ -11,93 +11,24 @@ so the two produce identical placements — a property the test suite
 checks — while CELF typically recomputes a small fraction of gains per
 step on realistic instances.
 
-Under ``backend="numpy"`` (default) the lazy scan runs on the array
-kernel: the initial heap is one batched gain reduction and every
-recompute is a masked slice, compounding CELF's savings with
-vectorization.  ``backend="python"`` keeps the loop-based reference.
+It runs the shared greedy loop (:mod:`repro.algorithms.greedy`) under
+the total marginal gain.  Under ``backend="numpy"`` (default) the lazy
+scan runs on the array kernel: the initial heap is precompiled once per
+scenario and every recompute is a scalar pass over one CSR row.
+``backend="python"`` is the one exhaustive reference scan, against which
+the differential tests check CELF.  ``place`` scores the sites on the
+array kernel.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Tuple
-
-from .. import obs
-from ..core import IncrementalEvaluator, Scenario
-from ..core.kernel import ArrayEvaluator, flush_celf_counters, resolve_backend
-from ..graphs import NodeId
-from .base import PlacementAlgorithm, register
+from .base import register
+from .greedy import TOTAL_GAIN, GreedyVariant
 
 
 @register("lazy-greedy")
-class LazyGreedy(PlacementAlgorithm):
+class LazyGreedy(GreedyVariant):
     """CELF-accelerated marginal-gain greedy."""
 
     name = "lazy-greedy"
-
-    def __init__(self, backend: Optional[str] = None) -> None:
-        #: Gain evaluations performed during the last :meth:`select` call;
-        #: exposed for the ablation benchmark.
-        self.evaluations = 0
-        self._backend = backend
-
-    def select(self, scenario: Scenario, k: int) -> List[NodeId]:
-        """CELF: stale-gain max-heap, recompute on pop; same output as plain greedy."""
-        backend = resolve_backend(self._backend, scenario)
-        with obs.span("select", algorithm=self.name, backend=backend, k=k):
-            if backend == "numpy":
-                return self._select_numpy(scenario, k)
-            return self._select_python(scenario, k)
-
-    def _select_numpy(self, scenario: Scenario, k: int) -> List[NodeId]:
-        """Array-kernel CELF: batched initial scan, sliced recomputes."""
-        evaluator = ArrayEvaluator(scenario)
-        sites = scenario.candidate_sites
-        queue = evaluator.celf_queue(sites)
-        chosen: List[NodeId] = []
-        round_number = 0
-        while len(chosen) < k:
-            popped = queue.pop_best(evaluator.gain, round_number)
-            if popped is None:
-                break
-            evaluator.place(popped[0])
-            chosen.append(popped[0])
-            round_number += 1
-        self.evaluations = queue.evaluations
-        flush_celf_counters(queue, len(chosen))
-        return chosen
-
-    def _select_python(self, scenario: Scenario, k: int) -> List[NodeId]:
-        """Reference implementation over the pure-Python evaluator."""
-        evaluator = IncrementalEvaluator(scenario)
-        self.evaluations = 0
-        # Heap entries: (-gain, site_order, site, round_computed).
-        heap: List[Tuple[float, int, NodeId, int]] = []
-        for order, site in enumerate(scenario.candidate_sites):
-            gain = evaluator.gain(site)
-            self.evaluations += 1
-            if gain > 0:
-                heapq.heappush(heap, (-gain, order, site, 0))
-        chosen: List[NodeId] = []
-        round_number = 0
-        while heap and len(chosen) < k:
-            neg_gain, order, site, computed_round = heapq.heappop(heap)
-            if computed_round != round_number:
-                gain = evaluator.gain(site)
-                self.evaluations += 1
-                if gain > 0:
-                    heapq.heappush(heap, (-gain, order, site, round_number))
-                continue
-            if -neg_gain <= 0:
-                break
-            evaluator.place(site)
-            chosen.append(site)
-            round_number += 1
-        if obs.active() is not None:
-            obs.count_many(
-                {
-                    "algorithm.iterations": len(chosen),
-                    "gain.evaluations": self.evaluations,
-                }
-            )
-        return chosen
+    rule = TOTAL_GAIN

@@ -13,100 +13,23 @@ guarantee, *stronger* than Algorithm 2's ``1 - 1/sqrt(e)``.  We ship it
 both as a strong practical default and as an ablation partner for
 Algorithm 2 (see ``benchmarks/bench_ablations.py``).
 
-Two backends produce identical placements: ``"python"`` scans every
-candidate with the pure-Python :class:`IncrementalEvaluator` (the
-differential-testing reference), while ``"numpy"`` (default) runs a
-CELF lazy scan over the array kernel (:mod:`repro.core.kernel`).
+It runs the shared greedy loop (:mod:`repro.algorithms.greedy`): the
+``"numpy"`` backend (default) runs a CELF lazy scan over the array
+kernel (:mod:`repro.core.kernel`), while ``"python"`` is the one
+exhaustive reference scan over the pure-Python
+:class:`~repro.core.evaluation.IncrementalEvaluator`.  Both produce
+identical placements, and ``place`` scores them on the array kernel.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from .. import obs
-from ..core import IncrementalEvaluator, Scenario
-from ..core.kernel import (
-    ArrayEvaluator,
-    first_unplaced,
-    flush_celf_counters,
-    resolve_backend,
-)
-from ..graphs import NodeId
-from .base import PlacementAlgorithm, register
+from .base import register
+from .greedy import TOTAL_GAIN, GreedyVariant
 
 
 @register("marginal-greedy")
-class MarginalGainGreedy(PlacementAlgorithm):
+class MarginalGainGreedy(GreedyVariant):
     """Greedy on total marginal gain (newly covered + improvements)."""
 
     name = "marginal-greedy"
-
-    def __init__(
-        self,
-        stop_when_saturated: bool = True,
-        backend: Optional[str] = None,
-    ) -> None:
-        self._stop_when_saturated = stop_when_saturated
-        self._backend = backend
-
-    def select(self, scenario: Scenario, k: int) -> List[NodeId]:
-        """Greedy on total marginal gain (newly covered + detour improvements)."""
-        backend = resolve_backend(self._backend, scenario)
-        with obs.span("select", algorithm=self.name, backend=backend, k=k):
-            if backend == "numpy":
-                return self._select_numpy(scenario, k)
-            return self._select_python(scenario, k)
-
-    def _select_numpy(self, scenario: Scenario, k: int) -> List[NodeId]:
-        """CELF lazy scan over the array kernel — same output, fewer scans."""
-        evaluator = ArrayEvaluator(scenario)
-        sites = scenario.candidate_sites
-        queue = evaluator.celf_queue(sites)
-        chosen: List[NodeId] = []
-        for round_number in range(k):
-            popped = queue.pop_best(evaluator.gain, round_number)
-            if popped is None:
-                if self._stop_when_saturated:
-                    break
-                fallback = first_unplaced(sites, evaluator)
-                if fallback is None:
-                    break
-                site: NodeId = fallback
-            else:
-                site = popped[0]
-            evaluator.place(site)
-            chosen.append(site)
-        flush_celf_counters(queue, len(chosen))
-        return chosen
-
-    def _select_python(self, scenario: Scenario, k: int) -> List[NodeId]:
-        """Reference implementation: exhaustive scan per step."""
-        evaluator = IncrementalEvaluator(scenario)
-        chosen: List[NodeId] = []
-        evaluations = 0
-        for _ in range(k):
-            best_site: Optional[NodeId] = None
-            best_gain = 0.0
-            for site in scenario.candidate_sites:
-                if evaluator.is_placed(site):
-                    continue
-                gain = evaluator.gain(site)
-                evaluations += 1
-                if gain > best_gain:
-                    best_site, best_gain = site, gain
-            if best_site is None:
-                if self._stop_when_saturated:
-                    break
-                best_site = first_unplaced(scenario.candidate_sites, evaluator)
-                if best_site is None:
-                    break
-            evaluator.place(best_site)
-            chosen.append(best_site)
-        if obs.active() is not None:
-            obs.count_many(
-                {
-                    "algorithm.iterations": len(chosen),
-                    "gain.evaluations": evaluations,
-                }
-            )
-        return chosen
+    rule = TOTAL_GAIN

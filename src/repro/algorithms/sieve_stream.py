@@ -43,6 +43,7 @@ from ..core.kernel import Evaluator, make_evaluator, resolve_backend
 from ..errors import PlacementError
 from ..graphs import NodeId
 from .base import PlacementAlgorithm, register
+from .greedy import TOTAL_GAIN, ExhaustivePick, greedy, scalar_factors
 
 
 class _Sieve:
@@ -215,30 +216,20 @@ class SieveStreamState:
 
         The pool holds every site any sieve ever admitted, so its size
         is bounded by the sieve count times ``k`` regardless of stream
-        length.  Running plain greedy over it costs ``O(|pool| * k)``
-        marginal-gain evaluations and never touches unseen candidates,
-        so the streaming property is intact; the result can only match
-        or beat the best sieve (which is itself a subset of the pool),
-        keeping the ``(1/2 - eps)`` floor while closing most of the
-        practical gap to offline CELF.
+        length.  Running the shared greedy loop with the exhaustive
+        scalar pick over it (:mod:`repro.algorithms.greedy`) costs
+        ``O(|pool| * k)`` marginal-gain evaluations and never touches
+        unseen candidates, so the streaming property is intact; the
+        result can only match or beat the best sieve (which is itself a
+        subset of the pool), keeping the ``(1/2 - eps)`` floor while
+        closing most of the practical gap to offline CELF.
         """
         evaluator = make_evaluator(self._scenario, self._backend)
-        chosen: List[NodeId] = []
-        remaining = sorted(self._admitted)
-        while len(chosen) < self._k and remaining:
-            best_site: Optional[NodeId] = None
-            best_gain = 0.0
-            for site in remaining:
-                gain = evaluator.gain(site)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_site = site
-            if best_site is None:
-                break
-            evaluator.place(best_site)
-            chosen.append(best_site)
-            remaining.remove(best_site)
-        return chosen, evaluator.attracted
+        pool = sorted(self._admitted)
+        pick = ExhaustivePick(
+            evaluator, pool, scalar_factors(evaluator, TOTAL_GAIN)
+        )
+        return greedy(pick, self._k), evaluator.attracted
 
     def best_sites(self) -> List[NodeId]:
         """The current best placement.

@@ -818,8 +818,8 @@ class CelfQueue:
     (gain recomputes, initial scan included), ``heap_pops``,
     ``lazy_refreshes`` (stale entries recomputed and pushed back), and
     ``lazy_skips`` (candidates *not* rescanned in a round — the work an
-    exhaustive scan would have done).  Algorithms flush these into the
-    active observability context once per ``select``.
+    exhaustive scan would have done).  The greedy loop flushes these into
+    the active observability context once per ``select``.
     """
 
     def __init__(
@@ -883,34 +883,45 @@ class CelfQueue:
         return None
 
 
-def flush_celf_counters(queue: "CelfQueue", iterations: int) -> None:
-    """Fold one lazy scan's tallies into the active observability context.
-
-    Called by the greedy variants once per ``select`` — the CELF hot loop
-    itself only bumps plain ints on the queue, so instrumentation costs
-    nothing there and nothing at all when no context is active.
-    """
-    if obs.active() is None:
-        return
-    obs.count_many(
-        {
-            "algorithm.iterations": iterations,
-            "gain.evaluations": queue.evaluations,
-            "celf.heap_pops": queue.heap_pops,
-            "celf.lazy_refreshes": queue.lazy_refreshes,
-            "celf.lazy_skips": queue.lazy_skips,
-        }
-    )
-
-
-def first_unplaced(
-    sites: Sequence[NodeId], evaluator: Evaluator
-) -> Optional[NodeId]:
-    """First candidate without a RAP — the saturated-fallback site."""
+def _check_sites(scenario: "Scenario", sites: List[NodeId]) -> None:
+    """The reference's input checks: distinct sites, all intersections."""
+    if len(set(sites)) != len(sites):
+        raise InvalidScenarioError(f"duplicate RAP sites in {sites!r}")
     for site in sites:
-        if not evaluator.is_placed(site):
-            return site
-    return None
+        if site not in scenario.network:
+            raise InvalidScenarioError(f"RAP site {site!r} is not an intersection")
+
+
+def score_placement(
+    scenario: "Scenario", raps: Sequence[NodeId], algorithm: str = ""
+) -> Placement:
+    """:func:`~repro.core.evaluation.evaluate_placement` on the kernel.
+
+    Replays ``raps`` into an :class:`ArrayEvaluator` and returns its
+    :meth:`~ArrayEvaluator.finish`, which is bit-identical to the
+    reference but never walks the detour sweeps, so a scenario restored
+    from an artifact scores without rebuilding them.  Duplicate sites
+    and sites that are not intersections raise
+    :class:`~repro.errors.InvalidScenarioError`, as in the reference.
+    """
+    # Indirection so repro.devtools.sanitize can audit every call,
+    # however the caller imported this function.
+    return _score_placement_impl(scenario, raps, algorithm)
+
+
+def _score_placement(
+    scenario: "Scenario", raps: Sequence[NodeId], algorithm: str = ""
+) -> Placement:
+    rap_list = list(raps)
+    _check_sites(scenario, rap_list)
+    evaluator = ArrayEvaluator(scenario)
+    for rap in rap_list:
+        evaluator.place(rap)
+    return evaluator.finish(algorithm)
+
+
+#: Hook point: the sanitizer wraps this as it wraps evaluate_placement.
+_score_placement_impl = _score_placement
 
 
 def evaluate_placement_many(
@@ -938,16 +949,9 @@ def evaluate_placement_many(
     totals: List[float] = []
     for sites in placements:
         site_list = list(sites)
-        if len(set(site_list)) != len(site_list):
-            raise InvalidScenarioError(
-                f"duplicate RAP sites in {site_list!r}"
-            )
+        _check_sites(scenario, site_list)
         best = np.full(packed.flow_count, INFINITY)
         for site in site_list:
-            if site not in scenario.network:
-                raise InvalidScenarioError(
-                    f"RAP site {site!r} is not an intersection"
-                )
             row = packed.row_of.get(site)
             if row is None:
                 continue
@@ -1045,10 +1049,9 @@ __all__ = [
     "PackedCoverage",
     "affected_placements",
     "evaluate_placement_many",
-    "first_unplaced",
-    "flush_celf_counters",
     "make_evaluator",
     "reevaluate_affected",
     "resolve_backend",
+    "score_placement",
     "warm_kernel",
 ]

@@ -3,8 +3,10 @@
 The static rules in :mod:`repro.devtools.lint` catch what the AST can
 see; this module is the ASAN-style counterpart for what it cannot.  When
 enabled (env ``RAPFLOW_SANITIZE=1`` or pytest ``--sanitize``), every
-N-th call to :func:`repro.core.evaluation.evaluate_placement` triggers
-an audit of the scenario it ran on:
+N-th placement scored by :func:`repro.core.evaluation.evaluate_placement`
+or by the kernel's :func:`repro.core.kernel.score_placement` (what
+``PlacementAlgorithm.place`` returns) triggers an audit of the scenario
+it ran on:
 
 * **edge weights** — every street length is finite and positive (the
   Dijkstra layer assumes it; a negative weight voids every distance);
@@ -47,7 +49,7 @@ import os
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import SanitizerViolation
 from ..graphs import INFINITY, NodeId
@@ -248,7 +250,8 @@ def audit_scenario(
 # ----------------------------------------------------------------------
 @dataclass
 class _Installation:
-    original: Callable
+    #: ``(module, hook attribute, original scorer)`` per wrapped hook.
+    originals: List[Tuple[object, str, Callable]]
     rng: random.Random
     sample_every: int
     trials: int
@@ -263,58 +266,66 @@ _active: Optional[_Installation] = None
 def install(
     sample_every: int = 16, trials: int = 4, seed: int = 0
 ) -> SanitizerReport:
-    """Wrap ``evaluate_placement`` with sampled audits; idempotent.
+    """Wrap the placement scorers with sampled audits; idempotent.
 
-    Every ``sample_every``-th evaluation (the first call always
-    qualifies) re-audits its scenario and placement.  Returns the live
+    Every ``sample_every``-th scored placement (the first always
+    qualifies), from ``evaluate_placement`` and ``score_placement``
+    alike, re-audits its scenario and placement.  Returns the live
     :class:`SanitizerReport` that accumulates across calls; read it
     after a run to see how many contracts were exercised.
     """
     global _active
     if _active is not None:
         return _active.report
-    from ..core import evaluation
+    from ..core import evaluation, kernel
 
+    hooks = (
+        (evaluation, "_evaluate_placement_impl"),
+        (kernel, "_score_placement_impl"),
+    )
     installation = _Installation(
-        original=evaluation._evaluate_placement_impl,
+        originals=[(module, hook, getattr(module, hook)) for module, hook in hooks],
         rng=random.Random(seed),
         sample_every=max(1, sample_every),
         trials=trials,
     )
 
-    def sanitized_evaluate_placement(scenario, raps, algorithm: str = ""):
-        placement = installation.original(scenario, raps, algorithm)
-        if installation.in_audit:
+    def sanitized(original: Callable) -> Callable:
+        def sanitized_scorer(scenario, raps, algorithm: str = ""):
+            placement = original(scenario, raps, algorithm)
+            if installation.in_audit:
+                return placement
+            installation.calls += 1
+            if (installation.calls - 1) % installation.sample_every != 0:
+                return placement
+            installation.in_audit = True
+            try:
+                audit_scenario(
+                    scenario,
+                    placement,
+                    rng=installation.rng,
+                    trials=installation.trials,
+                    report=installation.report,
+                )
+            finally:
+                installation.in_audit = False
             return placement
-        installation.calls += 1
-        if (installation.calls - 1) % installation.sample_every != 0:
-            return placement
-        installation.in_audit = True
-        try:
-            audit_scenario(
-                scenario,
-                placement,
-                rng=installation.rng,
-                trials=installation.trials,
-                report=installation.report,
-            )
-        finally:
-            installation.in_audit = False
-        return placement
 
-    evaluation._evaluate_placement_impl = sanitized_evaluate_placement
+        return sanitized_scorer
+
+    for module, hook, original in installation.originals:
+        setattr(module, hook, sanitized(original))
     _active = installation
     return installation.report
 
 
 def uninstall() -> Optional[SanitizerReport]:
-    """Remove the wrapper; returns the accumulated report, if any."""
+    """Remove the wrappers; returns the accumulated report, if any."""
     global _active
     if _active is None:
         return None
-    from ..core import evaluation
-
-    evaluation._evaluate_placement_impl = _active.original
+    for module, hook, original in _active.originals:
+        setattr(module, hook, original)
     report = _active.report
     _active = None
     return report

@@ -86,8 +86,8 @@ from .engine import decode_site, encode_site
 from .server import (
     DEADLINE_HEADER,
     DIGEST_HEADER,
+    IdleConnections,
     close_quietly,
-    read_http_request,
     sanitizer_health,
     split_head,
     write_json_response,
@@ -119,6 +119,10 @@ SHED_TIERS: Dict[str, float] = {
 
 #: Latency samples retained per worker (p95/p99 estimation).
 _LATENCY_WINDOW = 256
+
+#: Seconds the front's 429/503 replies ask clients to wait; a drain also
+#: answers idle connections 503 for this long before closing them.
+_RETRY_AFTER = 0.05
 
 #: Validated evaluate bodies memoized on the front (LRU).  Hot
 #: workloads re-send byte-identical bodies; a hit skips JSON parsing
@@ -607,6 +611,7 @@ class PlacementFleet:
         self._parse_cache: "OrderedDict[Tuple[str, bytes], Tuple[List[List[NodeId]], Optional[dict], Optional[str]]]" = (
             OrderedDict()
         )
+        self._connections = IdleConnections()
         self._draining = False
         self._inflight = 0
         self._next_slot = 0
@@ -730,7 +735,8 @@ class PlacementFleet:
         self._supervisor = loop.create_task(self._supervise())
 
     async def shutdown(self) -> None:
-        """Stop the supervisor, close the front, stop every worker."""
+        """Stop the supervisor, close the front and its idle connections,
+        stop every worker."""
         self._draining = True
         if self._supervisor is not None:
             self._supervisor.cancel()
@@ -740,6 +746,7 @@ class PlacementFleet:
                 pass
         if self._server is not None:
             self._server.close()
+            await self._connections.close_waiting(_RETRY_AFTER)
             await self._server.wait_closed()
         for batcher in self._front_batchers.values():
             await batcher.drain()
@@ -1069,7 +1076,7 @@ class PlacementFleet:
     ) -> None:
         try:
             while True:
-                parsed = await read_http_request(reader)
+                parsed = await self._connections.next_request(reader, writer)
                 if parsed is None:
                     break
                 method, path, headers, body, keep_alive = parsed
@@ -1078,7 +1085,7 @@ class PlacementFleet:
                 )
                 extra = None
                 if status in (429, 503):
-                    extra = {"Retry-After": "0.05"}
+                    extra = {"Retry-After": f"{_RETRY_AFTER:g}"}
                 await write_json_response(
                     writer, status, payload, keep_alive, extra
                 )

@@ -160,6 +160,54 @@ async def read_http_request(
     return method, path, headers, body, keep_alive
 
 
+class IdleConnections:
+    """Client connections waiting for their next request head.
+
+    A keep-alive client may keep its connection open after its last
+    request.  At drain, Python 3.12's ``Server.wait_closed`` waits for
+    such a client, and on 3.11 its handler is still waiting for a head
+    at loop teardown, where cancelling it logs "Exception in callback
+    ... CancelledError".  :meth:`close_waiting` does what 3.13's
+    ``Server.close_clients`` does for the waiting connections; later
+    reads return ``None``, so a handler still answering a request closes
+    its connection when it is done.  Shared by :class:`PlacementServer`
+    and the fleet front.
+    """
+
+    def __init__(self) -> None:
+        self._waiting: Dict[asyncio.StreamWriter, "asyncio.Task[None]"] = {}
+        self._closed = False
+
+    async def next_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[Tuple[str, str, Dict[str, str], bytes, bool]]:
+        """:func:`read_http_request`, or ``None`` once :meth:`close_waiting` ran."""
+        handler = asyncio.current_task()
+        if self._closed or handler is None:
+            return None
+        self._waiting[writer] = handler
+        try:
+            return await read_http_request(reader)
+        finally:
+            del self._waiting[writer]
+
+    async def close_waiting(self, grace: float, timeout: float = 5.0) -> None:
+        """Close the waiting connections and wait for their handlers.
+
+        When connections are waiting, they first get ``grace`` seconds
+        (the drain's ``Retry-After``): a client racing the drain is
+        answered 503 and told when to retry, rather than reset.
+        """
+        if self._waiting and grace > 0:
+            await asyncio.sleep(grace)
+        self._closed = True
+        handlers = list(self._waiting.values())
+        for writer in self._waiting:
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=timeout)
+
+
 async def write_json_response(
     writer: asyncio.StreamWriter,
     status: int,
@@ -359,6 +407,7 @@ class PlacementServer:
         self._metrics = LatencyHistogram()
         self._query_statuses: Dict[int, int] = {}
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections = IdleConnections()
         self._inflight = 0
         self._draining = False
         # Created in start(): asyncio primitives bind the running loop
@@ -408,7 +457,9 @@ class PlacementServer:
 
         New requests arriving during the drain are answered 503; the
         batcher's open windows are flushed so queued evaluations finish
-        rather than being abandoned.
+        rather than being abandoned.  Once in-flight requests finish,
+        connections idling between requests are closed, after one
+        ``retry_after`` in which they are still answered 503.
         """
         self._draining = True
         if self._server is not None:
@@ -419,6 +470,7 @@ class PlacementServer:
                 await asyncio.wait_for(self._idle.wait(), drain_timeout)
             except asyncio.TimeoutError:
                 obs.count("serve.drain_timeouts")
+        await self._connections.close_waiting(self._retry_after, drain_timeout)
         if self._server is not None:
             await self._server.wait_closed()
         if self._tracer is not None:
@@ -452,7 +504,7 @@ class PlacementServer:
     ) -> None:
         try:
             while True:
-                parsed = await read_http_request(reader)
+                parsed = await self._connections.next_request(reader, writer)
                 if parsed is None:
                     break
                 method, path, headers, body, keep_alive = parsed
@@ -770,6 +822,7 @@ async def run_server(
 __all__ = [
     "DEADLINE_HEADER",
     "DIGEST_HEADER",
+    "IdleConnections",
     "PlacementServer",
     "close_quietly",
     "effective_deadline",

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algorithms import PlacementAlgorithm
 from repro.algorithms.base import register
-from repro.errors import PlacementError
+from repro.errors import InvalidScenarioError, PlacementError
 
 
 class OverSelector(PlacementAlgorithm):
@@ -17,10 +17,31 @@ class OverSelector(PlacementAlgorithm):
         return list(scenario.candidate_sites)[: k + 2]
 
 
+class FixedSelector(PlacementAlgorithm):
+    """Stub that selects a fixed site list, whatever the scenario."""
+
+    name = "fixed-selector"
+
+    def __init__(self, sites):
+        self._sites = list(sites)
+
+    def select(self, scenario, k):
+        """Return the fixed sites."""
+        return list(self._sites)
+
+
 class TestPlaceContract:
     def test_budget_overflow_rejected(self, paper_linear_scenario):
         with pytest.raises(PlacementError):
             OverSelector().place(paper_linear_scenario, 1)
+
+    def test_duplicate_site_rejected(self, paper_linear_scenario):
+        with pytest.raises(InvalidScenarioError, match="duplicate"):
+            FixedSelector(["V3", "V3"]).place(paper_linear_scenario, 2)
+
+    def test_non_intersection_site_rejected(self, paper_linear_scenario):
+        with pytest.raises(InvalidScenarioError, match="not an intersection"):
+            FixedSelector(["V3", "V9"]).place(paper_linear_scenario, 2)
 
     def test_repr(self):
         assert "OverSelector" in repr(OverSelector())

@@ -223,21 +223,6 @@ class TestBackendPlacementEquality:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 100_000))
-    def test_backends_agree_without_saturation_stop(self, seed):
-        """The zero-gain fallback path is backend-invariant too."""
-        scenario, rng = random_instance(seed)
-        k = rng.randint(1, 10)
-        for name in ("greedy-coverage", "marginal-greedy"):
-            python = algorithm_by_name(
-                name, backend="python", stop_when_saturated=False
-            ).select(scenario, k)
-            numpy_sites = algorithm_by_name(
-                name, backend="numpy", stop_when_saturated=False
-            ).select(scenario, k)
-            assert numpy_sites == python, name
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 100_000))
     def test_celf_queue_pops_true_argmax(self, seed):
         """CELF over stale bounds equals a fresh exhaustive argmax."""
         scenario, rng = random_instance(seed)

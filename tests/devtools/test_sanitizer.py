@@ -113,6 +113,20 @@ class TestInstrumentation:
         assert final is report
         assert sanitize.uninstall() is None
 
+    def test_greedy_place_is_audited(self):
+        # place() must reach the sampled audit whichever evaluator
+        # scores its result.
+        from repro.algorithms import CompositeGreedy
+
+        report = sanitize.install(sample_every=1, trials=1, seed=0)
+        try:
+            scenario = paper_scenario(LinearUtility(6.0))
+            before = report.first_rap_checks
+            CompositeGreedy().place(scenario, 2)
+            assert report.first_rap_checks > before
+        finally:
+            sanitize.uninstall()
+
     def test_install_is_idempotent(self):
         first = sanitize.install(sample_every=4)
         try:

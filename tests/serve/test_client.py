@@ -9,6 +9,7 @@ from the server's accept log, not inferred from client internals.
 """
 
 import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -194,25 +195,34 @@ class TestKeepAlive:
             assert stub.connections == 2
 
 
+@pytest.fixture
+def refused_port():
+    """A port bound without ``listen()``: every connect is refused at once.
+
+    A server that listens but never accepts would not do: connects land
+    in its backlog, and each attempt waits out the client's timeout.
+    """
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        yield sock.getsockname()[1]
+
+
 class TestRetrySchedule:
-    def test_transport_errors_follow_exponential_backoff(self):
+    def test_transport_errors_follow_exponential_backoff(self, refused_port):
         sleeps = []
-        # Nothing listens on the scripted server's port until entered:
-        # every attempt is a transport error.
-        stub = _ScriptedServer([(200, {}, {})])
+        # Every attempt is a transport error.
         client = recording_client(
-            stub.port, sleeps, retries=3, backoff=0.1, backoff_cap=10.0
+            refused_port, sleeps, retries=3, backoff=0.1, backoff_cap=10.0
         )
         with pytest.raises(ServeClientError) as info:
             client.healthz()
         assert info.value.status is None
         assert sleeps == [0.1, 0.2, 0.4]
 
-    def test_backoff_is_capped(self):
+    def test_backoff_is_capped(self, refused_port):
         sleeps = []
-        stub = _ScriptedServer([(200, {}, {})])
         client = recording_client(
-            stub.port, sleeps, retries=4, backoff=0.1, backoff_cap=0.25
+            refused_port, sleeps, retries=4, backoff=0.1, backoff_cap=0.25
         )
         with pytest.raises(ServeClientError):
             client.healthz()

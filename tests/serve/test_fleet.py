@@ -8,6 +8,7 @@ SIGKILL.  Supervision tests poll with deadlines rather than fixed
 sleeps so they stay fast on a quiet machine and robust on a loaded one.
 """
 
+import logging
 import time
 
 import pytest
@@ -58,6 +59,17 @@ def wait_until(predicate, timeout=15.0, interval=0.05):
             return True
         time.sleep(interval)
     return predicate()
+
+
+class TestShutdown:
+    def test_idle_keep_alive_client_is_closed_at_drain(self, artifact, caplog):
+        fleet = make_fleet(artifact)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with FleetThread(fleet) as handle:
+                client = handle.client()
+                assert client.evaluate([["V3", "V5"]]) == [21.0]
+        client.close()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
 class TestRouting:

@@ -6,6 +6,7 @@ then verify that excess concurrent requests are rejected immediately
 with 429 — never queued, never hung.
 """
 
+import logging
 import threading
 import time
 
@@ -168,6 +169,17 @@ class TestAdmissionControl:
 
 
 class TestGracefulShutdown:
+    def test_idle_keep_alive_client_is_closed_at_drain(self, engine, caplog):
+        # The client's connection stays open, waiting for a next request
+        # that never comes; the drain must close it, not leave its
+        # handler to be cancelled at loop teardown.
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with ServerThread(engine) as handle:
+                client = handle.client()
+                assert client.evaluate([["V3", "V5"]]) == [21.0]
+        client.close()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
     def test_inflight_request_finishes_during_drain(self, artifact):
         engine = slow_engine(artifact, seconds=0.3)
         results = []
