@@ -84,9 +84,9 @@ def main() -> None:
             for entry in gains:
                 print(f"  {entry['site']}: +{entry['gain']:.1f}")
 
-            stats = client.healthz()["batching"]
-            print(f"\nbatching: {stats['requests']} evaluate requests in "
-                  f"{stats['flushes']} kernel flushes")
+            cache = client.healthz()["cache"]
+            print(f"\nengine cache: {cache['entries']} of "
+                  f"{cache['capacity']} replies held")
 
 
 if __name__ == "__main__":

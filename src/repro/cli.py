@@ -463,21 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-request deadline in seconds (expiry answers 504)",
     )
     serve.add_argument(
-        "--batch-window", type=float, default=0.002,
-        help="micro-batch window in seconds for evaluate coalescing",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=256,
-        help="flush a batch early at this many queued placements",
-    )
-    serve.add_argument(
-        "--cache-size", type=int, default=256,
+        "--cache-size", type=int, default=1024,
         help="engine LRU response-cache capacity (0 disables)",
-    )
-    serve.add_argument(
-        "--bypass-threshold", type=int, default=4,
-        help="dispatch immediately (skip the batch window) when the "
-        "in-flight request count is at or below this (default: 4)",
     )
     serve.add_argument(
         "--shm", action="store_true",
@@ -494,11 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shm-attach", default=None, metavar="DIGEST",
         help="attach an already-published artifact by digest instead "
         "of compiling or loading (worker mode; requires --shm-dir)",
-    )
-    serve.add_argument(
-        "--front-batch-window", type=float, default=0.0,
-        help="fleet-front micro-batch window in seconds for per-shard "
-        "evaluate dedup before replica routing (0 disables; fleet only)",
     )
     serve.add_argument(
         "--ready-file", default=None, metavar="PATH",
@@ -536,6 +518,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stall duration in seconds for injected delays",
     )
     serve.add_argument("--fault-seed", type=int, default=0)
+    # Read only by perfbench/fleet_host.py, into FleetConfig; no flag
+    # sets them, since nothing batches.
+    serve.set_defaults(front_batch_window=0.0, max_batch=256, bypass_threshold=4)
 
     chaos = commands.add_parser(
         "chaos",
@@ -1166,10 +1151,7 @@ def _worker_serve_args(args: argparse.Namespace, cache_dir: str) -> List[str]:
         "--cache-dir", cache_dir,
         "--max-inflight", str(args.max_inflight),
         "--timeout", str(args.timeout),
-        "--batch-window", str(args.batch_window),
-        "--max-batch", str(args.max_batch),
         "--cache-size", str(args.cache_size),
-        "--bypass-threshold", str(args.bypass_threshold),
     ]
     if args.threshold is not None:
         worker_args += ["--threshold", str(args.threshold)]
@@ -1219,9 +1201,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         port=args.port,
         max_inflight=args.max_inflight,
         timeout=args.timeout,
-        front_batch_window=args.front_batch_window,
-        front_max_batch=args.max_batch,
-        front_bypass=args.bypass_threshold,
         trace_dir=args.trace_dir,
     )
     fleet = PlacementFleet(
@@ -1375,9 +1354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_inflight=args.max_inflight,
         timeout=args.timeout,
-        batch_window=args.batch_window,
-        max_batch=args.max_batch,
-        bypass_threshold=args.bypass_threshold,
         latency_log=args.latency_log,
         restore_info=restore_info,
         trace_dir=args.trace_dir,

@@ -18,10 +18,10 @@ artifact explaining why.  This module is the cross-process half:
   trace and ``rapflow trace <id>`` renders it.
 
 Propagation *inside* a process rides a :class:`contextvars.ContextVar`
-(:func:`current` / :func:`activate`), so the engine and the micro
-batcher can emit spans without threading trace arguments through every
-call.  Tracing is **opt-in** per process (a ``trace_dir``): when no
-recorder was installed the context variable is never set, and every
+(:func:`current` / :func:`activate`), so the engine can emit spans
+without threading trace arguments through every call.  Tracing is
+**opt-in** per process (a ``trace_dir``): when no recorder was
+installed the context variable is never set, and every
 hook here degrades to a single ``ContextVar.get`` + ``None`` check —
 ``scripts/check_obs_overhead.py`` enforces the <5% disabled-mode
 contract on the serve path.
@@ -174,7 +174,7 @@ class TraceRecorder:
 class TraceContext:
     """The active trace at one point in one process.
 
-    Carries the recorder so nested instrumentation (engine, batcher)
+    Carries the recorder so nested instrumentation (the engine)
     reaches the *right* segment even when several workers share a
     process (the chaos harness runs front + N local workers in one
     interpreter, each on its own thread and loop).

@@ -9,10 +9,8 @@ restarts skip recompilation), then answer placement queries against it:
 * :class:`~repro.serve.engine.QueryEngine` — typed ``place`` /
   ``evaluate`` / ``what_if`` / ``top_gains`` requests, answered by the
   exact library calls a direct user would make (bit-identical results,
-  both backends), with a bounded LRU response cache;
-* :class:`~repro.serve.batching.MicroBatcher` — coalesces concurrent
-  evaluate requests into shared
-  :func:`~repro.core.kernel.evaluate_placement_many` calls;
+  both backends), with a bounded LRU response cache that answers
+  repeated requests of every kind;
 * :class:`~repro.serve.server.PlacementServer` /
   :class:`~repro.serve.client.ServeClient` — stdlib-only JSON-over-HTTP
   front end with admission control (429 on overload), per-request
@@ -20,7 +18,8 @@ restarts skip recompilation), then answer placement queries against it:
 * :class:`~repro.serve.fleet.PlacementFleet` — a supervised fleet of N
   worker replicas behind one routing front: heartbeat probes, bounded
   respawn with a circuit breaker, retry/backoff/hedging for idempotent
-  queries, tiered load shedding, and degraded cache-replay fallback;
+  queries, tiered load shedding, and degraded cache-replay fallback
+  (the front's one cache, consulted only when no worker answers);
 * :func:`~repro.serve.chaos.run_chaos` — seeded chaos harness that
   kills/stalls/slows/corrupts workers under concurrent load and checks
   availability plus bit-identity of every non-degraded answer;
@@ -37,8 +36,8 @@ per-process JSONL segments (opt-in via ``FleetConfig.trace_dir`` /
 ``GET /metrics``, and SLO error-budget burn rates in ``/healthz``.
 
 Surfacing lives in the CLI (``rapflow serve [--workers N]`` /
-``rapflow chaos`` / ``rapflow query`` / ``rapflow evaluate``) and
-``scripts/bench_serve.py``::
+``rapflow chaos`` / ``rapflow query`` / ``rapflow evaluate``); the
+benchmark of record is ``perfbench/run.py``::
 
     from repro.serve import ArtifactStore, QueryEngine, ServerThread
 
@@ -56,7 +55,6 @@ from .artifacts import (
     scenario_to_spec,
     spec_digest,
 )
-from .batching import MicroBatcher
 from .chaos import (
     CHAOS_PRESETS,
     ChaosEvent,
@@ -96,7 +94,6 @@ __all__ = [
     "FleetConfig",
     "FleetThread",
     "LocalWorker",
-    "MicroBatcher",
     "PlacementFleet",
     "PlacementServer",
     "ProcessWorker",

@@ -83,7 +83,9 @@ class QueryEngine:
         The compiled scenario to serve.
     cache_size:
         Maximum retained responses in the per-engine LRU (0 disables
-        result caching).
+        result caching).  Every request kind enters it, so one-off
+        evaluates push older replies out; the default keeps a ``place``
+        reply that recurs every few hundred requests cached among them.
     fault_injector:
         Optional :class:`~repro.reliability.FaultInjector`; its
         request-level rates drive :meth:`check_fault`.
@@ -92,7 +94,7 @@ class QueryEngine:
     def __init__(
         self,
         artifact: ScenarioArtifact,
-        cache_size: int = 256,
+        cache_size: int = 1024,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         if cache_size < 0:
@@ -314,10 +316,9 @@ class QueryEngine:
     ) -> List[float]:
         """Score placements verbatim via ``evaluate_placement_many``.
 
-        The shared entry point for the ``evaluate`` request kind and the
-        micro-batcher: one packed-index batch call, no result caching,
-        no reordering-sensitive state, so batched and direct calls agree
-        bit-for-bit.
+        The shared scoring call of the ``evaluate`` and ``what_if``
+        request kinds: one packed-index batch call with no result
+        caching (:meth:`handle` caches whole replies).
         """
         request: Dict[str, object] = {"kind": "evaluate"}
         if utility is not None:

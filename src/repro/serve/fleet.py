@@ -11,13 +11,6 @@ companion paper), a client addresses a non-default shard with the
 shard's digest — a mismatched digest is treated as a corrupt reply,
 never returned to the caller.
 
-With ``front_batch_window > 0`` the front also runs one
-:class:`~repro.serve.batching.MicroBatcher` per shard in *dispatch*
-mode: concurrent ``evaluate`` requests are deduplicated and coalesced
-**before** replica routing, so identical hot queries that would have
-landed on different replicas collapse to one backend call per window —
-per-shard dedup, not per-worker.
-
 The fleet stays alive under injected failure through four mechanisms:
 
 * **worker lifecycle** — the supervisor heartbeats every worker's
@@ -37,7 +30,9 @@ The fleet stays alive under injected failure through four mechanisms:
 * **graceful degradation** — every good idempotent reply feeds a bounded
   front-side LRU; when no replica can answer, the front replays the
   cached reply marked ``"degraded": true`` instead of failing, and only
-  answers 503 when it has nothing cached.
+  answers 503 when it has nothing cached.  It is the front's only
+  cache: a reply a worker can give comes from the worker, whose engine
+  LRU answers repeats.
 * **tiered load shedding** — admission is budgeted per request kind (see
   :data:`SHED_TIERS`), so under overload cheap ``evaluate`` queries
   survive longer than expensive ``place`` runs; shedding state is
@@ -76,13 +71,10 @@ from typing import (
 
 from .. import obs
 from ..errors import ObsError, ServeRequestError, ServeWorkerError
-from ..graphs import NodeId
 from ..obs import trace as obs_trace
 from ..obs.clock import Clock, SystemClock
 from ..obs.metrics import LatencyHistogram
 from ..obs.slo import SLOConfig, SLOTracker
-from .batching import MicroBatcher
-from .engine import decode_site, encode_site
 from .server import (
     DEADLINE_HEADER,
     DIGEST_HEADER,
@@ -90,6 +82,7 @@ from .server import (
     close_quietly,
     sanitizer_health,
     split_head,
+    unread_body_answer,
     write_json_response,
 )
 from .testing import ServerThread
@@ -123,11 +116,6 @@ _LATENCY_WINDOW = 256
 #: Seconds the front's 429/503 replies ask clients to wait; a drain also
 #: answers idle connections 503 for this long before closing them.
 _RETRY_AFTER = 0.05
-
-#: Validated evaluate bodies memoized on the front (LRU).  Hot
-#: workloads re-send byte-identical bodies; a hit skips JSON parsing
-#: and placement validation on the front's single event loop.
-PARSE_CACHE_ENTRIES = 512
 
 
 @dataclass
@@ -164,18 +152,11 @@ class RetryPolicy:
 class FleetConfig:
     """Supervision and admission knobs for one :class:`PlacementFleet`.
 
-    ``workers`` counts replicas **per shard**.  The ``front_*`` knobs
-    control the front-side per-shard micro-batcher:
-    ``front_batch_window=0`` (the default) disables it — per-worker
-    batching inside each :class:`~repro.serve.server.PlacementServer`
-    still applies — while a positive window coalesces and deduplicates
-    concurrent ``evaluate`` requests across replicas before routing.
-
-    ``slo`` carries the availability/latency targets the front's
-    burn-rate accounting (``/healthz`` → ``slo``) runs against;
-    ``trace_dir`` opts the front into distributed tracing (its
-    ``front.jsonl`` segment lands there — workers need their own
-    ``trace_dir`` to contribute worker spans).
+    ``workers`` counts replicas **per shard**.  ``slo`` carries the
+    availability/latency targets the front's burn-rate accounting
+    (``/healthz`` → ``slo``) runs against; ``trace_dir`` opts the front
+    into distributed tracing (its ``front.jsonl`` segment lands there —
+    workers need their own ``trace_dir`` to contribute worker spans).
     """
 
     workers: int = 2
@@ -193,6 +174,9 @@ class FleetConfig:
     degraded_cache_size: int = 256
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     seed: int = 0
+    # Read only by perfbench/fleet_host.py, which passes the
+    # ``rapflow serve`` defaults.  The front does not batch, so
+    # validate() refuses a window rather than ignore it.
     front_batch_window: float = 0.0
     front_max_batch: int = 256
     front_bypass: int = 4
@@ -204,18 +188,10 @@ class FleetConfig:
             raise ServeRequestError(
                 f"workers must be >= 1, got {self.workers}"
             )
-        if self.front_batch_window < 0:
+        if self.front_batch_window != 0:
             raise ServeRequestError(
-                "front_batch_window must be >= 0, got "
-                f"{self.front_batch_window}"
-            )
-        if self.front_max_batch < 1:
-            raise ServeRequestError(
-                f"front_max_batch must be >= 1, got {self.front_max_batch}"
-            )
-        if self.front_bypass < 0:
-            raise ServeRequestError(
-                f"front_bypass must be >= 0, got {self.front_bypass}"
+                "the fleet front no longer batches; front_batch_window "
+                f"must be 0, got {self.front_batch_window}"
             )
         if self.max_inflight < 1:
             raise ServeRequestError(
@@ -495,8 +471,8 @@ class _WorkerSlot:
         self.inflight = 0
         self.last_error: Optional[str] = None
         #: Selected fields of the worker's last healthy ``/healthz``
-        #: reply (restore provenance, batching tallies) — the front's
-        #: window into per-worker memory/attach accounting.
+        #: reply (restore provenance) — the front's window into
+        #: per-worker memory/attach accounting.
         self.last_health: Optional[Dict[str, object]] = None
 
     @property
@@ -525,20 +501,6 @@ class _WorkerSlot:
             "last_error": self.last_error,
             "health": self.last_health,
         }
-
-
-class _ShardAnswer(ServeWorkerError):
-    """A non-200 shard answer tunnelled through the front batcher.
-
-    The batcher's dispatch callable can only return totals or raise;
-    this carries the exact ``(status, payload)`` the retry path
-    produced, so every coalesced request in the flush answers with it.
-    """
-
-    def __init__(self, status: int, payload: Dict[str, object]) -> None:
-        super().__init__(str(payload.get("error", f"status {status}")))
-        self.status = status
-        self.payload = payload
 
 
 # ----------------------------------------------------------------------
@@ -600,17 +562,6 @@ class PlacementFleet:
         self._slots: List[_WorkerSlot] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._supervisor: Optional["asyncio.Task[None]"] = None
-        self._front_batchers: Dict[str, MicroBatcher] = {}
-        #: Hot-body parse memo: ``(digest, raw body)`` of an already
-        #: validated evaluate request → its decoded ``(placements,
-        #: utility, backend)``.  Hot workloads re-send identical bodies;
-        #: a hit skips JSON parsing, validation, and site decoding on
-        #: the front's single loop (a large share of per-request cost at
-        #: high concurrency).  Purely a parse cache — answers still flow
-        #: through the batcher and workers every time.
-        self._parse_cache: "OrderedDict[Tuple[str, bytes], Tuple[List[List[NodeId]], Optional[dict], Optional[str]]]" = (
-            OrderedDict()
-        )
         self._connections = IdleConnections()
         self._draining = False
         self._inflight = 0
@@ -719,16 +670,6 @@ class PlacementFleet:
                 raise ServeWorkerError(
                     f"no worker came up for shard {shard[:12]} at fleet start"
                 )
-        if self._config.front_batch_window > 0:
-            self._front_batchers = {
-                shard: MicroBatcher(
-                    dispatch=self._shard_dispatch(shard),
-                    window=self._config.front_batch_window,
-                    max_batch=self._config.front_max_batch,
-                    bypass_threshold=self._config.front_bypass,
-                )
-                for shard in self.shard_digests
-            }
         self._server = await asyncio.start_server(
             self._serve_connection, self._config.host, self._config.port
         )
@@ -748,8 +689,6 @@ class PlacementFleet:
             self._server.close()
             await self._connections.close_waiting(_RETRY_AFTER)
             await self._server.wait_closed()
-        for batcher in self._front_batchers.values():
-            await batcher.drain()
         await self._stop_slots(self._slots, "fleet.shutdown_errors")
         from ..devtools import sanitize  # local: opt-in tooling, lazy
 
@@ -827,7 +766,7 @@ class PlacementFleet:
         every request that has not yet read the default routes to the
         new shard while requests already in flight finish against the
         old one — then, with ``retire_old``, wait for the old shard's
-        in-flight requests and batcher to drain and stop its workers.
+        in-flight requests to drain and stop its workers.
         No request is ever dropped: each one serves against whichever
         shard it was routed to when it arrived.
 
@@ -885,13 +824,6 @@ class PlacementFleet:
                 self._slots.extend(new_slots)
                 self._shards[digest] = worker_factory
                 self.shard_served.setdefault(digest, 0)
-                if self._config.front_batch_window > 0:
-                    self._front_batchers[digest] = MicroBatcher(
-                        dispatch=self._shard_dispatch(digest),
-                        window=self._config.front_batch_window,
-                        max_batch=self._config.front_max_batch,
-                        bypass_threshold=self._config.front_bypass,
-                    )
             # The flip: a single assignment on the event loop.  Requests
             # that resolved their digest before this instant finish on
             # the old shard; everything after routes to the new one.
@@ -914,9 +846,9 @@ class PlacementFleet:
         """Drain and stop one non-default shard's workers.
 
         Waits for in-flight requests against the shard to finish (the
-        flip already diverted new traffic), flushes its front batcher,
-        stops its workers, and drops its routing entry — requests still
-        addressing the digest explicitly get a clean 404 afterwards.
+        flip already diverted new traffic), stops its workers, and drops
+        its routing entry — requests still addressing the digest
+        explicitly get a clean 404 afterwards.
         """
         if digest == self._digest or digest not in self._shards:
             return
@@ -927,18 +859,11 @@ class PlacementFleet:
                 obs.count("fleet.swap_drain_timeouts")
                 break
             await asyncio.sleep(0.005)
-        batcher = self._front_batchers.pop(digest, None)
-        if batcher is not None:
-            await batcher.drain()
         await self._stop_slots(old_slots, "fleet.swap_stop_errors")
         self._slots = [
             slot for slot in self._slots if slot.digest != digest
         ]
         del self._shards[digest]
-        for key in [
-            key for key in self._parse_cache if key[0] == digest
-        ]:
-            del self._parse_cache[key]
         obs.count("fleet.shards_retired")
 
     def request_swap(
@@ -994,10 +919,7 @@ class PlacementFleet:
             )
             healthy = status == 200 and payload.get("digest") == slot.digest
             if healthy:
-                slot.last_health = {
-                    "restore": payload.get("restore"),
-                    "batching": payload.get("batching"),
-                }
+                slot.last_health = {"restore": payload.get("restore")}
         except (
             OSError,
             asyncio.TimeoutError,
@@ -1099,6 +1021,9 @@ class PlacementFleet:
     async def _dispatch(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, Dict[str, object]]:
+        unread = unread_body_answer(method)
+        if unread is not None:
+            return unread
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "healthz is GET-only"}
@@ -1118,8 +1043,7 @@ class PlacementFleet:
         else:
             # Root span: a seeded-deterministic trace id (fleet seed +
             # request counter), activated on the context variable so
-            # every forward attempt below parents to it — including
-            # the parse-cache fast path and front-batched flushes.
+            # every forward attempt below parents to it.
             trace_id = obs_trace.make_trace_id(
                 self._config.seed, self._trace_index
             )
@@ -1162,24 +1086,6 @@ class PlacementFleet:
             return 404, {
                 "error": f"this front serves no shard {digest[:16]}"
             }
-        parsed = self._parse_cache.get((digest, body))
-        if parsed is not None:
-            # A previously validated evaluate body, byte-identical:
-            # straight to the batcher, no JSON or decode work.
-            self._parse_cache.move_to_end((digest, body))
-            batcher = self._front_batchers.get(digest)
-            if batcher is not None:
-                obs.count("fleet.parse_cache.hits")
-                shed = self._admit("evaluate")
-                if shed is not None:
-                    return shed
-                self._inflight += 1
-                try:
-                    return await self._front_evaluate_parsed(
-                        batcher, parsed, digest
-                    )
-                finally:
-                    self._inflight -= 1
         try:
             request = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -1192,11 +1098,6 @@ class PlacementFleet:
             return shed
         self._inflight += 1
         try:
-            batcher = self._front_batchers.get(digest)
-            if batcher is not None and kind == "evaluate":
-                return await self._front_evaluate(
-                    batcher, request, digest, body
-                )
             return await self._answer(kind, request, body, digest)
         finally:
             self._inflight -= 1
@@ -1488,122 +1389,6 @@ class PlacementFleet:
             attrs["degraded"] = True
         obs_trace.record("front.degrade", now, now, attrs, context=ctx)
 
-    # -- front-side per-shard batching ----------------------------------
-    def _shard_dispatch(
-        self, digest: str
-    ) -> Callable[..., "asyncio.Future"]:
-        """The async evaluate sink one shard's front batcher flushes to.
-
-        Re-encodes the coalesced placements into a single worker
-        request and routes it through the normal retry/hedging path, so
-        a front-batched flush keeps every resilience property a direct
-        forward has.
-        """
-        async def dispatch(
-            placements: List[Tuple[NodeId, ...]],
-            utility: Optional[dict],
-            backend: Optional[str],
-        ) -> List[float]:
-            request: Dict[str, object] = {
-                "kind": "evaluate",
-                "placements": [
-                    [encode_site(site) for site in placement]
-                    for placement in placements
-                ],
-            }
-            if utility is not None:
-                request["utility"] = utility
-            if backend is not None:
-                request["backend"] = backend
-            body = json.dumps(request).encode("utf-8")
-            status, payload = await self._answer(
-                "evaluate", request, body, digest
-            )
-            if status != 200:
-                raise _ShardAnswer(status, payload)
-            totals = payload.get("totals")
-            if not isinstance(totals, list) or len(totals) != len(placements):
-                raise ServeWorkerError(
-                    f"shard {digest[:12]} answered {len(placements)} "
-                    "placements with a malformed totals list"
-                )
-            obs.count("fleet.front_batch.flushes")
-            return [float(total) for total in totals]
-
-        return dispatch
-
-    async def _front_evaluate(
-        self,
-        batcher: MicroBatcher,
-        request: Dict[str, object],
-        digest: str,
-        body: bytes,
-    ) -> Tuple[int, Dict[str, object]]:
-        """Route one evaluate request through the shard's front batcher."""
-        raw = request.get("placements")
-        if not isinstance(raw, list) or not raw:
-            return 400, {
-                "error": "request field 'placements' must be a non-empty "
-                "list of site lists"
-            }
-        try:
-            placements = [
-                [decode_site(site) for site in entry]
-                for entry in raw
-                if isinstance(entry, (list, tuple))
-            ]
-            if len(placements) != len(raw):
-                return 400, {"error": "placements must be lists of sites"}
-        except ServeRequestError as error:
-            return 400, {"error": str(error)}
-        backend = request.get("backend")
-        if backend is not None and backend not in ("python", "numpy"):
-            return 400, {
-                "error": f"unknown backend {backend!r}; expected 'python' "
-                "or 'numpy'"
-            }
-        utility = request.get("utility")
-        if utility is None or isinstance(utility, dict):
-            self._parse_cache[(digest, body)] = (
-                placements,
-                utility,
-                backend,
-            )
-            if len(self._parse_cache) > PARSE_CACHE_ENTRIES:
-                self._parse_cache.popitem(last=False)
-        return await self._front_evaluate_parsed(
-            batcher, (placements, utility, backend), digest
-        )
-
-    async def _front_evaluate_parsed(
-        self,
-        batcher: MicroBatcher,
-        parsed: Tuple[
-            List[List[NodeId]], Optional[dict], Optional[str]
-        ],
-        digest: str,
-    ) -> Tuple[int, Dict[str, object]]:
-        """Batch an already-validated evaluate request (parse-memo hit)."""
-        placements, utility, backend = parsed
-        try:
-            totals = await batcher.evaluate(
-                placements,
-                utility=utility,  # type: ignore[arg-type]
-                backend=backend,  # type: ignore[arg-type]
-                inflight=self._inflight,
-            )
-        except _ShardAnswer as answer:
-            return answer.status, answer.payload
-        except ServeWorkerError as error:
-            return 502, {"error": str(error), "retryable": True}
-        obs.count("fleet.front_batch.requests")
-        return 200, {
-            "kind": "evaluate",
-            "digest": digest,
-            "totals": totals,
-            "front_batched": True,
-        }
-
     # -- health ---------------------------------------------------------
     def healthz(self) -> Dict[str, object]:
         """The fleet health document (also ``GET /healthz``)."""
@@ -1619,7 +1404,6 @@ class PlacementFleet:
             )
         shards: Dict[str, object] = {}
         for shard in self.shard_digests:
-            batcher = self._front_batchers.get(shard)
             shards[shard] = {
                 "default": shard == self._digest,
                 "served": self.shard_served.get(shard, 0),
@@ -1628,9 +1412,6 @@ class PlacementFleet:
                     for slot in self._slots
                     if slot.digest == shard
                 ],
-                "front_batching": (
-                    batcher.stats() if batcher is not None else None
-                ),
             }
         return {
             "status": "draining" if self._draining else "ok",

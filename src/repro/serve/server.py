@@ -8,12 +8,12 @@ library's single-threaded determinism guarantees.
 Endpoints:
 
 * ``POST /query`` — one engine request (see
-  :data:`~repro.serve.engine.REQUEST_KINDS`); ``evaluate`` requests are
-  routed through the :class:`~repro.serve.batching.MicroBatcher`.
+  :data:`~repro.serve.engine.REQUEST_KINDS`), every kind answered by
+  :meth:`~repro.serve.engine.QueryEngine.handle`.
 * ``GET /healthz`` — liveness + request accounting, backed by
   :class:`~repro.reliability.PipelineHealth` (each admitted request is a
   recorded row; each failed one a quarantined row tagged with its error
-  class), plus artifact stats, cache occupancy, and batching tallies.
+  class), plus artifact stats and cache occupancy.
 * ``GET /metrics`` — fixed-bucket ``/query`` latency histogram
   (:class:`~repro.obs.metrics.LatencyHistogram`, bounds in the payload)
   plus per-status counters; a fleet front sums worker histograms
@@ -22,7 +22,7 @@ Endpoints:
 Distributed tracing is **opt-in** via ``trace_dir``: a front that sends
 ``X-Rapflow-Trace: <trace_id>:<parent_span_id>`` gets a
 ``worker.request`` span appended to this process's JSONL segment, and
-the engine/batcher emit child spans through the context variable in
+the engine emits its child span through the context variable in
 :mod:`repro.obs.trace`.  Without a ``trace_dir`` the header is never
 even parsed.
 
@@ -39,8 +39,8 @@ Operational behavior:
   ``X-Rapflow-Deadline: <seconds>`` header (deadline propagation —
   a worker never works longer than its caller is willing to wait).
 * **graceful shutdown** — :meth:`PlacementServer.shutdown` stops
-  accepting, answers new requests 503 while draining, flushes the
-  batcher, and waits for in-flight requests to finish.
+  accepting, answers new requests 503 while draining, and waits for
+  in-flight requests to finish.
 * **fault injection** — a :class:`~repro.reliability.FaultInjector` on
   the engine can fail (HTTP 500) or stall admitted requests.
 
@@ -68,7 +68,6 @@ from ..obs import trace as obs_trace
 from ..obs.clock import Clock, SystemClock
 from ..obs.metrics import LatencyHistogram
 from ..reliability.health import PipelineHealth
-from .batching import MicroBatcher
 from .engine import QueryEngine
 
 _MAX_BODY = 8 * 1024 * 1024
@@ -96,8 +95,14 @@ DEADLINE_HEADER = "x-rapflow-deadline"
 #: client → fleet → testing → client cycle.
 DIGEST_HEADER = "x-rapflow-digest"
 
-#: Sentinel method marking an unreadably large request body.
+#: Sentinel methods :func:`read_http_request` returns for a request whose
+#: body it left unread, and the answer each gets.
 _TOO_LARGE = "__TOO_LARGE__"
+_BAD_LENGTH = "__BAD_LENGTH__"
+_UNREAD_BODY: Dict[str, Tuple[int, str]] = {
+    _TOO_LARGE: (413, f"request body exceeds {_MAX_BODY} bytes"),
+    _BAD_LENGTH: (400, "Content-Length must be a non-negative integer"),
+}
 
 
 def split_head(head: bytes) -> Tuple[str, Dict[str, str]]:
@@ -123,9 +128,11 @@ async def read_http_request(
 
     Returns ``(method, path, headers, body, keep_alive)`` with header
     names lowercased, or ``None`` on EOF/garbage (caller drops the
-    connection).  Oversized bodies come back with method
-    ``"__TOO_LARGE__"`` and the body unread, so the connection cannot be
-    reused.  Shared by :class:`PlacementServer` and the fleet front —
+    connection).  A body that is oversized, or whose ``Content-Length``
+    is not a non-negative integer, is left unread: it comes back with a
+    sentinel method (``"__TOO_LARGE__"``, ``"__BAD_LENGTH__"``) and
+    ``keep_alive`` false, and :func:`unread_body_answer` gives its
+    answer.  Shared by :class:`PlacementServer` and the fleet front —
     one framing implementation, one set of framing bugs.
 
     The whole head (request line + headers) is read with a single
@@ -151,13 +158,30 @@ async def read_http_request(
     if len(parts) != 3:
         return None
     method, path, _ = parts
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        # Where this body ends is unknown, so the connection cannot be
+        # reused.
+        return _BAD_LENGTH, path, headers, b"", False
+    length = int(raw_length)
     if length > _MAX_BODY:
         # The body is unread, so the connection cannot be reused.
         return _TOO_LARGE, path, headers, b"", False
     body = await reader.readexactly(length) if length else b""
     keep_alive = headers.get("connection", "").lower() != "close"
     return method, path, headers, body, keep_alive
+
+
+def unread_body_answer(method: str) -> Optional[Tuple[int, Dict[str, object]]]:
+    """The answer to a request :func:`read_http_request` left unread.
+
+    ``None`` for an ordinary method.  Both servers ask this first, so a
+    framing failure gets the same status whichever of them read it.
+    """
+    answer = _UNREAD_BODY.get(method)
+    if answer is None:
+        return None
+    return answer[0], {"error": answer[1]}
 
 
 class IdleConnections:
@@ -319,11 +343,6 @@ class PlacementServer:
         Admission limit — concurrent requests beyond it get HTTP 429.
     timeout:
         Per-request deadline in seconds.
-    batch_window, max_batch, bypass_threshold:
-        Micro-batcher knobs (see :class:`MicroBatcher`); the default
-        threshold of 4 covers the concurrency levels where
-        BENCH_serve.json showed the window costing more than the
-        coalescing earned (c=2: 0.57x, c=4: 0.71x before).
     restore_info:
         Optional restore provenance surfaced verbatim under
         ``restore`` in ``/healthz`` — the shm attach path records how
@@ -344,7 +363,7 @@ class PlacementServer:
         Optional directory for this worker's JSONL trace segment
         (``worker-<label>.jsonl``).  Enables distributed tracing:
         requests carrying ``X-Rapflow-Trace`` get ``worker.request``
-        spans with engine/batcher children.  ``None`` (the default)
+        spans with an ``engine.handle`` child.  ``None`` (the default)
         disables tracing entirely — the header is not even parsed.
     worker_label:
         Fleet-assigned worker id (``w0``, ...) used in trace segments
@@ -359,9 +378,6 @@ class PlacementServer:
         port: int = 0,
         max_inflight: int = 32,
         timeout: float = 30.0,
-        batch_window: float = 0.002,
-        max_batch: int = 256,
-        bypass_threshold: int = 4,
         restore_info: Optional[Dict[str, object]] = None,
         latency_log: Optional[Union[str, Path]] = None,
         clock: Optional[Clock] = None,
@@ -384,12 +400,6 @@ class PlacementServer:
         self._requested_port = port
         self._max_inflight = max_inflight
         self._timeout = timeout
-        self._batcher = MicroBatcher(
-            engine,
-            window=batch_window,
-            max_batch=max_batch,
-            bypass_threshold=bypass_threshold,
-        )
         self._restore_info = restore_info
         self._latency_log = Path(latency_log) if latency_log else None
         self._latency_log_degraded = False
@@ -455,16 +465,14 @@ class PlacementServer:
     async def shutdown(self, drain_timeout: float = 10.0) -> None:
         """Graceful stop: refuse new work, drain in-flight, close.
 
-        New requests arriving during the drain are answered 503; the
-        batcher's open windows are flushed so queued evaluations finish
-        rather than being abandoned.  Once in-flight requests finish,
-        connections idling between requests are closed, after one
+        New requests arriving during the drain are answered 503, and
+        in-flight ones finish rather than being abandoned.  Once they
+        have, connections idling between requests are closed, after one
         ``retry_after`` in which they are still answered 503.
         """
         self._draining = True
         if self._server is not None:
             self._server.close()
-        await self._batcher.drain()
         if self._idle is not None:
             try:
                 await asyncio.wait_for(self._idle.wait(), drain_timeout)
@@ -482,9 +490,9 @@ class PlacementServer:
     def abort(self) -> None:
         """Abrupt stop (crash simulation): close the socket, drop work.
 
-        Unlike :meth:`shutdown` this neither flushes the batcher nor
-        waits for in-flight requests — the chaos harness uses it to make
-        a worker die the way a SIGKILL'd process dies.
+        Unlike :meth:`shutdown` this does not wait for in-flight
+        requests — the chaos harness uses it to make a worker die the
+        way a SIGKILL'd process dies.
         """
         self._draining = True
         if self._server is not None:
@@ -603,8 +611,9 @@ class PlacementServer:
     async def _route(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, Dict[str, object]]:
-        if method == _TOO_LARGE:
-            return 413, {"error": f"request body exceeds {_MAX_BODY} bytes"}
+        unread = unread_body_answer(method)
+        if unread is not None:
+            return unread
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "healthz is GET-only"}
@@ -656,14 +665,9 @@ class PlacementServer:
             corrupt = self._engine.corrupt_reply()
             if delay > 0:
                 await asyncio.sleep(delay)
-            if request.get("kind") == "evaluate" and isinstance(
-                request.get("placements"), list
-            ):
-                response = await self._batched_evaluate(request)
-            else:
-                # Single-worker design: the kernel deliberately runs on
-                # the loop thread (see the module docstring).
-                response = self._engine.handle(request)  # rapflow: noqa[RAP006] kernel-on-loop by design
+            # Single-worker design: the kernel deliberately runs on the
+            # loop thread (see the module docstring).
+            response = self._engine.handle(request)  # rapflow: noqa[RAP006] kernel-on-loop by design
         except ServeRequestError as error:
             self.health.quarantine_row(0, "bad-request", str(error))
             return 400, {"error": str(error)}
@@ -674,46 +678,6 @@ class PlacementServer:
         if corrupt:
             return 200, _garbled(response)
         return 200, response
-
-    async def _batched_evaluate(
-        self, request: Dict[str, object]
-    ) -> Dict[str, object]:
-        from .engine import decode_site  # local: avoid import cycle noise
-
-        raw = request.get("placements")
-        if not isinstance(raw, list) or not raw:
-            raise ServeRequestError(
-                "request field 'placements' must be a non-empty list of "
-                "site lists"
-            )
-        placements = []
-        for index, entry in enumerate(raw):
-            if not isinstance(entry, (list, tuple)):
-                raise ServeRequestError(
-                    f"placements[{index}] must be a list of sites"
-                )
-            placements.append([decode_site(site) for site in entry])
-        backend = request.get("backend")
-        if backend is not None and backend not in ("python", "numpy"):
-            raise ServeRequestError(
-                f"unknown backend {backend!r}; expected 'python' or 'numpy'"
-            )
-        totals = await self._batcher.evaluate(
-            placements,
-            utility=request.get("utility"),  # type: ignore[arg-type]
-            backend=backend,  # type: ignore[arg-type]
-            # The admission counter is the concurrency signal the batcher
-            # itself cannot see (kernel calls are synchronous): below the
-            # bypass threshold the window would cost more latency than
-            # the coalescing earns.
-            inflight=self._inflight,
-        )
-        obs.count("serve.requests.evaluate")
-        return {
-            "kind": "evaluate",
-            "digest": self._engine.artifact.digest,
-            "totals": totals,
-        }
 
     # ------------------------------------------------------------------
     # health + metrics
@@ -733,7 +697,6 @@ class PlacementServer:
             "digest": self._engine.artifact.digest,
             "artifact": dict(self._engine.artifact.stats),
             "cache": self._engine.cache_info(),
-            "batching": self._batcher.stats(),
             "restore": self._restore_info,
             "latency_log": self._latency_log_status(),
             "trace": {
@@ -830,5 +793,6 @@ __all__ = [
     "run_server",
     "sanitizer_health",
     "split_head",
+    "unread_body_answer",
     "write_json_response",
 ]

@@ -1,11 +1,11 @@
-"""Synchronous harness around the asyncio server (tests, benches, CLI).
+"""Synchronous harness around the asyncio server (tests, examples, CLI).
 
 :class:`ServerThread` runs a :class:`~repro.serve.server.PlacementServer`
 on a dedicated event loop in a background thread, so synchronous callers
-(pytest tests, the latency bench's thread pool, interactive sessions)
-can drive it with :class:`~repro.serve.client.ServeClient` instances
-without touching asyncio themselves.  Entering the context binds the
-port; exiting performs the full graceful drain.
+(pytest tests, the examples, interactive sessions) can drive it with
+:class:`~repro.serve.client.ServeClient` instances without touching
+asyncio themselves.  Entering the context binds the port; exiting
+performs the full graceful drain.
 
 The split keeps the serving stack itself single-threaded: the only
 cross-thread traffic is the HTTP socket and the
@@ -134,10 +134,10 @@ class ServerThread:
     def kill(self) -> None:
         """Abrupt stop — the in-process analogue of ``SIGKILL``.
 
-        No drain, no batcher flush: the listening socket closes, open
-        connections are cut mid-flight, and the loop exits.  The chaos
-        harness and fleet tests use this to crash a worker the way a
-        killed process crashes; production shutdown is :meth:`stop`.
+        No drain: the listening socket closes, open connections are
+        cut mid-flight, and the loop exits.  The chaos harness and
+        fleet tests use this to crash a worker the way a killed process
+        crashes; production shutdown is :meth:`stop`.
         """
         self._killed = True
         if self._loop is not None and self._loop.is_running():
@@ -168,8 +168,8 @@ class FleetThread:
 
     The fleet analogue of :class:`ServerThread`: entering the context
     starts every worker and binds the front; exiting shuts the whole
-    fleet down.  Synchronous callers (fleet tests, the chaos harness,
-    the bench's thread pools) drive the front with ordinary
+    fleet down.  Synchronous callers (fleet tests, the chaos harness)
+    drive the front with ordinary
     :class:`~repro.serve.client.ServeClient` instances.
     """
 

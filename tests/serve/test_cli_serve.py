@@ -5,6 +5,7 @@
 entry point in a subprocess, synchronized through ``--ready-file``.
 """
 
+import io
 import json
 import os
 import signal
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXIT_SERVE, exit_code_for, main
+from repro.cli import EXIT_SERVE, _build_parser, exit_code_for, main
 from repro.errors import (
     ServeArtifactError,
     ServeClientError,
@@ -24,6 +25,7 @@ from repro.errors import (
     ServeRequestError,
     ServeTimeoutError,
 )
+from repro.serve import FleetConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -41,6 +43,31 @@ class TestExitCodes:
             ServeClientError("x"),
         ):
             assert exit_code_for(error) == EXIT_SERVE == 8
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize(
+        "flag",
+        ["--batch-window", "--max-batch", "--bypass-threshold",
+         "--front-batch-window"],
+    )
+    def test_batching_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit) as info:
+            _build_parser().parse_args(["serve", flag, "1"])
+        assert info.value.code == 2
+
+    def test_parser_keeps_the_names_perfbench_reads(self):
+        args = _build_parser().parse_args(
+            ["serve", "--workers", "2", "--shm"]
+        )
+        assert (
+            args.front_batch_window, args.max_batch, args.bypass_threshold
+        ) == (0.0, 256, 4)
+        FleetConfig(
+            front_batch_window=args.front_batch_window,
+            front_max_batch=args.max_batch,
+            front_bypass=args.bypass_threshold,
+        ).validate()
 
 
 class TestEvaluateCommand:
@@ -96,15 +123,17 @@ class TestQueryCommand:
 
 @pytest.mark.slow
 class TestServeLifecycle:
-    def test_serve_query_sigterm_drain(self, tmp_path):
+    def test_serve_query_sigterm_drain(self, tmp_path, capsys, monkeypatch):
         ready = tmp_path / "ready"
         latency = tmp_path / "latency.jsonl"
+        cache = tmp_path / "artifacts"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
                 *SCENARIO_FLAGS,
+                "--cache-dir", str(cache),
                 "--port", "0",
                 "--ready-file", str(ready),
                 "--latency-log", str(latency),
@@ -134,6 +163,21 @@ class TestServeLifecycle:
             values = [entry["gain"] for entry in gains]
             assert values == sorted(values, reverse=True)
 
+            # `rapflow query` against the live server: an unknown kind
+            # maps to the serve exit code, and a request read from stdin
+            # is answered.
+            target = ["query", "--host", host, "--port", port]
+            assert main(
+                [*target, "--request", '{"kind": "explode"}']
+            ) == EXIT_SERVE
+            monkeypatch.setattr(
+                "sys.stdin",
+                io.StringIO('{"kind": "evaluate", "placements": [[]]}'),
+            )
+            capsys.readouterr()
+            assert main([*target, "--request-file", "-"]) == 0
+            assert json.loads(capsys.readouterr().out)["totals"] == [0.0]
+
             process.send_signal(signal.SIGTERM)
             _, stderr = process.communicate(timeout=30)
             assert process.returncode == 0, stderr
@@ -143,6 +187,18 @@ class TestServeLifecycle:
                 for line in latency.read_text().splitlines()
             ]
             assert any(r["path"] == "/query" for r in records)
+
+            # A second process over the same cache directory restores the
+            # artifact the server compiled: same digest.
+            document = tmp_path / "placements.json"
+            document.write_text(json.dumps({"placements": [[]]}))
+            assert main(
+                ["evaluate", *SCENARIO_FLAGS, "--cache-dir", str(cache),
+                 "--in", str(document)]
+            ) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["digest"] == health["digest"]
+            assert (cache / health["digest"]).is_dir()
         finally:
             if process.poll() is None:
                 process.kill()

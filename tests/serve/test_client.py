@@ -55,8 +55,11 @@ class _ScriptedServer:
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.port = self._httpd.server_address[1]
+        # A short poll, so shutdown() does not wait out the 0.5 s default.
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": 0.01},
+            daemon=True,
         )
 
     def __enter__(self):
@@ -126,8 +129,11 @@ class _KeepAliveServer:
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.port = self._httpd.server_address[1]
+        # A short poll, so shutdown() does not wait out the 0.5 s default.
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": 0.01},
+            daemon=True,
         )
 
     def __enter__(self):

@@ -214,86 +214,6 @@ class TestMultiShard:
             )
 
 
-class TestFrontBatching:
-    """Per-shard dedup on the front (``front_batch_window > 0``)."""
-
-    def test_identical_concurrent_requests_dedup_at_the_front(
-        self, artifact
-    ):
-        from concurrent.futures import ThreadPoolExecutor
-
-        fleet = make_fleet(
-            artifact,
-            config=fast_config(
-                workers=2, front_batch_window=0.02, front_bypass=0
-            ),
-        )
-        with FleetThread(fleet) as handle:
-            client = handle.client()
-
-            def one(_):
-                return client.query(
-                    {"kind": "evaluate", "placements": [["V3", "V5"]]}
-                )
-
-            with ThreadPoolExecutor(max_workers=8) as executor:
-                responses = list(executor.map(one, range(16)))
-            stats = handle.client().healthz()["shards"][artifact.digest][
-                "front_batching"
-            ]
-        for response in responses:
-            assert response["totals"] == [21.0]
-            assert response["front_batched"] is True
-        assert stats["requests"] == 16
-        # Identical placements inside one window collapse to one
-        # worker-bound row; serial stragglers open fresh windows, so
-        # dedup is >0 rather than exactly 15.
-        assert stats["deduped"] > 0
-        assert stats["flushes"] + stats["bypassed"] < 16
-
-    def test_front_batched_answers_match_direct_answers(self, artifact):
-        expected = QueryEngine(artifact).evaluate_totals(
-            [("V3", "V5"), ("V2",)]
-        )
-        fleet = make_fleet(
-            artifact, config=fast_config(front_batch_window=0.005)
-        )
-        with FleetThread(fleet) as handle:
-            client = handle.client()
-            assert client.evaluate([["V3", "V5"], ["V2"]]) == expected
-
-    def test_parse_cache_serves_repeat_bodies(self, artifact):
-        fleet = make_fleet(
-            artifact, config=fast_config(front_batch_window=0.005)
-        )
-        with FleetThread(fleet) as handle:
-            client = handle.client()
-            first = client.query(
-                {"kind": "evaluate", "placements": [["V3", "V5"]]}
-            )
-            assert len(fleet._parse_cache) == 1
-            second = client.query(
-                {"kind": "evaluate", "placements": [["V3", "V5"]]}
-            )
-        assert first["totals"] == second["totals"] == [21.0]
-        # The memo only skips parsing — both answers still carry the
-        # full evaluate envelope.
-        assert second["front_batched"] is True
-        assert second["digest"] == artifact.digest
-
-    def test_zero_window_disables_front_batching(self, artifact):
-        fleet = make_fleet(artifact, config=fast_config())
-        with FleetThread(fleet) as handle:
-            response = handle.client().query(
-                {"kind": "evaluate", "placements": [["V3", "V5"]]}
-            )
-            health = handle.client().healthz()
-        assert "front_batched" not in response
-        assert (
-            health["shards"][artifact.digest]["front_batching"] is None
-        )
-
-
 class TestSupervision:
     def test_killed_worker_is_respawned(self, artifact):
         fleet = make_fleet(artifact)
@@ -501,3 +421,8 @@ class TestValidation:
             FleetConfig(retry=RetryPolicy(retries=-1)).validate()
         with pytest.raises(ServeRequestError):
             FleetConfig(retry=RetryPolicy(jitter=1.5)).validate()
+
+    def test_config_refuses_a_front_batch_window(self):
+        # The front no longer batches; asking it to must not pass quietly.
+        with pytest.raises(ServeRequestError, match="no longer batches"):
+            FleetConfig(front_batch_window=0.002).validate()

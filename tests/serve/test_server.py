@@ -1,20 +1,37 @@
 """HTTP server behavior: admission control, deadlines, drain, health.
 
+Malformed requests are checked against the fleet front as well, since
+both read requests with the same framing code.
+
 The load-shedding tests use the fault injector's request-delay stream
 (rate 1.0) to make every admitted request slow *inside* the server,
 then verify that excess concurrent requests are rejected immediately
 with 429 — never queued, never hung.
 """
 
+import importlib.util
+import json
 import logging
+import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ServeClientError, ServeError
 from repro.reliability import FaultConfig, FaultInjector
-from repro.serve import PlacementServer, QueryEngine, ServerThread
+from repro.serve import (
+    FleetConfig,
+    FleetThread,
+    PlacementFleet,
+    PlacementServer,
+    QueryEngine,
+    ServerThread,
+    local_worker_factory,
+)
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def slow_engine(artifact, seconds: float) -> QueryEngine:
@@ -37,11 +54,27 @@ class TestBasics:
             assert health["status"] == "ok"
             assert health["digest"] == engine.artifact.digest
             assert health["pipeline"]["rows_read"] >= 1
-            # A lone request bypasses the batch window instead of
-            # paying it; either path counts the request.
-            batching = health["batching"]
-            assert batching["flushes"] + batching["bypassed"] >= 1
-            assert batching["requests"] >= 1
+
+    def test_repeated_evaluate_is_answered_from_the_engine_cache(
+        self, engine, monkeypatch
+    ):
+        scored = []
+        score = engine.evaluate_totals
+
+        def counting_score(*args, **kwargs):
+            scored.append(args)
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate_totals", counting_score)
+        request = {"kind": "evaluate", "placements": [["V3", "V5"]]}
+        with ServerThread(engine) as handle:
+            client = handle.client()
+            first = client.query(request)
+            assert client.healthz()["cache"]["entries"] == 1
+            second = client.query(request)
+        assert first == second
+        assert first["totals"] == [21.0]
+        assert len(scored) == 1
 
     def test_unknown_path_is_404(self, engine):
         with ServerThread(engine) as handle:
@@ -84,6 +117,65 @@ class TestBasics:
     def test_server_thread_rejects_bad_argument(self):
         with pytest.raises(ServeError, match="wraps a QueryEngine"):
             ServerThread("not an engine")
+
+
+def raw_query(port, fields, body=b""):
+    """One hand-framed ``POST /query``: ``(status, headers, payload)``.
+
+    ``fields`` are sent verbatim after the request line, so a test can
+    send a head no well-behaved client would.
+    """
+    head = "\r\n".join(["POST /query HTTP/1.1", "Host: test", *fields])
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head.encode("latin-1") + b"\r\n\r\n" + body)
+        reply = sock.makefile("rb")
+        status_line = reply.readline().decode("latin-1")
+        assert status_line, "connection closed without a reply"
+        headers = {}
+        for line in iter(reply.readline, b"\r\n"):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        payload = json.loads(reply.read(int(headers["content-length"])))
+    return int(status_line.split()[1]), headers, payload
+
+
+@pytest.fixture(params=["server", "fleet"])
+def front(request, artifact):
+    """A running server, or a one-worker fleet front, over ``artifact``."""
+    if request.param == "server":
+        handle = ServerThread(QueryEngine(artifact))
+    else:
+        fleet = PlacementFleet(
+            local_worker_factory(lambda: QueryEngine(artifact)),
+            digest=artifact.digest,
+            config=FleetConfig(workers=1),
+        )
+        handle = FleetThread(fleet)
+    with handle:
+        yield handle
+
+
+class TestMalformedRequests:
+    def test_every_malformed_request_gets_a_status(self, front, caplog):
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        cases = [
+            (["Content-Length: 6"], b"[1, 2]", 400),
+            (["Content-Length: 1"], b"5", 400),
+            (["Content-Length: 10"], b'"evaluate"', 400),
+            (["Content-Length: 4"], b"null", 400),
+            (["Content-Length: abc"], b"", 400),
+            (["Content-Length: 1.5"], b"", 400),
+            (["Content-Length: -5"], b"", 400),
+            ([f"Content-Length: {64 * 1024 * 1024}"], b"", 413),
+        ]
+        for fields, body, expected in cases:
+            status, headers, payload = raw_query(front.port, fields, body)
+            assert (status, "error" in payload) == (expected, True), fields
+            if not body:  # the body was left unread: no reuse
+                assert headers["connection"] == "close", fields
+            assert front.client().evaluate([["V3", "V5"]]) == [21.0]
+        logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+        assert logged == []
 
 
 class TestAdmissionControl:
@@ -130,7 +222,6 @@ class TestAdmissionControl:
 
     def test_deadline_header_caps_the_request_budget(self, artifact):
         import http.client
-        import json
 
         from repro.serve.server import DEADLINE_HEADER
 
@@ -204,21 +295,16 @@ class TestGracefulShutdown:
         assert not worker.is_alive()
         assert results == [[21.0]]
 
-    def test_drain_flushes_queued_batch_and_rejects_new_work(
+    def test_drain_finishes_inflight_evaluates_and_rejects_new_work(
         self, artifact
     ):
         import asyncio
         import http.client
-        import json
 
-        # The injected 0.3s delay holds all three requests in flight
-        # together, so when they reach the batcher none is solo and all
-        # sit in the (deliberately huge) 5s batch window (threshold 1:
-        # the adaptive bypass would otherwise dispatch them directly at
-        # c=3).  The drain must flush that window instead of waiting it
-        # out.
-        engine = slow_engine(artifact, seconds=0.3)
-        server = PlacementServer(engine, batch_window=5.0, bypass_threshold=1)
+        # The injected 0.5s delay holds all three evaluates in flight when
+        # the drain starts; the drain must let them finish.
+        engine = slow_engine(artifact, seconds=0.5)
+        server = PlacementServer(engine)
         results = []
         lock = threading.Lock()
 
@@ -245,9 +331,11 @@ class TestGracefulShutdown:
             threads = [threading.Thread(target=fire) for _ in range(3)]
             for thread in threads:
                 thread.start()
-            time.sleep(0.6)  # past the delay: all three queued in the window
+            deadline = time.monotonic() + 5.0
+            while server.inflight < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.inflight == 3
 
-            t0 = time.monotonic()
             future = asyncio.run_coroutine_threadsafe(
                 server.shutdown(drain_timeout=10.0), handle._loop
             )
@@ -269,17 +357,12 @@ class TestGracefulShutdown:
             assert rejected["retryable"] is True
 
             future.result(timeout=12.0)
-            elapsed = time.monotonic() - t0
-            # Far below the 5s window: the drain flushed it early.
-            assert elapsed < 2.0, f"drain waited out the window ({elapsed:.2f}s)"
+            assert server.inflight == 0
 
             for thread in threads:
                 thread.join(timeout=15.0)
                 assert not thread.is_alive()
             assert results == [[21.0], [21.0], [21.0]]
-            stats = server._batcher.stats()
-            assert stats["placements"] == 3
-            assert stats["bypassed"] == 0
         finally:
             handle.stop()
 
@@ -296,7 +379,6 @@ class TestGracefulShutdown:
 
 class TestLatencyLog:
     def test_requests_land_in_the_jsonl_log(self, engine, tmp_path):
-        import json
 
         log = tmp_path / "latency.jsonl"
         server = PlacementServer(engine, latency_log=log)
@@ -312,3 +394,15 @@ class TestLatencyLog:
         for record in records:
             assert record["status"] == 200
             assert record["duration"] >= 0.0
+
+
+class TestServingExample:
+    def test_serve_queries_example_runs(self, capsys):
+        path = REPO_ROOT / "examples" / "serve_queries.py"
+        spec = importlib.util.spec_from_file_location("serve_queries", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        example.main()
+        out = capsys.readouterr().out
+        assert "digest match = True" in out
+        assert "engine cache:" in out

@@ -91,11 +91,11 @@ class TestFleetPropagation:
         assert hop.worker == payload["served_by"]
         assert hop.attrs["path"] == "/query"
 
-        # Evaluate requests land in the batcher's engine hop.
-        (engine_span,) = spans_named(trace, "engine.evaluate")
+        # Evaluates take the engine's one path, like every other kind.
+        (engine_span,) = spans_named(trace, "engine.handle")
         assert engine_span.parent_id == hop.span_id
         assert engine_span.attrs["status"] == "ok"
-        assert engine_span.attrs["placements"] == 1
+        assert engine_span.attrs["kind"] == "evaluate"
 
     def test_trace_ids_advance_per_request(self, artifact, tmp_path):
         config = fast_config(trace_dir=tmp_path)
