@@ -30,63 +30,94 @@ Subpackages
 ``repro.extensions``   multi-shop and budgeted placement (future work)
 """
 
-from . import errors
-from .algorithms import (
-    BranchAndBoundOptimal,
-    CompositeGreedy,
-    ExhaustiveOptimal,
-    GreedyCoverage,
-    LazyGreedy,
-    MarginalGainGreedy,
-    MaxCardinality,
-    MaxCustomers,
-    MaxVehicles,
-    PartialEnumerationGreedy,
-    PlacementAlgorithm,
-    RandomPlacement,
-    SwapLocalSearch,
-    algorithm_by_name,
-    registered_algorithms,
-)
-from .core import (
-    PAPER_ALPHA,
-    CustomUtility,
-    DetourCalculator,
-    FlowOutcome,
-    IncrementalEvaluator,
-    LinearUtility,
-    Placement,
-    Scenario,
-    SqrtUtility,
-    ThresholdUtility,
-    TrafficFlow,
-    UtilityFunction,
-    attracted_customers,
-    evaluate_placement,
-    flow_between,
-    total_volume,
-    utility_by_name,
-)
-from .graphs import (
-    BoundingBox,
-    NodeId,
-    Point,
-    RoadNetwork,
-    ShortestPathDag,
-    dublin_like_city,
-    manhattan_grid,
-    seattle_like_city,
-    shortest_path,
-    shortest_path_length,
-)
-from .manhattan import (
-    FlowClass,
-    ManhattanEvaluator,
-    ManhattanScenario,
-    ModifiedTwoStagePlacement,
-    TwoStagePlacement,
-    evaluate_manhattan,
-)
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from . import errors
+    from .algorithms import (
+        BranchAndBoundOptimal,
+        CompositeGreedy,
+        ExhaustiveOptimal,
+        GreedyCoverage,
+        LazyGreedy,
+        MarginalGainGreedy,
+        MaxCardinality,
+        MaxCustomers,
+        MaxVehicles,
+        PartialEnumerationGreedy,
+        PlacementAlgorithm,
+        RandomPlacement,
+        SwapLocalSearch,
+        algorithm_by_name,
+        registered_algorithms,
+    )
+    from .core import (
+        PAPER_ALPHA,
+        CustomUtility,
+        DetourCalculator,
+        FlowOutcome,
+        IncrementalEvaluator,
+        LinearUtility,
+        Placement,
+        Scenario,
+        SqrtUtility,
+        ThresholdUtility,
+        TrafficFlow,
+        UtilityFunction,
+        attracted_customers,
+        evaluate_placement,
+        flow_between,
+        total_volume,
+        utility_by_name,
+    )
+    from .graphs import (
+        BoundingBox,
+        NodeId,
+        Point,
+        RoadNetwork,
+        ShortestPathDag,
+        dublin_like_city,
+        manhattan_grid,
+        seattle_like_city,
+        shortest_path,
+        shortest_path_length,
+    )
+    from .manhattan import (
+        FlowClass,
+        ManhattanEvaluator,
+        ManhattanScenario,
+        ModifiedTwoStagePlacement,
+        TwoStagePlacement,
+        evaluate_manhattan,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".": ("errors",),
+    ".algorithms": (
+        "BranchAndBoundOptimal", "CompositeGreedy", "ExhaustiveOptimal",
+        "GreedyCoverage", "LazyGreedy", "MarginalGainGreedy", "MaxCardinality",
+        "MaxCustomers", "MaxVehicles", "PartialEnumerationGreedy", "PlacementAlgorithm",
+        "RandomPlacement", "SwapLocalSearch", "algorithm_by_name",
+        "registered_algorithms",
+    ),
+    ".core": (
+        "PAPER_ALPHA", "CustomUtility", "DetourCalculator", "FlowOutcome",
+        "IncrementalEvaluator", "LinearUtility", "Placement", "Scenario", "SqrtUtility",
+        "ThresholdUtility", "TrafficFlow", "UtilityFunction", "attracted_customers",
+        "evaluate_placement", "flow_between", "total_volume", "utility_by_name",
+    ),
+    ".graphs": (
+        "BoundingBox", "NodeId", "Point", "RoadNetwork", "ShortestPathDag",
+        "dublin_like_city", "manhattan_grid", "seattle_like_city", "shortest_path",
+        "shortest_path_length",
+    ),
+    ".manhattan": (
+        "FlowClass", "ManhattanEvaluator", "ManhattanScenario",
+        "ModifiedTwoStagePlacement", "TwoStagePlacement", "evaluate_manhattan",
+    ),
+})
 
 __version__ = "1.0.0"
 

@@ -9,18 +9,22 @@ and reusable across scenarios; anything stochastic takes an explicit
 seed.
 
 The registry maps stable string names (used by the experiment harness,
-the CLI, and result tables) to factories.
+the CLI, and result tables) to factories.  :data:`ALGORITHM_MODULES`
+names the module that defines each built-in one, so listing the names
+imports nothing and building one imports only its own module.
 """
 
 from __future__ import annotations
 
+import importlib
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
-from ..core import Placement, Scenario
-from ..core.kernel import score_placement
 from ..errors import InfeasiblePlacementError, PlacementError
-from ..graphs import NodeId
+
+if TYPE_CHECKING:
+    from ..core import Placement, Scenario
+    from ..graphs import NodeId
 
 
 class PlacementAlgorithm(ABC):
@@ -39,6 +43,8 @@ class PlacementAlgorithm(ABC):
 
     def place(self, scenario: Scenario, k: int) -> Placement:
         """Select sites and return them scored on the array kernel."""
+        from ..core.kernel import score_placement
+
         validate_budget(scenario, k)
         sites = self.select(scenario, k)
         if len(sites) > k:
@@ -63,14 +69,39 @@ def validate_budget(scenario: Scenario, k: int) -> None:
 
 AlgorithmFactory = Callable[..., PlacementAlgorithm]
 
+#: The module whose ``@register(name)`` defines each built-in algorithm.
+#: A new algorithm needs both its entry here and the decorator;
+#: tests/algorithms/test_registry.py keeps the two in step.
+ALGORITHM_MODULES: Dict[str, str] = {
+    "branch-and-bound": "repro.algorithms.branch_and_bound",
+    "composite-greedy": "repro.algorithms.composite_greedy",
+    "exhaustive": "repro.algorithms.exhaustive",
+    "failure-aware-greedy": "repro.extensions.failure_aware",
+    "greedy-coverage": "repro.algorithms.greedy_coverage",
+    "lazy-greedy": "repro.algorithms.lazy_greedy",
+    "local-search": "repro.algorithms.local_search",
+    "marginal-greedy": "repro.algorithms.marginal_greedy",
+    "max-cardinality": "repro.algorithms.baselines",
+    "max-customers": "repro.algorithms.baselines",
+    "max-vehicles": "repro.algorithms.baselines",
+    "partial-enumeration": "repro.algorithms.partial_enumeration",
+    "random": "repro.algorithms.baselines",
+    "sieve-stream": "repro.algorithms.sieve_stream",
+}
+
 _REGISTRY: Dict[str, AlgorithmFactory] = {}
 
 
 def register(name: str) -> Callable[[AlgorithmFactory], AlgorithmFactory]:
-    """Class decorator registering an algorithm factory under ``name``."""
+    """Class decorator registering an algorithm factory under ``name``.
+
+    A name in :data:`ALGORITHM_MODULES` may only be registered by the
+    module the table names for it.
+    """
 
     def decorator(factory: AlgorithmFactory) -> AlgorithmFactory:
-        if name in _REGISTRY:
+        owner = ALGORITHM_MODULES.get(name, factory.__module__)
+        if name in _REGISTRY or owner != factory.__module__:
             raise PlacementError(f"algorithm {name!r} registered twice")
         _REGISTRY[name] = factory
         return factory
@@ -80,15 +111,21 @@ def register(name: str) -> Callable[[AlgorithmFactory], AlgorithmFactory]:
 
 def algorithm_by_name(name: str, **kwargs) -> PlacementAlgorithm:
     """Instantiate a registered algorithm (kwargs go to its constructor)."""
+    if name not in _REGISTRY and name in ALGORITHM_MODULES:
+        importlib.import_module(ALGORITHM_MODULES[name])
     try:
         factory = _REGISTRY[name]
     except KeyError:
         raise PlacementError(
-            f"unknown algorithm {name!r}; known: {sorted(_REGISTRY)}"
+            f"unknown algorithm {name!r}; known: {registered_algorithms()}"
         ) from None
     return factory(**kwargs)
 
 
 def registered_algorithms() -> Sequence[str]:
-    """Names of all registered algorithms, sorted."""
-    return sorted(_REGISTRY)
+    """Names of all registered algorithms, sorted.
+
+    Lists the built-in ones from :data:`ALGORITHM_MODULES`, so it
+    imports none of them.
+    """
+    return sorted(set(ALGORITHM_MODULES).union(_REGISTRY))

@@ -86,12 +86,10 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from . import extensions as _extensions  # noqa: F401 — registers algorithms
-from . import obs, package_version
-from .algorithms import algorithm_by_name, registered_algorithms
-from .core import Scenario, utility_by_name
+from . import obs
+from .algorithms import registered_algorithms
 from .errors import (
     DevtoolsError,
     ExperimentError,
@@ -102,11 +100,9 @@ from .errors import (
     StreamError,
     TraceError,
 )
-from .traces import (
-    DUBLIN_SCHEMA,
-    SEATTLE_SCHEMA,
-    write_trace_csv,
-)
+
+if TYPE_CHECKING:
+    from .core import Scenario
 
 EXIT_GENERIC = 1
 EXIT_TRACE = 3
@@ -149,6 +145,24 @@ def exit_code_for(error: ReproError) -> int:
         if isinstance(error, family):
             return code
     return EXIT_GENERIC
+
+
+class _VersionAction(argparse.Action):
+    """``--version``, which reads the installed version only when given.
+
+    Looking the version up loads ``importlib.metadata``, which no other
+    command needs.
+    """
+
+    def __init__(self, option_strings: List[str], dest: str, help: str) -> None:
+        super().__init__(
+            option_strings, argparse.SUPPRESS, nargs=0,
+            default=argparse.SUPPRESS, help=help,
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        _cmd_version()
+        parser.exit()
 
 
 def _add_obs_jsonl(parser: argparse.ArgumentParser) -> None:
@@ -278,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--version", action="version",
-        version=f"rapflow {package_version()}",
+        "--version", action=_VersionAction,
+        help="show program's version number and exit",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -715,12 +729,19 @@ def _cmd_list_algorithms() -> int:
     return 0
 
 
+def _trace_schema(city: str):
+    from .traces import DUBLIN_SCHEMA, SEATTLE_SCHEMA
+
+    return DUBLIN_SCHEMA if city == "dublin" else SEATTLE_SCHEMA
+
+
 def _cmd_generate_trace(args: argparse.Namespace) -> int:
-    from .experiments import TraceProvider
+    from .traces import write_trace_csv
+    from .traces.provider import TraceProvider
 
     provider = TraceProvider(scale=args.scale, seed=args.seed)
     bundle = provider.get(args.city)
-    schema = DUBLIN_SCHEMA if args.city == "dublin" else SEATTLE_SCHEMA
+    schema = _trace_schema(args.city)
     rows = write_trace_csv(bundle.trace.records, args.out, schema)
     print(
         f"wrote {rows} GPS records for {len(bundle.trace.patterns)} "
@@ -788,12 +809,12 @@ def _cmd_run_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from .experiments import TraceProvider
     from .reliability import ErrorBudget, ingest_trace_csv
+    from .traces.provider import TraceProvider
 
     provider = TraceProvider(scale=args.scale, seed=args.seed)
     bundle = provider.get(args.city)
-    schema = DUBLIN_SCHEMA if args.city == "dublin" else SEATTLE_SCHEMA
+    schema = _trace_schema(args.city)
     budget = ErrorBudget(
         max_row_error_rate=args.max_row_errors,
         max_journey_failure_rate=args.max_journey_failures,
@@ -818,7 +839,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_inject_faults(args: argparse.Namespace) -> int:
     from .reliability import PRESETS, FaultInjector, corrupt_trace_csv
 
-    schema = DUBLIN_SCHEMA if args.city == "dublin" else SEATTLE_SCHEMA
+    schema = _trace_schema(args.city)
     injector = FaultInjector(PRESETS[args.preset], seed=args.seed)
     report = corrupt_trace_csv(args.in_path, args.out, schema, injector)
     print(f"injected {report.total} faults ({args.preset} preset, "
@@ -861,12 +882,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
-    from .experiments import (
+    from .algorithms import algorithm_by_name
+    from .core import Scenario, utility_by_name
+    from .traces.locations import (
         LocationClass,
-        TraceProvider,
         classify_intersections,
         locations_of_class,
     )
+    from .traces.provider import TraceProvider
 
     provider = TraceProvider(scale=args.scale)
     bundle = provider.get(args.city)
@@ -909,12 +932,13 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     from .algorithms import CompositeGreedy
-    from .experiments import (
+    from .core import Scenario, utility_by_name
+    from .traces.locations import (
         LocationClass,
-        TraceProvider,
         classify_intersections,
         locations_of_class,
     )
+    from .traces.provider import TraceProvider
     from .viz import render_network, render_placement, save_svg
 
     provider = TraceProvider(scale=args.scale)
@@ -946,13 +970,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .core import has_errors, lint_scenario
-    from .experiments import (
+    from .core import Scenario, has_errors, lint_scenario, utility_by_name
+    from .traces.locations import (
         LocationClass,
-        TraceProvider,
         classify_intersections,
         locations_of_class,
     )
+    from .traces.provider import TraceProvider
 
     provider = TraceProvider(scale=args.scale)
     bundle = provider.get(args.city)
@@ -1005,6 +1029,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import random
 
     from .analysis import sparkline
+    from .core import Scenario, utility_by_name
     from .experiments import (
         LocationClass,
         TraceProvider,
@@ -1067,12 +1092,13 @@ def _build_serve_scenario(args: argparse.Namespace) -> Scenario:
     """
     import random
 
-    from .experiments import (
+    from .core import Scenario, utility_by_name
+    from .traces.locations import (
         LocationClass,
-        TraceProvider,
         classify_intersections,
         locations_of_class,
     )
+    from .traces.provider import TraceProvider
 
     provider = TraceProvider(scale=args.scale)
     bundle = provider.get(args.city)
@@ -1163,8 +1189,28 @@ def _worker_serve_args(args: argparse.Namespace, cache_dir: str) -> List[str]:
 
 
 def _cmd_serve_fleet(args: argparse.Namespace) -> int:
-    import asyncio
+    import shutil
     import tempfile
+
+    # The temporary dirs the fleet needs go once it has drained; the
+    # dirs --cache-dir and --shm-dir name belong to the caller and stay.
+    created: List[str] = []
+
+    def temporary_dir(prefix: str) -> str:
+        created.append(tempfile.mkdtemp(prefix=prefix))
+        return created[-1]
+
+    try:
+        return _serve_fleet(args, temporary_dir)
+    finally:
+        for path in created:
+            shutil.rmtree(path, ignore_errors=True)
+
+
+def _serve_fleet(
+    args: argparse.Namespace, temporary_dir: Callable[[str], str]
+) -> int:
+    import asyncio
 
     from .serve import (
         ArtifactStore,
@@ -1174,12 +1220,12 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         run_fleet,
     )
 
-    cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="rapflow-fleet-")
+    cache_dir = args.cache_dir or temporary_dir("rapflow-fleet-")
     scenario = _build_serve_scenario(args)
     # Pre-compile into the shared cache so every worker disk-loads the
     # same digest instead of recompiling N times.
     artifact = ArtifactStore(cache_dir).get_or_compile(scenario)
-    ready_dir = tempfile.mkdtemp(prefix="rapflow-fleet-ready-")
+    ready_dir = temporary_dir("rapflow-fleet-ready-")
     worker_args = _worker_serve_args(args, cache_dir)
     shm_pool = None
     if args.shm:
@@ -1187,7 +1233,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         # instead of disk-loading N private array copies.
         from .serve.shm import ShmArtifactPool
 
-        shm_root = args.shm_dir or tempfile.mkdtemp(prefix="rapflow-shm-")
+        shm_root = args.shm_dir or temporary_dir("rapflow-shm-")
         shm_pool = ShmArtifactPool(shm_root)
         shm_pool.publish(artifact)
         worker_args += [
@@ -1453,7 +1499,7 @@ def _cmd_stream_ingest(args: argparse.Namespace) -> int:
     from .stream import JourneyJournal, JourneySegmenter, SegmenterConfig
     from .traces import read_trace_csv
 
-    schema = DUBLIN_SCHEMA if args.city == "dublin" else SEATTLE_SCHEMA
+    schema = _trace_schema(args.city)
     records = read_trace_csv(args.csv, schema)
     segmenter = JourneySegmenter(SegmenterConfig(max_skew=args.max_skew))
     journal = JourneyJournal(
@@ -1632,6 +1678,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_version() -> int:
+    from . import package_version
+
     print(f"rapflow {package_version()}")
     return 0
 

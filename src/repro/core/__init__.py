@@ -7,42 +7,68 @@ placement problem.  The algorithms themselves live in
 :mod:`repro.manhattan`.
 """
 
-from .coverage import CoverageEntry, CoverageIndex
-from .detour import DETOUR_MODES, DetourCalculator
-from .evaluation import (
-    IncrementalEvaluator,
-    attracted_customers,
-    evaluate_placement,
-)
-from .flow import TrafficFlow, flow_between, total_volume
-from .kernel import (
-    BACKENDS,
-    ArrayEvaluator,
-    CelfQueue,
-    PackedCoverage,
-    affected_placements,
-    evaluate_placement_many,
-    make_evaluator,
-    reevaluate_affected,
-    resolve_backend,
-)
-from .placement import FlowOutcome, Placement
-from .scenario import Scenario
-from .validation import (
-    Severity,
-    ValidationIssue,
-    has_errors,
-    lint_scenario,
-)
-from .utility import (
-    PAPER_ALPHA,
-    CustomUtility,
-    LinearUtility,
-    SqrtUtility,
-    ThresholdUtility,
-    UtilityFunction,
-    utility_by_name,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .coverage import CoverageEntry, CoverageIndex
+    from .detour import DETOUR_MODES, DetourCalculator
+    from .evaluation import (
+        IncrementalEvaluator,
+        attracted_customers,
+        evaluate_placement,
+    )
+    from .flow import TrafficFlow, flow_between, total_volume
+    from .kernel import (
+        BACKENDS,
+        ArrayEvaluator,
+        CelfQueue,
+        PackedCoverage,
+        affected_placements,
+        evaluate_placement_many,
+        make_evaluator,
+        reevaluate_affected,
+        resolve_backend,
+    )
+    from .placement import FlowOutcome, Placement
+    from .scenario import Scenario
+    from .validation import (
+        Severity,
+        ValidationIssue,
+        has_errors,
+        lint_scenario,
+    )
+    from .utility import (
+        PAPER_ALPHA,
+        CustomUtility,
+        LinearUtility,
+        SqrtUtility,
+        ThresholdUtility,
+        UtilityFunction,
+        utility_by_name,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".coverage": ("CoverageEntry", "CoverageIndex"),
+    ".detour": ("DETOUR_MODES", "DetourCalculator"),
+    ".evaluation": (
+        "IncrementalEvaluator", "attracted_customers", "evaluate_placement",
+    ),
+    ".flow": ("TrafficFlow", "flow_between", "total_volume"),
+    ".kernel": (
+        "BACKENDS", "ArrayEvaluator", "CelfQueue", "PackedCoverage",
+        "affected_placements", "evaluate_placement_many", "make_evaluator",
+        "reevaluate_affected", "resolve_backend",
+    ),
+    ".placement": ("FlowOutcome", "Placement"),
+    ".scenario": ("Scenario",),
+    ".validation": ("Severity", "ValidationIssue", "has_errors", "lint_scenario"),
+    ".utility": (
+        "PAPER_ALPHA", "CustomUtility", "LinearUtility", "SqrtUtility",
+        "ThresholdUtility", "UtilityFunction", "utility_by_name",
+    ),
+})
 
 __all__ = [
     "ArrayEvaluator",

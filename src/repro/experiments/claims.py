@@ -102,7 +102,7 @@ def check_fig11(figure: FigureResult) -> List[ClaimResult]:
             )
         )
     # Absolute level ordering center > city > suburb at the large D.
-    from .locations import LocationClass
+    from ..traces.locations import LocationClass
 
     center = by_key.get((LocationClass.CITY_CENTER, large_d))
     city = by_key.get((LocationClass.CITY, large_d))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Sequence, Tuple
 
 from ..errors import UnknownFigureError
-from .locations import LocationClass
+from ..traces.locations import LocationClass
 from .spec import (
     GENERAL_ALGORITHMS,
     MANHATTAN,

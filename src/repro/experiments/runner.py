@@ -3,9 +3,9 @@
 Reproduces the paper's experimental protocol:
 
 1. generate (or reuse) the city's bus trace, map-match it, and extract
-   traffic flows;
+   traffic flows (:class:`~repro.traces.provider.TraceProvider`);
 2. classify intersections into city's center / city / suburb by passing
-   traffic;
+   traffic (:mod:`repro.traces.locations`);
 3. for each repetition, draw a shop of the requested class, build the
    scenario, run every algorithm across the ``k`` sweep, and record the
    attracted customers;
@@ -21,36 +21,21 @@ cost by ~|ks|x.  The two-stage Manhattan algorithms are not (the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .. import obs
 from ..algorithms import algorithm_by_name
-from ..core import (
-    Scenario,
-    TrafficFlow,
-    evaluate_placement_many,
-    utility_by_name,
-)
+from ..core import Scenario, evaluate_placement_many, utility_by_name
 from ..errors import ExperimentError
-from ..graphs import NodeId, RoadNetwork
+from ..graphs import NodeId
 from ..manhattan import (
     ManhattanEvaluator,
     ManhattanScenario,
     ModifiedTwoStagePlacement,
     TwoStagePlacement,
 )
-from ..traces import (
-    BusTrace,
-    DublinTraceConfig,
-    SeattleTraceConfig,
-    generate_dublin_trace,
-    generate_seattle_trace,
-)
-from .locations import (
-    classify_intersections,
-    locations_of_class,
-)
+from ..traces.locations import classify_intersections, locations_of_class
+from ..traces.provider import TraceBundle, TraceProvider
 from .results import FigureResult, PanelResult, Series, mean_and_stdev
 from .spec import MANHATTAN, FigureSpec, PanelSpec
 
@@ -71,68 +56,6 @@ MANHATTAN_LOCAL = {
     "two-stage": TwoStagePlacement,
     "modified-two-stage": ModifiedTwoStagePlacement,
 }
-
-
-@dataclass
-class TraceBundle:
-    """A city's trace, network, and extracted flows (built once)."""
-
-    city: str
-    network: RoadNetwork
-    flows: Tuple[TrafficFlow, ...]
-    trace: BusTrace
-
-
-class TraceProvider:
-    """Builds and caches trace bundles.
-
-    ``scale`` picks the instance size: ``"paper"`` approximates the
-    paper's trace sizes; ``"small"`` is a fast variant for tests and CI
-    benchmarking.
-    """
-
-    def __init__(self, scale: str = "paper", seed: int = 2015) -> None:
-        if scale not in ("paper", "small"):
-            raise ExperimentError(f"unknown scale {scale!r}")
-        self._scale = scale
-        self._seed = seed
-        self._cache: Dict[str, TraceBundle] = {}
-
-    def _config(self, city: str):
-        if city == "dublin":
-            if self._scale == "paper":
-                return DublinTraceConfig(seed=self._seed)
-            return DublinTraceConfig(
-                seed=self._seed, rows=9, cols=9, pattern_count=15
-            )
-        if city == "seattle":
-            if self._scale == "paper":
-                return SeattleTraceConfig(seed=self._seed)
-            return SeattleTraceConfig(
-                seed=self._seed, rows=11, cols=11, pattern_count=15
-            )
-        raise ExperimentError(f"unknown city {city!r}")
-
-    def get(self, city: str) -> TraceBundle:
-        """Build (or return the cached) trace bundle for a city."""
-        bundle = self._cache.get(city)
-        if bundle is not None:
-            obs.count("trace.cache_hits")
-            return bundle
-        config = self._config(city)
-        with obs.span("trace_build", city=city, scale=self._scale):
-            if city == "dublin":
-                trace = generate_dublin_trace(config)
-            else:
-                trace = generate_seattle_trace(config)
-            flows = tuple(trace.extract_flows())
-        if obs.active() is not None:
-            obs.count_many({"trace.builds": 1, "trace.flows": len(flows)})
-        bundle = TraceBundle(
-            city=city, network=trace.network, flows=flows, trace=trace
-        )
-        self._cache[city] = bundle
-        return bundle
 
 
 def _select_sweep(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from ..errors import ExperimentError
-from .locations import LocationClass
+from ..traces.locations import LocationClass
 
 GENERAL = "general"
 MANHATTAN = "manhattan"

@@ -5,39 +5,72 @@ budgeted variant generalizes the uniform RAP count to per-site costs
 (using the paper's own reference [18], Khuller-Moss-Naor).
 """
 
-from .budgeted import (
-    BudgetedGreedy,
-    BudgetedResult,
-    location_based_costs,
-)
-from .competition import (
-    Competitor,
-    CompetitiveScenario,
-    PlayResult,
-    alternating_play,
-    best_response,
-    evaluate_competition,
-)
-from .duty_cycle import (
-    DutyCycleGreedy,
-    DutyCycleProblem,
-    DutySchedule,
-    HourlyProfile,
-    evaluate_schedule,
-)
-from .failure_aware import (
-    FailureAwareGreedy,
-    FailureModel,
-    exhaustive_expected_optimum,
-    expected_attracted,
-)
-from .multi_shop import MultiShopDetourCalculator, MultiShopScenario
-from .scheduling import (
-    Campaign,
-    GreedyScheduler,
-    ScheduleResult,
-    SchedulingProblem,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .budgeted import (
+        BudgetedGreedy,
+        BudgetedResult,
+        location_based_costs,
+        FrontierPoint,
+        cost_frontier,
+    )
+    from .competition import (
+        Competitor,
+        CompetitiveScenario,
+        PlayResult,
+        alternating_play,
+        best_response,
+        evaluate_competition,
+        price_of_anarchy,
+    )
+    from .duty_cycle import (
+        DutyCycleGreedy,
+        DutyCycleProblem,
+        DutySchedule,
+        HourlyProfile,
+        evaluate_schedule,
+        journey_departure_times,
+        profile_from_timestamps,
+    )
+    from .failure_aware import (
+        FailureAwareGreedy,
+        FailureModel,
+        exhaustive_expected_optimum,
+        expected_attracted,
+    )
+    from .multi_shop import MultiShopDetourCalculator, MultiShopScenario
+    from .scheduling import (
+        Campaign,
+        GreedyScheduler,
+        ScheduleResult,
+        SchedulingProblem,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".budgeted": (
+        "BudgetedGreedy", "BudgetedResult", "location_based_costs", "FrontierPoint",
+        "cost_frontier",
+    ),
+    ".competition": (
+        "Competitor", "CompetitiveScenario", "PlayResult", "alternating_play",
+        "best_response", "evaluate_competition", "price_of_anarchy",
+    ),
+    ".duty_cycle": (
+        "DutyCycleGreedy", "DutyCycleProblem", "DutySchedule", "HourlyProfile",
+        "evaluate_schedule", "journey_departure_times", "profile_from_timestamps",
+    ),
+    ".failure_aware": (
+        "FailureAwareGreedy", "FailureModel", "exhaustive_expected_optimum",
+        "expected_attracted",
+    ),
+    ".multi_shop": ("MultiShopDetourCalculator", "MultiShopScenario"),
+    ".scheduling": (
+        "Campaign", "GreedyScheduler", "ScheduleResult", "SchedulingProblem",
+    ),
+})
 
 __all__ = [
     "BudgetedGreedy",
@@ -64,19 +97,9 @@ __all__ = [
     "exhaustive_expected_optimum",
     "expected_attracted",
     "location_based_costs",
+    "FrontierPoint",
+    "cost_frontier",
+    "journey_departure_times",
+    "profile_from_timestamps",
+    "price_of_anarchy",
 ]
-
-from .budgeted import FrontierPoint, cost_frontier  # noqa: E402
-
-__all__.extend(["FrontierPoint", "cost_frontier"])
-
-from .duty_cycle import (  # noqa: E402
-    journey_departure_times,
-    profile_from_timestamps,
-)
-
-__all__.extend(["journey_departure_times", "profile_from_timestamps"])
-
-from .competition import price_of_anarchy  # noqa: E402
-
-__all__.append("price_of_anarchy")

@@ -143,9 +143,10 @@ def location_based_costs(
 ) -> Dict[NodeId, float]:
     """A realistic cost model: busier intersections cost more to rent.
 
-    Uses the experiment harness's traffic-based classification.
+    Uses the traffic-based intersection classes of
+    :mod:`repro.traces.locations`.
     """
-    from ..experiments import LocationClass, classify_intersections
+    from ..traces.locations import LocationClass, classify_intersections
 
     classes = classify_intersections(scenario.network, list(scenario.flows))
     price = {

@@ -8,48 +8,85 @@ validation, and synthetic city generators matching the paper's Dublin /
 Seattle / Manhattan-grid settings.
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+# Eager: the export ``astar`` shares its submodule's name, and importing
+# ``repro.graphs.astar`` binds the module over a name not yet resolved.
 from .astar import astar, bidirectional_dijkstra
-from .digraph import NodeId, ReverseAdjacency, RoadNetwork
-from .geometry import BoundingBox, Point, interpolate, midpoint, polyline_length
-from .generators import (
-    GridNode,
-    dublin_like_city,
-    grid_center_node,
-    manhattan_grid,
-    ring_city,
-    seattle_like_city,
-)
-from .io import (
-    load_network,
-    network_from_dict,
-    network_to_dict,
-    save_network,
-)
-from .metrics import (
-    NetworkMetrics,
-    circuity,
-    network_metrics,
-    orientation_entropy,
-)
-from .shortest_paths import (
-    INFINITY,
-    DistanceField,
-    ReverseSweep,
-    all_pairs_distances,
-    dijkstra,
-    distances_from,
-    distances_to_target,
-    is_shortest_path,
-    shortest_path,
-    shortest_path_length,
-)
-from .spdag import ShortestPathDag
-from .validation import (
-    is_strongly_connected,
-    require_strongly_connected,
-    restrict_to_largest_scc,
-    strongly_connected_components,
-)
+
+if TYPE_CHECKING:
+    from .digraph import NodeId, ReverseAdjacency, RoadNetwork
+    from .geometry import (
+        BoundingBox,
+        Point,
+        interpolate,
+        midpoint,
+        polyline_length,
+    )
+    from .generators import (
+        GridNode,
+        dublin_like_city,
+        grid_center_node,
+        manhattan_grid,
+        ring_city,
+        seattle_like_city,
+    )
+    from .io import (
+        load_network,
+        network_from_dict,
+        network_to_dict,
+        save_network,
+    )
+    from .metrics import (
+        NetworkMetrics,
+        circuity,
+        network_metrics,
+        orientation_entropy,
+    )
+    from .shortest_paths import (
+        INFINITY,
+        DistanceField,
+        ReverseSweep,
+        all_pairs_distances,
+        dijkstra,
+        distances_from,
+        distances_to_target,
+        is_shortest_path,
+        shortest_path,
+        shortest_path_length,
+    )
+    from .spdag import ShortestPathDag
+    from .validation import (
+        is_strongly_connected,
+        require_strongly_connected,
+        restrict_to_largest_scc,
+        strongly_connected_components,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".digraph": ("NodeId", "ReverseAdjacency", "RoadNetwork"),
+    ".geometry": ("BoundingBox", "Point", "interpolate", "midpoint", "polyline_length"),
+    ".generators": (
+        "GridNode", "dublin_like_city", "grid_center_node", "manhattan_grid",
+        "ring_city", "seattle_like_city",
+    ),
+    ".io": ("load_network", "network_from_dict", "network_to_dict", "save_network"),
+    ".metrics": (
+        "NetworkMetrics", "circuity", "network_metrics", "orientation_entropy",
+    ),
+    ".shortest_paths": (
+        "INFINITY", "DistanceField", "ReverseSweep", "all_pairs_distances", "dijkstra",
+        "distances_from", "distances_to_target", "is_shortest_path", "shortest_path",
+        "shortest_path_length",
+    ),
+    ".spdag": ("ShortestPathDag",),
+    ".validation": (
+        "is_strongly_connected", "require_strongly_connected",
+        "restrict_to_largest_scc", "strongly_connected_components",
+    ),
+})
 
 __all__ = [
     "BoundingBox",

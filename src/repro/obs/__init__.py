@@ -32,37 +32,61 @@ segments into trace trees (:mod:`repro.obs.collect`, surfaced as
 accounting on the injectable clock (:mod:`repro.obs.slo`).
 """
 
-from .clock import Clock, SystemClock, TickClock
-from .collect import (
-    Trace,
-    TraceSpan,
-    build_traces,
-    find_trace,
-    load_traces,
-    render_trace,
-)
-from .context import (
-    Number,
-    ObsContext,
-    Span,
-    active,
-    count,
-    count_many,
-    gauge,
-    record_span,
-    span,
-)
-from .metrics import LATENCY_BUCKETS_MS, LatencyHistogram, bucket_index
-from .report import render_counter_table, render_report, render_span_tree
-from .slo import SLOConfig, SLOTracker
-from .trace import (
-    TRACE_HEADER,
-    TraceContext,
-    TraceRecorder,
-    format_trace_header,
-    make_trace_id,
-    parse_trace_header,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .clock import Clock, SystemClock, TickClock
+    from .collect import (
+        Trace,
+        TraceSpan,
+        build_traces,
+        find_trace,
+        load_traces,
+        render_trace,
+    )
+    from .context import (
+        Number,
+        ObsContext,
+        Span,
+        active,
+        count,
+        count_many,
+        gauge,
+        record_span,
+        span,
+    )
+    from .metrics import LATENCY_BUCKETS_MS, LatencyHistogram, bucket_index
+    from .report import render_counter_table, render_report, render_span_tree
+    from .slo import SLOConfig, SLOTracker
+    from .trace import (
+        TRACE_HEADER,
+        TraceContext,
+        TraceRecorder,
+        format_trace_header,
+        make_trace_id,
+        parse_trace_header,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".clock": ("Clock", "SystemClock", "TickClock"),
+    ".collect": (
+        "Trace", "TraceSpan", "build_traces", "find_trace", "load_traces",
+        "render_trace",
+    ),
+    ".context": (
+        "Number", "ObsContext", "Span", "active", "count", "count_many", "gauge",
+        "record_span", "span",
+    ),
+    ".metrics": ("LATENCY_BUCKETS_MS", "LatencyHistogram", "bucket_index"),
+    ".report": ("render_counter_table", "render_report", "render_span_tree"),
+    ".slo": ("SLOConfig", "SLOTracker"),
+    ".trace": (
+        "TRACE_HEADER", "TraceContext", "TraceRecorder", "format_trace_header",
+        "make_trace_id", "parse_trace_header",
+    ),
+})
 
 __all__ = [
     "Clock",

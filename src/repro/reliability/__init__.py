@@ -18,31 +18,50 @@ failures) lives in :mod:`repro.extensions.failure_aware`; this package
 covers the pipeline and harness side of reliability.
 """
 
-from .checkpoint import (
-    CheckpointStore,
-    RunLedger,
-    run_figure_checkpointed,
-    run_panel_checkpointed,
-)
-from .faults import (
-    PRESETS,
-    FaultConfig,
-    FaultInjector,
-    FaultReport,
-)
-from .health import (
-    ROW_FAULT_CLASSES,
-    HEALTH_SCHEMA_VERSION,
-    ErrorBudget,
-    PipelineHealth,
-)
-from .ingest import (
-    LENIENT,
-    STRICT,
-    IngestResult,
-    corrupt_trace_csv,
-    ingest_trace_csv,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .checkpoint import (
+        CheckpointStore,
+        RunLedger,
+        run_figure_checkpointed,
+        run_panel_checkpointed,
+    )
+    from .faults import (
+        PRESETS,
+        FaultConfig,
+        FaultInjector,
+        FaultReport,
+    )
+    from .health import (
+        ROW_FAULT_CLASSES,
+        HEALTH_SCHEMA_VERSION,
+        ErrorBudget,
+        PipelineHealth,
+    )
+    from .ingest import (
+        LENIENT,
+        STRICT,
+        IngestResult,
+        corrupt_trace_csv,
+        ingest_trace_csv,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".checkpoint": (
+        "CheckpointStore", "RunLedger", "run_figure_checkpointed",
+        "run_panel_checkpointed",
+    ),
+    ".faults": ("PRESETS", "FaultConfig", "FaultInjector", "FaultReport"),
+    ".health": (
+        "ROW_FAULT_CLASSES", "HEALTH_SCHEMA_VERSION", "ErrorBudget", "PipelineHealth",
+    ),
+    ".ingest": (
+        "LENIENT", "STRICT", "IngestResult", "corrupt_trace_csv", "ingest_trace_csv",
+    ),
+})
 
 __all__ = [
     "CheckpointStore",

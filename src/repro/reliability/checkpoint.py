@@ -35,8 +35,8 @@ if TYPE_CHECKING:
     # importing repro.reliability (as the serving stack does, for its
     # fault injector) does not load it.
     from ..experiments.results import FigureResult, PanelResult
-    from ..experiments.runner import TraceProvider
     from ..experiments.spec import FigureSpec, PanelSpec
+    from ..traces.provider import TraceProvider
 
 #: values[algorithm][k] for one repetition.
 RepValues = Dict[str, Dict[int, float]]
@@ -186,11 +186,11 @@ def run_panel_checkpointed(
     kept, but the panel stops there and aggregates the salvaged prefix.
     """
     from ..experiments.runner import (
-        TraceProvider,
         aggregate_panel,
         panel_repetition,
         panel_shops,
     )
+    from ..traces.provider import TraceProvider
 
     if timeout is not None and timeout <= 0:
         raise CheckpointError(f"timeout must be positive, got {timeout}")
@@ -245,7 +245,7 @@ def run_figure_checkpointed(
     results for the same spec — but killable and resumable.
     """
     from ..experiments.results import FigureResult
-    from ..experiments.runner import TraceProvider
+    from ..traces.provider import TraceProvider
 
     provider = provider or TraceProvider()
     result = FigureResult(spec=figure)

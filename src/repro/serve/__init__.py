@@ -47,44 +47,71 @@ benchmark of record is ``perfbench/run.py``::
         totals = handle.client().evaluate([["a", "b"], ["c"]])
 """
 
-from .artifacts import (
-    ArtifactStore,
-    ScenarioArtifact,
-    scenario_digest,
-    scenario_from_spec,
-    scenario_to_spec,
-    spec_digest,
-)
-from .chaos import (
-    CHAOS_PRESETS,
-    ChaosEvent,
-    ChaosResult,
-    build_schedule,
-    run_chaos,
-)
-from .client import ServeClient
-from .engine import REQUEST_KINDS, QueryEngine
-from .fleet import (
-    FleetConfig,
-    LocalWorker,
-    PlacementFleet,
-    ProcessWorker,
-    RetryPolicy,
-    SHED_TIERS,
-    local_worker_factory,
-    process_worker_factory,
-    run_fleet,
-)
-from .server import PlacementServer, run_server
-from .shm import (
-    ShmArtifactPool,
-    ShmAttachment,
-    ShmManifest,
-    memory_probe,
-    segment_exists,
-    segment_name_for,
-)
-from .testing import FleetThread, ServerThread
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .artifacts import (
+        ArtifactStore,
+        ScenarioArtifact,
+        scenario_digest,
+        scenario_from_spec,
+        scenario_to_spec,
+        spec_digest,
+    )
+    from .chaos import (
+        CHAOS_PRESETS,
+        ChaosEvent,
+        ChaosResult,
+        build_schedule,
+        run_chaos,
+    )
+    from .client import ServeClient
+    from .engine import REQUEST_KINDS, QueryEngine
+    from .fleet import (
+        FleetConfig,
+        LocalWorker,
+        PlacementFleet,
+        ProcessWorker,
+        RetryPolicy,
+        SHED_TIERS,
+        local_worker_factory,
+        process_worker_factory,
+        run_fleet,
+    )
+    from .server import PlacementServer, run_server
+    from .shm import (
+        ShmArtifactPool,
+        ShmAttachment,
+        ShmManifest,
+        memory_probe,
+        segment_exists,
+        segment_name_for,
+    )
+    from .testing import FleetThread, ServerThread
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".artifacts": (
+        "ArtifactStore", "ScenarioArtifact", "scenario_digest", "scenario_from_spec",
+        "scenario_to_spec", "spec_digest",
+    ),
+    ".chaos": (
+        "CHAOS_PRESETS", "ChaosEvent", "ChaosResult", "build_schedule", "run_chaos",
+    ),
+    ".client": ("ServeClient",),
+    ".engine": ("REQUEST_KINDS", "QueryEngine"),
+    ".fleet": (
+        "FleetConfig", "LocalWorker", "PlacementFleet", "ProcessWorker", "RetryPolicy",
+        "SHED_TIERS", "local_worker_factory", "process_worker_factory", "run_fleet",
+    ),
+    ".server": ("PlacementServer", "run_server"),
+    ".shm": (
+        "ShmArtifactPool", "ShmAttachment", "ShmManifest", "memory_probe",
+        "segment_exists", "segment_name_for",
+    ),
+    ".testing": ("FleetThread", "ServerThread"),
+})
 
 __all__ = [
     "ArtifactStore",

@@ -108,6 +108,10 @@ class QueryEngine:
         self._request_index = 0
         self._last_fault_index = -1
         self._utilities: Dict[Tuple[str, float], Scenario] = {}
+        # Import now what the four kinds run with default arguments (the
+        # default algorithm's module brings the greedy loop and
+        # core.evaluation), so that no request pays for an import.
+        algorithm_by_name(_DEFAULT_ALGORITHM)
 
     @property
     def artifact(self) -> ScenarioArtifact:

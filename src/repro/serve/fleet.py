@@ -59,6 +59,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Deque,
     Dict,
@@ -85,7 +86,9 @@ from .server import (
     unread_body_answer,
     write_json_response,
 )
-from .testing import ServerThread
+
+if TYPE_CHECKING:
+    from .testing import ServerThread
 
 # DIGEST_HEADER (re-exported from .server): a client addresses a
 # specific shard (scenario digest) behind a multi-shard front with it.
@@ -239,6 +242,10 @@ class LocalWorker:
 
     def start(self) -> None:
         """Spawn the server thread (blocking until the port is bound)."""
+        # Here, not at module level: the harness imports the HTTP client
+        # (http.client, email), which a process-worker front never uses.
+        from .testing import ServerThread
+
         engine = self._engine_factory()
         kwargs = dict(self._server_kwargs)
         kwargs.setdefault("worker_label", self.worker_id)
@@ -283,9 +290,10 @@ class ProcessWorker:
     The child announces its bound address through ``--ready-file``; the
     parent pre-compiles the artifact into the shared ``--cache-dir``
     before spawning, so every child disk-loads the same digest instead
-    of recompiling.  The waiting loop uses an injectable sleeper and the
-    injected clock (RAP002: the serve layer never calls the wall clock
-    directly).
+    of recompiling.  The child's stderr is appended to
+    ``<ready_dir>/<worker_id>.log``.  The waiting loop uses an
+    injectable sleeper and the injected clock (RAP002: the serve layer
+    never calls the wall clock directly).
     """
 
     def __init__(
@@ -324,11 +332,14 @@ class ProcessWorker:
             "--worker-label",
             self.worker_id,
         ]
-        self._process = subprocess.Popen(
-            argv,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        log = self._ready_dir / f"{self.worker_id}.log"
+        with open(log, "ab") as handle:
+            offset = handle.tell()
+            self._process = subprocess.Popen(
+                argv,
+                stdout=subprocess.DEVNULL,
+                stderr=handle,
+            )
         deadline = self._clock.now() + self._start_timeout
         while True:
             if ready.exists():
@@ -341,12 +352,14 @@ class ProcessWorker:
                 raise ServeWorkerError(
                     f"worker {self.worker_id} exited with code "
                     f"{self._process.returncode} before binding"
+                    + _log_tail(log, offset)
                 )
             if self._clock.now() > deadline:
                 self._process.kill()
+                self._process.wait()
                 raise ServeWorkerError(
                     f"worker {self.worker_id} did not become ready within "
-                    f"{self._start_timeout:g}s"
+                    f"{self._start_timeout:g}s" + _log_tail(log, offset)
                 )
             self._sleep(0.02)
 
@@ -378,6 +391,18 @@ class ProcessWorker:
                 f"worker {self.worker_id} is not running"
             )
         return self._address
+
+
+def _log_tail(log: Path, offset: int, lines: int = 5) -> str:
+    """The last ``lines`` lines a child wrote to ``log`` past ``offset``,
+    as a suffix for its start-up error (empty when it wrote nothing)."""
+    with open(log, "rb") as handle:
+        handle.seek(offset)
+        text = handle.read().decode("utf-8", "replace")
+    tail = [line for line in text.splitlines() if line.strip()][-lines:]
+    if not tail:
+        return ""
+    return f"; its stderr ({log}) ends: " + " | ".join(tail)
 
 
 def _in_order(*steps: Callable[[], object]) -> None:

@@ -7,12 +7,24 @@ end to end (and providing day-to-day variance the analytic model
 cannot).
 """
 
-from .simulator import (
-    AdvertisingDaySimulator,
-    DayResult,
-    SimulationResult,
-    simulate_placement,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .simulator import (
+        AdvertisingDaySimulator,
+        DayResult,
+        SimulationResult,
+        simulate_placement,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".simulator": (
+        "AdvertisingDaySimulator", "DayResult", "SimulationResult",
+        "simulate_placement",
+    ),
+})
 
 __all__ = [
     "AdvertisingDaySimulator",

@@ -22,29 +22,47 @@ Everything is deterministic and event-time driven: no wall-clock reads
 (RAP002) and no unseeded randomness (RAP001) anywhere in the package.
 """
 
-from .estimator import TrafficDelta, WindowedEstimator
-from .journal import (
-    JourneyJournal,
-    SEGMENT_PATTERN,
-    WAL_NAME,
-    record_from_line,
-    record_to_line,
-)
-from .refresh import (
-    REFRESH_MODES,
-    RefreshResult,
-    StreamRefresher,
-    patched_spec,
-)
-from .segmenter import (
-    ClosedJourney,
-    IDLE_THRESHOLD,
-    JOURNEY_END_THRESHOLD,
-    JourneySegmenter,
-    RESUME_DISTANCE_FEET,
-    STOP_THRESHOLD,
-    SegmenterConfig,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .estimator import TrafficDelta, WindowedEstimator
+    from .journal import (
+        JourneyJournal,
+        SEGMENT_PATTERN,
+        WAL_NAME,
+        record_from_line,
+        record_to_line,
+    )
+    from .refresh import (
+        REFRESH_MODES,
+        RefreshResult,
+        StreamRefresher,
+        patched_spec,
+    )
+    from .segmenter import (
+        ClosedJourney,
+        IDLE_THRESHOLD,
+        JOURNEY_END_THRESHOLD,
+        JourneySegmenter,
+        RESUME_DISTANCE_FEET,
+        STOP_THRESHOLD,
+        SegmenterConfig,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".estimator": ("TrafficDelta", "WindowedEstimator"),
+    ".journal": (
+        "JourneyJournal", "SEGMENT_PATTERN", "WAL_NAME", "record_from_line",
+        "record_to_line",
+    ),
+    ".refresh": ("REFRESH_MODES", "RefreshResult", "StreamRefresher", "patched_spec"),
+    ".segmenter": (
+        "ClosedJourney", "IDLE_THRESHOLD", "JOURNEY_END_THRESHOLD", "JourneySegmenter",
+        "RESUME_DISTANCE_FEET", "STOP_THRESHOLD", "SegmenterConfig",
+    ),
+})
 
 __all__ = [
     "ClosedJourney",

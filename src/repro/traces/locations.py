@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence
 from ..core import TrafficFlow
 from ..errors import ExperimentError
 from ..graphs import NodeId, RoadNetwork
-from ..traces import node_traffic
+from .flows import node_traffic
 
 
 class LocationClass(enum.Enum):

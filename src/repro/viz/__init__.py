@@ -1,13 +1,24 @@
 """Dependency-free SVG visualization of networks and placements."""
 
-from .plots import panel_plot, svg_line_plot
-from .render import (
-    render_manhattan,
-    render_network,
-    render_placement,
-    save_svg,
-)
-from .svg import SvgCanvas
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .plots import panel_plot, svg_line_plot
+    from .render import (
+        render_manhattan,
+        render_network,
+        render_placement,
+        save_svg,
+    )
+    from .svg import SvgCanvas
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".plots": ("panel_plot", "svg_line_plot"),
+    ".render": ("render_manhattan", "render_network", "render_placement", "save_svg"),
+    ".svg": ("SvgCanvas",),
+})
 
 __all__ = [
     "SvgCanvas",

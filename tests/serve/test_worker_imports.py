@@ -1,11 +1,13 @@
-"""A fleet worker imports only what serving needs.
+"""A fleet worker imports only what serving needs, and all of it up front.
 
 Every fleet start and every respawn runs ``python -m repro serve
 --shm-attach`` in a fresh interpreter, so whatever that command imports
-is start-up latency.  The figure harness (``repro.experiments``) and the
-linter (``repro.devtools.lint``) have no part in serving; this test runs
-a real shared-memory worker, sends it a few queries, drains it with
-SIGTERM and checks which modules it loaded.
+is start-up latency.  Packages load their exports on first use
+(:mod:`repro._lazy`), so a worker loads only what it runs.  This test
+runs a real shared-memory worker, sends it one request of each kind,
+drains it with SIGTERM and checks which modules it loaded, and that it
+loaded none after its ready file appeared: a request never pays for an
+import.
 """
 
 import json
@@ -21,22 +23,63 @@ from repro.serve.shm import ShmArtifactPool
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: Packages a serving worker must never import.
-NOT_IN_A_WORKER = ("repro.experiments", "repro.devtools.lint")
-
-#: ``python -m repro`` that writes its ``sys.modules`` to argv[1] at exit.
-WORKER = """
-import atexit, json, runpy, sys
-report = sys.argv.pop(1)
-atexit.register(
-    lambda: open(report, "w").write(json.dumps(sorted(sys.modules)))
+#: Modules (and their submodules) a serving worker must never import:
+#: the figure harness and the other offline packages, the trace
+#: generators and the ingest pipeline, the fleet front and its test
+#: harnesses, the client, the linter, and the stdlib modules that only
+#: ``--version`` and an HTTP client load.
+NOT_IN_A_WORKER = (
+    "repro.experiments",
+    "repro.analysis",
+    "repro.sim",
+    "repro.viz",
+    "repro.manhattan",
+    "repro.extensions",
+    "repro.stream",
+    "repro.traces.dublin",
+    "repro.traces.seattle",
+    "repro.traces.mapmatch",
+    "repro.reliability.ingest",
+    "repro.reliability.checkpoint",
+    "repro.serve.chaos",
+    "repro.serve.fleet",
+    "repro.serve.testing",
+    "repro.serve.client",
+    "repro.devtools.lint",
+    "importlib.metadata",
+    "http.client",
 )
+
+#: ``python -m repro`` that writes, at exit, its ``sys.modules`` and the
+#: modules it imported once the ready file (argv[2]) existed to argv[1].
+#: The first finder on ``sys.meta_path`` is asked about every module not
+#: yet loaded, whether an import statement or ``importlib`` loads it.
+WORKER = """
+import atexit, json, os, runpy, sys
+report, ready = sys.argv.pop(1), sys.argv.pop(1)
+late = []
+
+class NoteLateImports:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if os.path.exists(ready):
+            late.append(name)
+        return None
+
+sys.meta_path.insert(0, NoteLateImports)
+atexit.register(lambda: open(report, "w").write(
+    json.dumps({"modules": sorted(sys.modules), "after_ready": late})
+))
 sys.argv[0] = "repro"
 runpy.run_module("repro", run_name="__main__", alter_sys=True)
 """
 
 
-def test_shm_worker_imports_neither_experiments_nor_linter(artifact, tmp_path):
+def under(name, roots):
+    return any(name == root or name.startswith(root + ".") for root in roots)
+
+
+def test_shm_worker_imports_only_what_serving_runs(artifact, tmp_path):
     pool = ShmArtifactPool(tmp_path / "shm")
     pool.publish(artifact)
     ready = tmp_path / "ready"
@@ -45,7 +88,7 @@ def test_shm_worker_imports_neither_experiments_nor_linter(artifact, tmp_path):
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     worker = subprocess.Popen(
         [
-            sys.executable, "-c", WORKER, str(report),
+            sys.executable, "-c", WORKER, str(report), str(ready),
             "serve", "--shm-attach", artifact.digest,
             "--shm-dir", str(pool.root),
             "--port", "0", "--ready-file", str(ready),
@@ -67,6 +110,9 @@ def test_shm_worker_imports_neither_experiments_nor_linter(artifact, tmp_path):
         assert client.evaluate([["V3", "V5"]]) == [21.0]
         client.place(k=2)
         client.query({"kind": "top_gains", "limit": 3})
+        client.query(
+            {"kind": "what_if", "placement": ["V3"], "add": "V5"}
+        )
         client.close()
         worker.send_signal(signal.SIGTERM)
         _, stderr = worker.communicate(timeout=60)
@@ -76,11 +122,10 @@ def test_shm_worker_imports_neither_experiments_nor_linter(artifact, tmp_path):
             worker.communicate()
         pool.unlink_all()
     assert worker.returncode == 0, stderr
-    modules = json.loads(report.read_text())
-    assert "repro.serve.server" in modules
+    loaded = json.loads(report.read_text())
+    assert "repro.serve.server" in loaded["modules"]
     leaked = [
-        name
-        for name in modules
-        if any(name == root or name.startswith(root + ".") for root in NOT_IN_A_WORKER)
+        name for name in loaded["modules"] if under(name, NOT_IN_A_WORKER)
     ]
     assert leaked == []
+    assert loaded["after_ready"] == []
