@@ -58,38 +58,6 @@ def test_algorithm_select_k10(benchmark, dublin_scenario, name):
     benchmark.extra_info["sites"] = len(sites)
 
 
-#: Greedy variants timed under both evaluation backends — the pairs the
-#: perf-trajectory harness (scripts/bench_trajectory.py) reads its
-#: python-vs-numpy speedups from.
-GREEDY_BACKEND_CASES = [
-    (name, backend)
-    for name in (
-        "greedy-coverage",
-        "composite-greedy",
-        "marginal-greedy",
-        "lazy-greedy",
-    )
-    for backend in ("python", "numpy")
-]
-
-
-@pytest.mark.parametrize("name,backend", GREEDY_BACKEND_CASES)
-def test_greedy_backend_k10(benchmark, dublin_scenario, name, backend):
-    """Greedy placement cost per backend (identical outputs by contract)."""
-    algorithm = algorithm_by_name(name, backend=backend)
-    k = min(K, len(dublin_scenario.candidate_sites))
-
-    # Warm the shared caches — including the CSR packing — outside the
-    # timed region so both backends time only the selection loop.
-    _ = dublin_scenario.coverage.packed()
-
-    sites = benchmark(algorithm.select, dublin_scenario, k)
-    assert len(sites) <= k
-    benchmark.extra_info["scale"] = BENCH_SCALE
-    benchmark.extra_info["backend"] = backend
-    benchmark.extra_info["algorithm"] = name
-
-
 def test_exhaustive_small_instance(benchmark):
     """Optimal search on a 4x4 grid with 4 flows, k = 3."""
     net = manhattan_grid(4, 4, 1.0)

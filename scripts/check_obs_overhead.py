@@ -115,7 +115,7 @@ def measure(
     k = min(10, len(scenario.candidate_sites))
     results: Dict[str, Dict[str, float]] = {}
     for name in GREEDY_ALGORITHMS:
-        algorithm = algorithm_by_name(name, backend="numpy")
+        algorithm = algorithm_by_name(name)
         algorithm.select(scenario, k)  # warm caches
         shipped: List[float] = []
         stubbed: List[float] = []

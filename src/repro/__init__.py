@@ -58,7 +58,6 @@ if TYPE_CHECKING:
         CustomUtility,
         DetourCalculator,
         FlowOutcome,
-        IncrementalEvaluator,
         LinearUtility,
         Placement,
         Scenario,
@@ -66,7 +65,6 @@ if TYPE_CHECKING:
         ThresholdUtility,
         TrafficFlow,
         UtilityFunction,
-        attracted_customers,
         evaluate_placement,
         flow_between,
         total_volume,
@@ -104,9 +102,9 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ),
     ".core": (
         "PAPER_ALPHA", "CustomUtility", "DetourCalculator", "FlowOutcome",
-        "IncrementalEvaluator", "LinearUtility", "Placement", "Scenario", "SqrtUtility",
-        "ThresholdUtility", "TrafficFlow", "UtilityFunction", "attracted_customers",
-        "evaluate_placement", "flow_between", "total_volume", "utility_by_name",
+        "LinearUtility", "Placement", "Scenario", "SqrtUtility", "ThresholdUtility",
+        "TrafficFlow", "UtilityFunction", "evaluate_placement", "flow_between",
+        "total_volume", "utility_by_name",
     ),
     ".graphs": (
         "BoundingBox", "NodeId", "Point", "RoadNetwork", "ShortestPathDag",
@@ -147,7 +145,6 @@ __all__ = [
     "FlowClass",
     "FlowOutcome",
     "GreedyCoverage",
-    "IncrementalEvaluator",
     "LazyGreedy",
     "LinearUtility",
     "ManhattanEvaluator",
@@ -174,7 +171,6 @@ __all__ = [
     "TwoStagePlacement",
     "UtilityFunction",
     "algorithm_by_name",
-    "attracted_customers",
     "dublin_like_city",
     "errors",
     "evaluate_manhattan",

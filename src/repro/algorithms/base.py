@@ -4,7 +4,7 @@ Every placement algorithm turns a :class:`~repro.core.scenario.Scenario`
 and a RAP budget ``k`` into an evaluated
 :class:`~repro.core.placement.Placement`: :meth:`PlacementAlgorithm.place`
 runs ``select`` and scores its sites on the array kernel
-(:func:`~repro.core.kernel.score_placement`).  Algorithms are stateless
+(:func:`~repro.core.kernel.evaluate_placement`).  Algorithms are stateless
 and reusable across scenarios; anything stochastic takes an explicit
 seed.
 
@@ -43,7 +43,7 @@ class PlacementAlgorithm(ABC):
 
     def place(self, scenario: Scenario, k: int) -> Placement:
         """Select sites and return them scored on the array kernel."""
-        from ..core.kernel import score_placement
+        from ..core.kernel import evaluate_placement
 
         validate_budget(scenario, k)
         sites = self.select(scenario, k)
@@ -51,7 +51,7 @@ class PlacementAlgorithm(ABC):
             raise PlacementError(
                 f"{self.name} returned {len(sites)} sites for budget k={k}"
             )
-        return score_placement(scenario, sites, algorithm=self.name)
+        return evaluate_placement(scenario, sites, algorithm=self.name)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..core import IncrementalEvaluator, Scenario
+from ..core import ArrayEvaluator, Scenario
 from ..errors import InfeasiblePlacementError
 from ..graphs import NodeId
 from .base import PlacementAlgorithm, register
@@ -56,7 +56,7 @@ class BranchAndBoundOptimal(PlacementAlgorithm):
 
         # Order candidates by single-site value (descending) — better
         # incumbents early, tighter bounds.
-        base = IncrementalEvaluator(scenario)
+        base = ArrayEvaluator(scenario)
         singles = sorted(
             useful, key=lambda site: -base.gain(site)
         )
@@ -77,7 +77,7 @@ class BranchAndBoundOptimal(PlacementAlgorithm):
 
     # ------------------------------------------------------------------
     def _value_of(self, scenario: Scenario, sites: List[NodeId]) -> float:
-        evaluator = IncrementalEvaluator(scenario)
+        evaluator = ArrayEvaluator(scenario)
         for site in sites:
             evaluator.place(site)
         return evaluator.attracted
@@ -105,7 +105,7 @@ class BranchAndBoundOptimal(PlacementAlgorithm):
                     f"branch-and-bound exceeded {self._node_limit} nodes; "
                     "loosen the limit or use a greedy algorithm"
                 )
-            evaluator = IncrementalEvaluator(scenario)
+            evaluator = ArrayEvaluator(scenario)
             for site in chosen:
                 evaluator.place(site)
             value = evaluator.attracted

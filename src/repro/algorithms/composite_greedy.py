@@ -18,10 +18,9 @@ approximation ratio for any non-increasing utility.  Under the threshold
 utility candidate ii's gain is always zero, so Algorithm 2 reduces to
 Algorithm 1, as the paper notes.
 
-It runs the shared greedy loop (:mod:`repro.algorithms.greedy`).
-``"python"`` is the one exhaustive reference scan.  ``"numpy"``
-(default) evaluates both candidate factors for *every* site in one
-batched segment reduction per step (:meth:`ArrayEvaluator.gain_splits`).
+It runs the shared greedy loop (:mod:`repro.algorithms.greedy`), which
+evaluates both candidate factors for *every* site in one batched
+segment reduction per step (:meth:`ArrayEvaluator.gain_splits`).
 A CELF lazy scan is deliberately not used for candidate ii: the
 covered-flow gain can *grow* as flows become covered, so a stale bound
 on it is not an upper bound (candidate i alone would qualify — the

@@ -14,16 +14,16 @@ round maximizes:
   against candidate ii (covered gain), the larger winning and ties
   going to candidate i.
 
-How a round finds its site depends on the backend.  ``"numpy"`` runs a
-CELF lazy scan for the two single-factor rules (both gains only shrink
-as RAPs are placed) and one batched two-factor scan per round for
-Algorithm 2, whose covered-flow factor can grow and so has no stale
-upper bound.  ``"python"`` runs one exhaustive scan of every unplaced
-candidate on the pure-Python evaluator, whatever the rule; it uses
-neither :class:`~repro.core.kernel.CelfQueue` nor the batched scans, so
-the differential tests compare those against an independent reference.
-Ties break by candidate-site order everywhere, so both backends select
-the same sites in the same order.
+A round runs on the array kernel: a CELF lazy scan for the two
+single-factor rules (both gains only shrink as RAPs are placed) and one
+batched two-factor scan per round for Algorithm 2, whose covered-flow
+factor can grow and so has no stale upper bound.  :class:`ExhaustivePick`
+scores every unplaced candidate with scalar queries, whatever the rule;
+it uses neither :class:`~repro.core.kernel.CelfQueue` nor the batched
+scans, so the differential tests run it on the reference evaluator
+(:mod:`repro.core.reference`) as the oracle the fast picks must match.
+Ties break by candidate-site order everywhere, so every pick selects the
+same sites in the same order.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import obs
-from ..core import IncrementalEvaluator, Scenario
-from ..core.kernel import ArrayEvaluator, Evaluator, resolve_backend
+from ..core import Scenario
+from ..core.kernel import ArrayEvaluator
 from ..graphs import NodeId
 from .base import PlacementAlgorithm
 
@@ -50,7 +50,7 @@ TWO_CANDIDATES = "two-candidates"
 Factors = Callable[[NodeId], Sequence[float]]
 
 
-def scalar_factors(evaluator: Evaluator, rule: str) -> Factors:
+def scalar_factors(evaluator: ArrayEvaluator, rule: str) -> Factors:
     """The rule's per-site factor gains, one scalar query per site."""
     if rule == TWO_CANDIDATES:
         return evaluator.gain_split
@@ -62,7 +62,7 @@ def scalar_factors(evaluator: Evaluator, rule: str) -> Factors:
 class Pick(ABC):
     """How a greedy round chooses its site on one evaluator."""
 
-    evaluator: Evaluator
+    evaluator: ArrayEvaluator
 
     @abstractmethod
     def __call__(self, round_number: int) -> Optional[NodeId]:
@@ -81,7 +81,7 @@ class ExhaustivePick(Pick):
     """
 
     def __init__(
-        self, evaluator: Evaluator, sites: Sequence[NodeId], factors: Factors
+        self, evaluator: ArrayEvaluator, sites: Sequence[NodeId], factors: Factors
     ) -> None:
         self.evaluator = evaluator
         self._sites = sites
@@ -135,8 +135,6 @@ class CelfPick(Pick):
 class BatchedTwoCandidatePick(Pick):
     """Algorithm 2's two factors for every site in one batched reduction."""
 
-    evaluator: ArrayEvaluator
-
     def __init__(self, evaluator: ArrayEvaluator, sites: Sequence[NodeId]) -> None:
         self.evaluator = evaluator
         self._sites = sites
@@ -163,12 +161,9 @@ class BatchedTwoCandidatePick(Pick):
         }
 
 
-def make_pick(scenario: Scenario, rule: str, backend: str) -> Pick:
-    """The round pick for ``rule`` on a fresh evaluator of ``backend``."""
+def make_pick(scenario: Scenario, rule: str) -> Pick:
+    """The round pick for ``rule`` on a fresh evaluator."""
     sites = scenario.candidate_sites
-    if backend == "python":
-        reference = IncrementalEvaluator(scenario)
-        return ExhaustivePick(reference, sites, scalar_factors(reference, rule))
     evaluator = ArrayEvaluator(scenario)
     if rule == TWO_CANDIDATES:
         return BatchedTwoCandidatePick(evaluator, sites)
@@ -194,26 +189,20 @@ def greedy(pick: Pick, k: int) -> List[NodeId]:
 
 
 class GreedyVariant(PlacementAlgorithm):
-    """A greedy placement: the shared loop under one :attr:`rule`.
-
-    ``backend`` is ``"numpy"`` (default) or ``"python"``, see
-    :mod:`repro.core.kernel`; both select identical sites.
-    """
+    """A greedy placement: the shared loop under one :attr:`rule`."""
 
     #: What each round maximizes (one of the rule constants above).
     rule: str
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        self._backend = backend
+    def __init__(self) -> None:
         #: Gain evaluations during the last :meth:`select` call; read by
         #: the ablation benchmark.
         self.evaluations = 0
 
     def select(self, scenario: Scenario, k: int) -> List[NodeId]:
         """Run the greedy loop under this variant's rule."""
-        backend = resolve_backend(self._backend, scenario)
-        with obs.span("select", algorithm=self.name, backend=backend, k=k):
-            pick = make_pick(scenario, self.rule, backend)
+        with obs.span("select", algorithm=self.name, k=k):
+            pick = make_pick(scenario, self.rule)
             chosen = greedy(pick, k)
             tallies = pick.tallies()
             self.evaluations = tallies["gain.evaluations"]

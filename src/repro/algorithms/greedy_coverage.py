@@ -16,8 +16,7 @@ against Algorithm 2.
 It runs the shared greedy loop (:mod:`repro.algorithms.greedy`).  The
 uncovered-flow gain is non-increasing as RAPs are placed (placing a RAP
 can only cover flows or shrink best detours, both of which remove
-terms), so the ``"numpy"`` backend (default) runs a CELF lazy scan over
-it; ``"python"`` is the one exhaustive reference scan.  ``place`` scores
+terms), so the loop runs a CELF lazy scan over it.  ``place`` scores
 the sites on the array kernel.
 """
 

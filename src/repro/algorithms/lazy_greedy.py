@@ -12,12 +12,12 @@ checks — while CELF typically recomputes a small fraction of gains per
 step on realistic instances.
 
 It runs the shared greedy loop (:mod:`repro.algorithms.greedy`) under
-the total marginal gain.  Under ``backend="numpy"`` (default) the lazy
-scan runs on the array kernel: the initial heap is precompiled once per
-scenario and every recompute is a scalar pass over one CSR row.
-``backend="python"`` is the one exhaustive reference scan, against which
-the differential tests check CELF.  ``place`` scores the sites on the
-array kernel.
+the total marginal gain.  The lazy scan runs on the array kernel: the
+initial heap is precompiled once per scenario and every recompute is a
+scalar pass over one CSR row.  It selects exactly what
+:class:`MarginalGainGreedy` selects; both are registered because the
+paper's figures and the experiments name both.  The differential tests
+check CELF against an exhaustive scan on the reference evaluator.
 """
 
 from __future__ import annotations

@@ -13,12 +13,9 @@ guarantee, *stronger* than Algorithm 2's ``1 - 1/sqrt(e)``.  We ship it
 both as a strong practical default and as an ablation partner for
 Algorithm 2 (see ``benchmarks/bench_ablations.py``).
 
-It runs the shared greedy loop (:mod:`repro.algorithms.greedy`): the
-``"numpy"`` backend (default) runs a CELF lazy scan over the array
-kernel (:mod:`repro.core.kernel`), while ``"python"`` is the one
-exhaustive reference scan over the pure-Python
-:class:`~repro.core.evaluation.IncrementalEvaluator`.  Both produce
-identical placements, and ``place`` scores them on the array kernel.
+It runs the shared greedy loop (:mod:`repro.algorithms.greedy`) as a
+CELF lazy scan over the array kernel (:mod:`repro.core.kernel`), and
+``place`` scores the sites on the same kernel.
 """
 
 from __future__ import annotations

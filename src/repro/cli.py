@@ -715,8 +715,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(evaluate)
     evaluate.add_argument(
         "--in", dest="in_path", required=True, metavar="PATH",
-        help="JSON document with 'placements' (and optional 'utility', "
-        "'backend'); '-' reads stdin",
+        help="JSON document with 'placements' (and an optional "
+        "'utility'); '-' reads stdin",
     )
 
     commands.add_parser("version", help="print the installed version")

@@ -14,22 +14,16 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .coverage import CoverageEntry, CoverageIndex
     from .detour import DETOUR_MODES, DetourCalculator
-    from .evaluation import (
-        IncrementalEvaluator,
-        attracted_customers,
-        evaluate_placement,
-    )
     from .flow import TrafficFlow, flow_between, total_volume
     from .kernel import (
-        BACKENDS,
         ArrayEvaluator,
         CelfQueue,
         PackedCoverage,
         affected_placements,
+        evaluate_placement,
         evaluate_placement_many,
         make_evaluator,
         reevaluate_affected,
-        resolve_backend,
     )
     from .placement import FlowOutcome, Placement
     from .scenario import Scenario
@@ -52,14 +46,11 @@ if TYPE_CHECKING:
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".coverage": ("CoverageEntry", "CoverageIndex"),
     ".detour": ("DETOUR_MODES", "DetourCalculator"),
-    ".evaluation": (
-        "IncrementalEvaluator", "attracted_customers", "evaluate_placement",
-    ),
     ".flow": ("TrafficFlow", "flow_between", "total_volume"),
     ".kernel": (
-        "BACKENDS", "ArrayEvaluator", "CelfQueue", "PackedCoverage",
-        "affected_placements", "evaluate_placement_many", "make_evaluator",
-        "reevaluate_affected", "resolve_backend",
+        "ArrayEvaluator", "CelfQueue", "PackedCoverage", "affected_placements",
+        "evaluate_placement", "evaluate_placement_many", "make_evaluator",
+        "reevaluate_affected",
     ),
     ".placement": ("FlowOutcome", "Placement"),
     ".scenario": ("Scenario",),
@@ -72,7 +63,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
 
 __all__ = [
     "ArrayEvaluator",
-    "BACKENDS",
     "CelfQueue",
     "CoverageEntry",
     "CoverageIndex",
@@ -80,7 +70,6 @@ __all__ = [
     "DETOUR_MODES",
     "DetourCalculator",
     "FlowOutcome",
-    "IncrementalEvaluator",
     "LinearUtility",
     "PAPER_ALPHA",
     "PackedCoverage",
@@ -93,7 +82,6 @@ __all__ = [
     "UtilityFunction",
     "ValidationIssue",
     "affected_placements",
-    "attracted_customers",
     "evaluate_placement",
     "evaluate_placement_many",
     "flow_between",
@@ -101,7 +89,6 @@ __all__ = [
     "lint_scenario",
     "make_evaluator",
     "reevaluate_affected",
-    "resolve_backend",
     "total_volume",
     "utility_by_name",
 ]

@@ -1,9 +1,10 @@
 """Vectorized placement kernel: CSR coverage arrays + NumPy gain scans.
 
-The pure-Python :class:`~repro.core.evaluation.IncrementalEvaluator`
-walks one :class:`~repro.core.coverage.CoverageEntry` at a time and
-re-evaluates the utility function on every query.  This module is its
-array-backed twin, built around three ideas:
+This module is the one evaluator that library calls and served requests
+run.  The reference evaluator (:mod:`repro.core.reference`) walks one
+:class:`~repro.core.coverage.CoverageEntry` at a time and re-evaluates
+the utility function on every query; the kernel computes the same
+numbers around three ideas:
 
 * **CSR packing** — :class:`PackedCoverage` flattens the coverage index
   into contiguous arrays: per-node slices ``indptr[row] ..
@@ -30,15 +31,13 @@ Semantics are pinned to the reference implementation: the serving RAP
 per flow follows the paper's Theorem 1 tie-breaking (smallest detour,
 then earliest in travel order), the gain split mirrors Algorithm 2's
 two candidate factors, and every sum accumulates in coverage-entry
-order so scalar and batched paths agree bit-for-bit.  The pure-Python
-path stays available as the differential-testing reference via
-``backend="python"``.
+order so scalar and batched paths agree bit-for-bit.  The differential
+tests compare all of it against the reference evaluator.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import sys
 import weakref
 from dataclasses import dataclass
@@ -51,7 +50,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -63,17 +61,7 @@ from .placement import FlowOutcome, Placement
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from .coverage import CoverageIndex
-    from .evaluation import IncrementalEvaluator
     from .scenario import Scenario
-
-#: Evaluation backends selectable per algorithm (or per scenario).
-BACKENDS = ("python", "numpy")
-
-#: Environment override for the default backend.
-BACKEND_ENV = "RAPFLOW_BACKEND"
-
-#: Backend used when neither the algorithm nor the scenario chooses.
-DEFAULT_BACKEND = "numpy"
 
 #: Sentinel path position for flows no placed RAP serves yet (mirrors
 #: the reference evaluator's sentinel so tie-breaking agrees exactly).
@@ -81,29 +69,6 @@ _NO_POSITION = sys.maxsize
 
 #: Shared placeholder for not-yet-materialized array twins.
 _EMPTY = np.zeros(0)
-
-
-def resolve_backend(
-    backend: Optional[str] = None, scenario: Optional["Scenario"] = None
-) -> str:
-    """Pick the evaluation backend.
-
-    Resolution order: explicit ``backend`` argument, then the scenario's
-    ``default_backend``, then the ``RAPFLOW_BACKEND`` environment
-    variable, then :data:`DEFAULT_BACKEND`.
-    """
-    choice = backend
-    if choice is None and scenario is not None:
-        choice = scenario.default_backend
-    if choice is None:
-        choice = os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-    choice = choice.strip().lower()
-    if choice not in BACKENDS:
-        raise InvalidScenarioError(
-            f"unknown evaluation backend {choice!r}; expected one of {BACKENDS}"
-        )
-    obs.count("backend." + choice)
-    return choice
 
 
 @dataclass(frozen=True)
@@ -485,16 +450,20 @@ def _static_for(scenario: "Scenario") -> _KernelStatic:
 
 
 class ArrayEvaluator:
-    """Array-kernel twin of :class:`~repro.core.evaluation.IncrementalEvaluator`.
+    """Incremental evaluation state for building a placement site by site.
 
-    Same public surface (``gain``, ``gain_split``, ``place``,
-    ``finish``, ...) plus the batched :meth:`gains` / :meth:`gain_splits`
-    used by vectorized greedy scans.  Single-site queries run as scalar
-    loops over the static kernel's precomputed per-incidence values (no
-    utility evaluation, no array dispatch); batched queries are masked
-    ``np.bincount`` segment reductions over every incidence.  Both
-    accumulate in coverage-entry order, so they agree bit-for-bit with
-    each other and with the reference evaluator's scan order.
+    Keeps, per flow, the best detour among the RAPs placed so far and the
+    RAP serving it; answers marginal-gain queries (``gain``,
+    ``gain_split``) and commits sites (``place``), then builds the
+    :class:`Placement` (``finish``).  It has the surface of the reference
+    :class:`~repro.core.reference.IncrementalEvaluator`, plus the batched
+    :meth:`gains` / :meth:`gain_splits` used by vectorized greedy scans.
+    Single-site queries run as scalar loops over the static kernel's
+    precomputed per-incidence values (no utility evaluation, no array
+    dispatch); batched queries are masked ``np.bincount`` segment
+    reductions over every incidence.  Both accumulate in coverage-entry
+    order, so they agree bit-for-bit with each other and with the
+    reference evaluator's scan order.
     """
 
     def __init__(self, scenario: "Scenario") -> None:
@@ -732,7 +701,8 @@ class ArrayEvaluator:
 
         Per-flow outcomes come straight from the cached best-detour /
         serving-RAP state — no re-evaluation pass.  The result is
-        bit-identical to ``evaluate_placement(scenario, placed)``.
+        bit-identical to the reference evaluator's ``evaluate_placement``
+        on the placed sites.
         """
         self._sync_np()
         packed = self._static.packed
@@ -784,18 +754,13 @@ class ArrayEvaluator:
         return CelfQueue(sites, self.gains(sites).tolist())
 
 
-Evaluator = Union["IncrementalEvaluator", ArrayEvaluator]
+def make_evaluator(scenario: "Scenario", unused: None = None) -> ArrayEvaluator:
+    """A fresh :class:`ArrayEvaluator` for ``scenario``.
 
-
-def make_evaluator(
-    scenario: "Scenario", backend: Optional[str] = None
-) -> Evaluator:
-    """Instantiate the evaluator for the resolved backend."""
-    if resolve_backend(backend, scenario) == "numpy":
-        return ArrayEvaluator(scenario)
-    from .evaluation import IncrementalEvaluator
-
-    return IncrementalEvaluator(scenario)
+    The second argument is ignored: perfbench/layers.py still passes a
+    trailing ``None`` where an evaluation backend was once chosen.
+    """
+    return ArrayEvaluator(scenario)
 
 
 class CelfQueue:
@@ -806,7 +771,7 @@ class CelfQueue:
     and for Algorithm 1's uncovered-flow gain (placing RAPs only removes
     flows from the uncovered pool and shrinks best detours).  It is *not*
     true for Algorithm 2's covered-gain factor alone, which is why the
-    composite greedy's array backend uses batched full scans instead.
+    composite greedy uses batched full scans instead.
 
     On pop, a stale entry (computed in an earlier round) is recomputed
     and pushed back; the first entry computed in the current round is the
@@ -884,7 +849,7 @@ class CelfQueue:
 
 
 def _check_sites(scenario: "Scenario", sites: List[NodeId]) -> None:
-    """The reference's input checks: distinct sites, all intersections."""
+    """A placement's input checks: distinct sites, all intersections."""
     if len(set(sites)) != len(sites):
         raise InvalidScenarioError(f"duplicate RAP sites in {sites!r}")
     for site in sites:
@@ -892,24 +857,26 @@ def _check_sites(scenario: "Scenario", sites: List[NodeId]) -> None:
             raise InvalidScenarioError(f"RAP site {site!r} is not an intersection")
 
 
-def score_placement(
+def evaluate_placement(
     scenario: "Scenario", raps: Sequence[NodeId], algorithm: str = ""
 ) -> Placement:
-    """:func:`~repro.core.evaluation.evaluate_placement` on the kernel.
+    """Score ``raps`` on ``scenario``, with per-flow outcomes.
 
     Replays ``raps`` into an :class:`ArrayEvaluator` and returns its
-    :meth:`~ArrayEvaluator.finish`, which is bit-identical to the
-    reference but never walks the detour sweeps, so a scenario restored
-    from an artifact scores without rebuilding them.  Duplicate sites
-    and sites that are not intersections raise
-    :class:`~repro.errors.InvalidScenarioError`, as in the reference.
+    :meth:`~ArrayEvaluator.finish`, so it never walks the detour sweeps
+    and a scenario restored from an artifact scores without rebuilding
+    them.  Each flow is served by the first RAP on its path that attains
+    the minimum detour (Theorem 1).  Sites may be any intersection, not
+    just ``scenario.candidate_sites``; duplicate sites and sites that
+    are not intersections raise
+    :class:`~repro.errors.InvalidScenarioError`.
     """
     # Indirection so repro.devtools.sanitize can audit every call,
     # however the caller imported this function.
-    return _score_placement_impl(scenario, raps, algorithm)
+    return _evaluate_placement_impl(scenario, raps, algorithm)
 
 
-def _score_placement(
+def _evaluate_placement(
     scenario: "Scenario", raps: Sequence[NodeId], algorithm: str = ""
 ) -> Placement:
     rap_list = list(raps)
@@ -920,31 +887,25 @@ def _score_placement(
     return evaluator.finish(algorithm)
 
 
-#: Hook point: the sanitizer wraps this as it wraps evaluate_placement.
-_score_placement_impl = _score_placement
+#: Hook point: the sanitizer wraps this to audit scored placements.
+_evaluate_placement_impl = _evaluate_placement
 
 
 def evaluate_placement_many(
     scenario: "Scenario",
     placements: Sequence[Sequence[NodeId]],
-    backend: Optional[str] = None,
+    unused: None = None,
 ) -> List[float]:
     """Attracted-customer totals for many placements over one packed index.
 
     The batch consumers (Monte-Carlo failure simulation, the experiment
-    sweep runner) score hundreds of site-sets against the same scenario;
-    this amortizes the packing and reduces each evaluation to one
-    min-reduction plus one utility kernel over the flow vectors, instead
-    of re-walking every flow path per placement.
+    sweep runner, served ``evaluate`` requests) score many site-sets
+    against the same scenario; each evaluation is one min-reduction plus
+    one utility kernel over the flow vectors.  The third argument is
+    ignored: perfbench/layers.py still passes a trailing ``None`` where
+    an evaluation backend was once chosen.
     """
     obs.count("kernel.batch_evaluations", len(placements))
-    if resolve_backend(backend, scenario) == "python":
-        from .evaluation import evaluate_placement
-
-        return [
-            evaluate_placement(scenario, list(sites)).attracted
-            for sites in placements
-        ]
     packed = scenario.coverage.packed()
     totals: List[float] = []
     for sites in placements:
@@ -1000,7 +961,6 @@ def reevaluate_affected(
     placements: Sequence[Sequence[NodeId]],
     prior_totals: Sequence[float],
     changed_flows: Sequence[int],
-    backend: Optional[str] = None,
 ) -> List[float]:
     """Placement totals after a volume patch, recomputing only the affected.
 
@@ -1008,8 +968,7 @@ def reevaluate_affected(
     totals scored against the pre-patch scenario (same placements, same
     order).  Placements covering none of ``changed_flows`` keep their
     prior total verbatim — provably bit-identical to recomputation —
-    and the rest go through one :func:`evaluate_placement_many` batch on
-    the requested backend.
+    and the rest go through one :func:`evaluate_placement_many` batch.
     """
     if len(prior_totals) != len(placements):
         raise InvalidScenarioError(
@@ -1019,11 +978,7 @@ def reevaluate_affected(
     packed = scenario.coverage.packed()
     flags = affected_placements(packed, placements, changed_flows)
     affected = [list(sites) for sites, hit in zip(placements, flags) if hit]
-    recomputed = (
-        evaluate_placement_many(scenario, affected, backend)
-        if affected
-        else []
-    )
+    recomputed = evaluate_placement_many(scenario, affected) if affected else []
     fresh = iter(recomputed)
     totals = [
         next(fresh) if hit else float(prior)
@@ -1041,17 +996,12 @@ def reevaluate_affected(
 
 __all__ = [
     "ArrayEvaluator",
-    "BACKENDS",
-    "BACKEND_ENV",
     "CelfQueue",
-    "DEFAULT_BACKEND",
-    "Evaluator",
     "PackedCoverage",
     "affected_placements",
+    "evaluate_placement",
     "evaluate_placement_many",
     "make_evaluator",
     "reevaluate_affected",
-    "resolve_backend",
-    "score_placement",
     "warm_kernel",
 ]

@@ -5,7 +5,7 @@ RAPs, together with the evaluation bookkeeping a caller usually wants:
 the attracted-customer total and the per-flow detour/probability
 breakdown.  Placements are produced by algorithms
 (:mod:`repro.algorithms`) and scored by
-:func:`repro.core.evaluation.evaluate_placement`.
+:func:`repro.core.kernel.evaluate_placement`.
 """
 
 from __future__ import annotations

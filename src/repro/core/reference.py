@@ -1,22 +1,26 @@
-"""Placement evaluation — exact and incremental.
+"""Reference evaluator: the paper's objective, walked one flow at a time.
 
-Two entry points:
+The array kernel (:mod:`repro.core.kernel`) scores every placement a
+library call or a served request asks for.  This module computes the
+same numbers the plain way, as an independent oracle: the differential
+tests compare the kernel against it, and the runtime sanitizer
+(:mod:`repro.devtools.sanitize`) checks the objective's contracts on it.
+Nothing on a live path imports it.
 
-* :func:`evaluate_placement` — score a finished placement, returning a
-  :class:`~repro.core.placement.Placement` with per-flow outcomes.  Ties
-  in detour distance are resolved to the RAP encountered first in travel
-  order, matching the paper's Theorem 1 semantics.
-* :class:`IncrementalEvaluator` — the workhorse of the greedy algorithms.
-  It maintains, per flow, the best (minimum) detour among RAPs placed so
-  far and answers marginal-gain queries in O(#flows through the
-  candidate).  It also splits gains into the paper's two greedy factors:
-  gain from *uncovered* flows (candidate intersection i of Algorithm 2)
-  and gain from improving *covered* flows (candidate intersection ii).
+* :func:`evaluate_placement` scores a finished placement by walking
+  every flow's path through the detour sweeps.  Ties in detour distance
+  go to the RAP met first in travel order (Theorem 1).
+* :class:`IncrementalEvaluator` keeps, per flow, the best detour among
+  the RAPs placed so far and answers marginal-gain queries one coverage
+  entry at a time, re-evaluating the utility on every query.  It splits
+  a gain into the paper's two greedy factors: gain from *uncovered*
+  flows (candidate intersection i of Algorithm 2) and gain from
+  improving *covered* flows (candidate intersection ii).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import sys
 
@@ -39,16 +43,6 @@ def evaluate_placement(
     Duplicate sites are rejected; sites may be any intersection, not just
     ``scenario.candidate_sites`` (so optimality baselines can roam).
     """
-    # Indirection so repro.devtools.sanitize can observe every call,
-    # however the caller imported this function.
-    return _evaluate_placement_impl(scenario, raps, algorithm)
-
-
-def _evaluate_placement(
-    scenario: Scenario,
-    raps: Sequence[NodeId],
-    algorithm: str = "",
-) -> Placement:
     rap_list = list(raps)
     if len(set(rap_list)) != len(rap_list):
         raise InvalidScenarioError(f"duplicate RAP sites in {rap_list!r}")
@@ -93,12 +87,9 @@ def _evaluate_placement(
     )
 
 
-#: Hook point: the sanitizer replaces this to wrap every evaluation.
-_evaluate_placement_impl = _evaluate_placement
-
 
 class IncrementalEvaluator:
-    """Mutable evaluation state for greedy placement construction.
+    """Mutable evaluation state, one coverage entry at a time.
 
     The evaluator caches, per flow, ``f(best detour) * volume`` (the
     current contribution).  ``gain(v)`` sums, over flows passing ``v``,
@@ -276,7 +267,3 @@ class IncrementalEvaluator:
             algorithm=algorithm,
         )
 
-
-def attracted_customers(scenario: Scenario, raps: Iterable[NodeId]) -> float:
-    """Shortcut: total attracted customers for ``raps`` on ``scenario``."""
-    return evaluate_placement(scenario, list(raps)).attracted

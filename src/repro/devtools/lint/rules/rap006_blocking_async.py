@@ -17,8 +17,9 @@ functions or lambdas, which run wherever they are later called):
 * ``subprocess`` process spawns (``run`` / ``call`` / ``check_call`` /
   ``check_output`` / ``Popen``);
 * direct kernel dispatch: ``<engine>.handle(...)`` on an
-  ``engine`` / ``_engine`` receiver and the
-  :mod:`repro.core.evaluation` entry points imported by name.
+  ``engine`` / ``_engine`` receiver and the evaluator entry points of
+  :mod:`repro.core.kernel` and :mod:`repro.core.reference` imported by
+  name.
 
 Escape hatches: the ``async-blocking-allowed`` config key blesses a
 call name repo-wide (mirroring RAP002's ``clock-receivers``), and a
@@ -48,7 +49,7 @@ _SUBPROCESS_FNS = frozenset(
 _ENGINE_RECEIVERS = frozenset({"engine", "_engine"})
 
 #: Kernel entry points that run a full placement evaluation.
-_KERNEL_MODULES = ("repro.core.evaluation", "repro.core.kernel")
+_KERNEL_MODULES = ("repro.core.reference", "repro.core.kernel")
 _KERNEL_FNS = frozenset(
     {"evaluate_placement", "evaluate_placement_many", "make_evaluator"}
 )

@@ -3,10 +3,11 @@
 The static rules in :mod:`repro.devtools.lint` catch what the AST can
 see; this module is the ASAN-style counterpart for what it cannot.  When
 enabled (env ``RAPFLOW_SANITIZE=1`` or pytest ``--sanitize``), every
-N-th placement scored by :func:`repro.core.evaluation.evaluate_placement`
-or by the kernel's :func:`repro.core.kernel.score_placement` (what
-``PlacementAlgorithm.place`` returns) triggers an audit of the scenario
-it ran on:
+N-th placement scored by :func:`repro.core.kernel.evaluate_placement`
+(what ``PlacementAlgorithm.place`` returns) triggers an audit of the
+scenario it ran on, computed on the reference evaluator
+(:mod:`repro.core.reference`) so that the kernel is checked against an
+independent implementation:
 
 * **edge weights** — every street length is finite and positive (the
   Dijkstra layer assumes it; a negative weight voids every distance);
@@ -49,7 +50,7 @@ import os
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..errors import SanitizerViolation
 from ..graphs import INFINITY, NodeId
@@ -136,9 +137,9 @@ def check_monotone_submodular(
     Samples ``trials`` configurations of nested subsets ``A ⊆ B`` drawn
     from ``pool`` (default: the scenario's candidate sites) plus one
     site ``v ∉ B``, and verifies both defining inequalities on the
-    exact objective :func:`~repro.core.evaluation.evaluate_placement`.
+    exact objective :func:`~repro.core.reference.evaluate_placement`.
     """
-    from ..core import evaluation
+    from ..core import reference
 
     tally = report if report is not None else SanitizerReport()
     generator = rng if rng is not None else random.Random(0)
@@ -148,7 +149,7 @@ def check_monotone_submodular(
     if len(sites) < 2:
         return
     def value(subset: Sequence[NodeId]) -> float:
-        return evaluation.evaluate_placement(scenario, list(subset)).attracted
+        return reference.evaluate_placement(scenario, list(subset)).attracted
     for _ in range(max(0, trials)):
         b_size = generator.randint(1, min(max_subset, len(sites) - 1))
         b_set = generator.sample(sites, b_size)
@@ -250,13 +251,12 @@ def audit_scenario(
 # ----------------------------------------------------------------------
 @dataclass
 class _Installation:
-    #: ``(module, hook attribute, original scorer)`` per wrapped hook.
-    originals: List[Tuple[object, str, Callable]]
+    #: The kernel scorer the hook held before :func:`install`.
+    original: Callable
     rng: random.Random
     sample_every: int
     trials: int
     calls: int = 0
-    in_audit: bool = False
     report: SanitizerReport = field(default_factory=SanitizerReport)
 
 
@@ -266,55 +266,41 @@ _active: Optional[_Installation] = None
 def install(
     sample_every: int = 16, trials: int = 4, seed: int = 0
 ) -> SanitizerReport:
-    """Wrap the placement scorers with sampled audits; idempotent.
+    """Wrap the placement scorer with sampled audits; idempotent.
 
-    Every ``sample_every``-th scored placement (the first always
-    qualifies), from ``evaluate_placement`` and ``score_placement``
-    alike, re-audits its scenario and placement.  Returns the live
-    :class:`SanitizerReport` that accumulates across calls; read it
-    after a run to see how many contracts were exercised.
+    Every ``sample_every``-th placement scored by ``evaluate_placement``
+    (the first always qualifies) re-audits its scenario and placement.
+    Returns the live :class:`SanitizerReport` that accumulates across
+    calls; read it after a run to see how many contracts were exercised.
     """
     global _active
     if _active is not None:
         return _active.report
-    from ..core import evaluation, kernel
+    # The audits score on the reference; loading it here means a
+    # sanitized worker imports nothing once it is ready.
+    from ..core import kernel, reference  # noqa: F401
 
-    hooks = (
-        (evaluation, "_evaluate_placement_impl"),
-        (kernel, "_score_placement_impl"),
-    )
     installation = _Installation(
-        originals=[(module, hook, getattr(module, hook)) for module, hook in hooks],
+        original=kernel._evaluate_placement_impl,
         rng=random.Random(seed),
         sample_every=max(1, sample_every),
         trials=trials,
     )
 
-    def sanitized(original: Callable) -> Callable:
-        def sanitized_scorer(scenario, raps, algorithm: str = ""):
-            placement = original(scenario, raps, algorithm)
-            if installation.in_audit:
-                return placement
-            installation.calls += 1
-            if (installation.calls - 1) % installation.sample_every != 0:
-                return placement
-            installation.in_audit = True
-            try:
-                audit_scenario(
-                    scenario,
-                    placement,
-                    rng=installation.rng,
-                    trials=installation.trials,
-                    report=installation.report,
-                )
-            finally:
-                installation.in_audit = False
-            return placement
+    def sanitized_scorer(scenario, raps, algorithm: str = ""):
+        placement = installation.original(scenario, raps, algorithm)
+        installation.calls += 1
+        if (installation.calls - 1) % installation.sample_every == 0:
+            audit_scenario(
+                scenario,
+                placement,
+                rng=installation.rng,
+                trials=installation.trials,
+                report=installation.report,
+            )
+        return placement
 
-        return sanitized_scorer
-
-    for module, hook, original in installation.originals:
-        setattr(module, hook, sanitized(original))
+    kernel._evaluate_placement_impl = sanitized_scorer
     _active = installation
     return installation.report
 
@@ -324,8 +310,9 @@ def uninstall() -> Optional[SanitizerReport]:
     global _active
     if _active is None:
         return None
-    for module, hook, original in _active.originals:
-        setattr(module, hook, original)
+    from ..core import kernel
+
+    kernel._evaluate_placement_impl = _active.original
     report = _active.report
     _active = None
     return report

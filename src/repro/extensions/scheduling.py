@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import (
-    IncrementalEvaluator,
+    ArrayEvaluator,
     Scenario,
     TrafficFlow,
     UtilityFunction,
@@ -131,8 +131,8 @@ class GreedyScheduler:
             raise InfeasiblePlacementError(
                 f"k={k} exceeds the {len(sites)} candidate sites"
             )
-        evaluators: Dict[str, IncrementalEvaluator] = {
-            campaign.name: IncrementalEvaluator(problem.scenarios[campaign.name])
+        evaluators: Dict[str, ArrayEvaluator] = {
+            campaign.name: ArrayEvaluator(problem.scenarios[campaign.name])
             for campaign in problem.campaigns
         }
         weight = {

@@ -21,7 +21,8 @@ context is active::
 
 Surfacing lives in the CLI (``rapflow profile``, ``--obs-jsonl``), the
 experiment runner (per-repetition metrics on results objects), and
-``scripts/bench_trajectory.py`` (counter snapshots in BENCH_core.json).
+the benchmark of record, ``perfbench/`` (its per-layer ``kernel.*``
+metrics are obs counters).
 
 The serving fleet adds the **distributed** half: cross-process trace
 propagation over ``X-Rapflow-Trace`` headers with per-process JSONL

@@ -19,8 +19,7 @@ Three recording surfaces:
   ``pack.rows``, ...).  Increments land both on the context (global
   totals) and on the innermost open span, so per-algorithm breakdowns
   fall out of the span tree for free.
-* **gauges** — last-value-wins observations (``backend`` choice,
-  configured scale, ...).
+* **gauges** — last-value-wins observations (configured scale, ...).
 
 Every span start/end is mirrored to an optional JSONL sink.  Each event
 carries ``event``, ``span_id``, ``name`` and ``t_rel`` (seconds since

@@ -8,8 +8,8 @@ restarts skip recompilation), then answer placement queries against it:
 
 * :class:`~repro.serve.engine.QueryEngine` — typed ``place`` /
   ``evaluate`` / ``what_if`` / ``top_gains`` requests, answered by the
-  exact library calls a direct user would make (bit-identical results,
-  both backends), with a bounded LRU response cache that answers
+  exact library calls a direct user would make (bit-identical results),
+  with a bounded LRU response cache that answers
   repeated requests of every kind;
 * :class:`~repro.serve.server.PlacementServer` /
   :class:`~repro.serve.client.ServeClient` — stdlib-only JSON-over-HTTP

@@ -272,7 +272,6 @@ class ServeClient:
         k: int,
         algorithm: str = "composite-greedy",
         utility: Optional[dict] = None,
-        backend: Optional[str] = None,
         seed: Optional[int] = None,
     ) -> Dict[str, object]:
         """Run a placement algorithm server-side."""
@@ -283,8 +282,6 @@ class ServeClient:
         }
         if utility is not None:
             request["utility"] = utility
-        if backend is not None:
-            request["backend"] = backend
         if seed is not None:
             request["seed"] = seed
         return self.query(request)
@@ -293,7 +290,6 @@ class ServeClient:
         self,
         placements: Sequence[Sequence[NodeId]],
         utility: Optional[dict] = None,
-        backend: Optional[str] = None,
     ) -> List[float]:
         """Score placements; returns attracted-customer totals in order."""
         request: Dict[str, object] = {
@@ -305,8 +301,6 @@ class ServeClient:
         }
         if utility is not None:
             request["utility"] = utility
-        if backend is not None:
-            request["backend"] = backend
         response = self.query(request)
         totals = response.get("totals")
         if not isinstance(totals, list):
@@ -321,7 +315,6 @@ class ServeClient:
         add: Optional[NodeId] = None,
         remove: Optional[NodeId] = None,
         utility: Optional[dict] = None,
-        backend: Optional[str] = None,
     ) -> Dict[str, object]:
         """Marginal effect of one add/remove on a placement."""
         request: Dict[str, object] = {
@@ -334,8 +327,6 @@ class ServeClient:
             request["remove"] = encode_site(remove)
         if utility is not None:
             request["utility"] = utility
-        if backend is not None:
-            request["backend"] = backend
         return self.query(request)
 
     def top_gains(
@@ -343,7 +334,6 @@ class ServeClient:
         placement: Sequence[NodeId] = (),
         limit: int = 10,
         utility: Optional[dict] = None,
-        backend: Optional[str] = None,
     ) -> Dict[str, object]:
         """Best next intersections given a committed placement."""
         request: Dict[str, object] = {
@@ -353,8 +343,6 @@ class ServeClient:
         }
         if utility is not None:
             request["utility"] = utility
-        if backend is not None:
-            request["backend"] = backend
         return self.query(request)
 
 

@@ -14,8 +14,9 @@
 The engine is deliberately a **thin veneer**: every number it returns
 comes from the same library calls a direct user would make
 (``algorithm.place``, ``evaluate_placement_many``, evaluator gain
-scans), so served results are bit-identical to library results on both
-backends — the differential tests in ``tests/serve`` pin exactly that.
+scans), so served results are bit-identical to library results — the
+differential tests in ``tests/serve`` pin exactly that, and check both
+against the reference evaluator.
 
 Requests may override the artifact's utility (``{"utility": {"name",
 "threshold"}}``); the engine caches one
@@ -35,11 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..obs import trace as obs_trace
 from ..algorithms import algorithm_by_name, registered_algorithms
-from ..core.kernel import (
-    ArrayEvaluator,
-    evaluate_placement_many,
-    make_evaluator,
-)
+from ..core.kernel import ArrayEvaluator, _check_sites, evaluate_placement_many
 from ..core.scenario import Scenario
 from ..errors import ReproError, ServeFaultError, ServeRequestError
 from ..graphs import NodeId
@@ -109,8 +106,8 @@ class QueryEngine:
         self._last_fault_index = -1
         self._utilities: Dict[Tuple[str, float], Scenario] = {}
         # Import now what the four kinds run with default arguments (the
-        # default algorithm's module brings the greedy loop and
-        # core.evaluation), so that no request pays for an import.
+        # default algorithm's module brings the greedy loop and the
+        # kernel), so that no request pays for an import.
         algorithm_by_name(_DEFAULT_ALGORITHM)
 
     @property
@@ -258,22 +255,11 @@ class QueryEngine:
             obs.count("serve.utility_clones")
         return clone
 
-    def _backend(self, request: Dict[str, object]) -> Optional[str]:
-        backend = request.get("backend")
-        if backend is None:
-            return None
-        if backend not in ("python", "numpy"):
-            raise ServeRequestError(
-                f"unknown backend {backend!r}; expected 'python' or 'numpy'"
-            )
-        return str(backend)
-
     # ------------------------------------------------------------------
     # request kinds
     # ------------------------------------------------------------------
     def _handle_place(self, request: Dict[str, object]) -> Dict[str, object]:
         scenario = self.scenario_for(request)
-        backend = self._backend(request)
         name = request.get("algorithm", _DEFAULT_ALGORITHM)
         if not isinstance(name, str):
             raise ServeRequestError("request field 'algorithm' must be a string")
@@ -283,8 +269,6 @@ class QueryEngine:
                 f"request field 'k' must be a non-negative integer, got {k!r}"
             )
         kwargs: Dict[str, object] = {}
-        if backend is not None:
-            kwargs["backend"] = backend
         seed = request.get("seed")
         if seed is not None:
             if not isinstance(seed, int) or isinstance(seed, bool):
@@ -316,7 +300,6 @@ class QueryEngine:
         self,
         placements: Sequence[Sequence[NodeId]],
         utility: Optional[Dict[str, object]] = None,
-        backend: Optional[str] = None,
     ) -> List[float]:
         """Score placements verbatim via ``evaluate_placement_many``.
 
@@ -329,7 +312,7 @@ class QueryEngine:
             request["utility"] = utility
         scenario = self.scenario_for(request)
         try:
-            return evaluate_placement_many(scenario, placements, backend)
+            return evaluate_placement_many(scenario, placements)
         except ReproError as error:
             raise ServeRequestError(str(error)) from None
 
@@ -349,7 +332,6 @@ class QueryEngine:
         totals = self.evaluate_totals(
             placements,
             utility=request.get("utility"),  # type: ignore[arg-type]
-            backend=self._backend(request),
         )
         return {"totals": totals}
 
@@ -380,7 +362,6 @@ class QueryEngine:
         totals = self.evaluate_totals(
             [base, variant],
             utility=request.get("utility"),  # type: ignore[arg-type]
-            backend=self._backend(request),
         )
         return {
             "site": encode_site(site),
@@ -394,7 +375,6 @@ class QueryEngine:
         self, request: Dict[str, object]
     ) -> Dict[str, object]:
         scenario = self.scenario_for(request)
-        backend = self._backend(request)
         placed = _decode_placement(request.get("placement", []), "placement")
         limit = request.get("limit", 10)
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
@@ -402,17 +382,15 @@ class QueryEngine:
                 f"request field 'limit' must be a positive integer, got "
                 f"{limit!r}"
             )
-        evaluator = make_evaluator(scenario, backend)
         try:
-            for site in placed:
-                evaluator.place(site)
+            _check_sites(scenario, placed)
         except ReproError as error:
             raise ServeRequestError(str(error)) from None
+        evaluator = ArrayEvaluator(scenario)
+        for site in placed:
+            evaluator.place(site)
         sites = scenario.candidate_sites
-        if isinstance(evaluator, ArrayEvaluator):
-            gains = evaluator.gains(sites).tolist()
-        else:
-            gains = [evaluator.gain(site) for site in sites]
+        gains = evaluator.gains(sites).tolist()
         ranked = sorted(
             (
                 (order, site, gain)

@@ -120,7 +120,7 @@ class TestSubmodularity:
     @given(seed=st.integers(0, 100_000))
     def test_diminishing_returns(self, seed):
         """gain_A(v) >= gain_B(v) whenever A is a subset of B."""
-        from repro.core import IncrementalEvaluator
+        from repro.core.reference import IncrementalEvaluator
 
         rng = random.Random(seed)
         scenario = random_scenario(seed, LinearUtility, threshold=5.0)

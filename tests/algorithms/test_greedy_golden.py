@@ -3,12 +3,19 @@
 The four greedy variants share one selection loop, and ``place`` scores
 what they select on the array kernel.  Neither may move a bit: these
 digests cover the served ``place`` replies (sites, attracted total,
-algorithm, utility, artifact digest) on both backends and three
-utilities, every ``Placement`` outcome behind them, and the exact obs
-counters each ``numpy`` scan reports at the benchmark's budget, which
-the benchmark's per-layer ``kernel.*`` metrics are built from.  They
-were recorded while each variant still ran its own hand-written loops
-and ``place`` re-scored every result with ``evaluate_placement``.
+algorithm, utility, artifact digest) under three utilities, every
+``Placement`` outcome behind them, and the exact obs counters each
+kernel scan reports at the benchmark's budget, which the benchmark's
+per-layer ``kernel.*`` metrics are built from.  They were recorded while
+each variant still ran its own hand-written loops, ``place`` re-scored
+every result on the pure-Python evaluator, and a request could choose
+that evaluator with ``"backend": "python"``.
+
+Those request rows stay: the engine no longer reads the retired field,
+so such a request must still get byte-identical reply bytes.  The
+outcome and counter rows recorded on the python path now come from the
+python greedy oracle (``tests/oracle.py``), an exhaustive scan on the
+reference evaluator, scored with ``evaluate_placement``.
 """
 
 import hashlib
@@ -18,11 +25,12 @@ import random
 import pytest
 
 from repro.algorithms import algorithm_by_name
-from repro.core import Scenario, TrafficFlow, utility_by_name
+from repro.core import Scenario, TrafficFlow, evaluate_placement, utility_by_name
 from repro.graphs import dublin_like_city
 from repro.obs import ObsContext
 from repro.serve import QueryEngine, ScenarioArtifact
 from repro.traces import generate_patterns
+from tests.oracle import reference_greedy, reference_select
 
 GREEDY_VARIANTS = (
     "greedy-coverage",
@@ -47,7 +55,7 @@ REPLIES_DIGEST = (
 OUTCOMES_DIGEST = (
     "08a08cec3e6733e253a7d82a81a1df9c9933eead287bdb22a67478fd9486eaae"
 )
-#: Obs counters of each variant's numpy ``select`` at k = 40.
+#: Obs counters of each variant's kernel ``select`` at k = 40.
 NUMPY_COUNTERS = {
     "greedy-coverage": {
         "algorithm.iterations": 40,
@@ -76,7 +84,7 @@ NUMPY_COUNTERS = {
         "scan.batched_rounds": 40,
     },
 }
-#: The python reference scans every unplaced candidate each round:
+#: The python oracle scans every unplaced candidate each round:
 #: 784 + 783 + ... + 775 gain evaluations at k = 10.
 PYTHON_COUNTERS_K10 = {"algorithm.iterations": 10, "gain.evaluations": 7795}
 COUNTER_KEYS = (
@@ -150,9 +158,12 @@ def test_placement_outcomes(artifact):
     digest = hashlib.sha256()
     for request in _requests():
         scenario = engine.scenario_for(request)
-        placement = algorithm_by_name(
-            request["algorithm"], backend=request.get("backend")
-        ).place(scenario, request["k"])
+        name, k = request["algorithm"], request["k"]
+        if request.get("backend") == "python":
+            sites = reference_select(scenario, name, k)
+            placement = evaluate_placement(scenario, sites, algorithm=name)
+        else:
+            placement = algorithm_by_name(name).place(scenario, k)
         digest.update(repr(placement.algorithm).encode())
         digest.update(repr(placement.raps).encode())
         digest.update(repr(placement.attracted).encode())
@@ -160,9 +171,9 @@ def test_placement_outcomes(artifact):
     assert digest.hexdigest() == OUTCOMES_DIGEST
 
 
-def _select_counters(scenario, name, backend, k):
+def _select_counters(scenario, name, k):
     with ObsContext() as context:
-        algorithm_by_name(name, backend=backend).select(scenario, k)
+        algorithm_by_name(name).select(scenario, k)
     return {
         key: context.counters[key]
         for key in COUNTER_KEYS
@@ -172,12 +183,12 @@ def _select_counters(scenario, name, backend, k):
 
 @pytest.mark.parametrize("name", GREEDY_VARIANTS)
 def test_numpy_counters_at_benchmark_budget(artifact, name):
-    counters = _select_counters(artifact.scenario, name, "numpy", 40)
+    counters = _select_counters(artifact.scenario, name, 40)
     assert counters == NUMPY_COUNTERS[name]
 
 
-# Every variant's python path is the same exhaustive reference scan.
+# The oracle runs every variant's rule as the same exhaustive scan.
 @pytest.mark.parametrize("name", GREEDY_VARIANTS)
 def test_python_counters(artifact, name):
-    counters = _select_counters(artifact.scenario, name, "python", 10)
+    _, counters = reference_greedy(artifact.scenario, name, 10)
     assert counters == PYTHON_COUNTERS_K10

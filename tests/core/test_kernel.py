@@ -1,10 +1,11 @@
 """Differential tests for the array kernel (repro.core.kernel).
 
 The NumPy-backed :class:`ArrayEvaluator` and the CELF lazy scans must be
-*indistinguishable* from the pure-Python reference: gains agree to float
-noise, placements agree bit-for-bit (same sites, same order), and
-``finish()`` reproduces ``evaluate_placement`` exactly.  Everything here
-is property-tested on random scenarios across all three paper utilities.
+*indistinguishable* from the reference evaluator (repro.core.reference):
+gains agree to float noise, placements agree bit-for-bit with the python
+greedy oracle (same sites, same order), and ``finish()`` reproduces the
+reference ``evaluate_placement`` exactly.  Everything here is
+property-tested on random scenarios across all three paper utilities.
 """
 
 import random
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.algorithms import algorithm_by_name
 from repro.core import (
-    IncrementalEvaluator,
     LinearUtility,
     Scenario,
     SqrtUtility,
@@ -29,11 +29,12 @@ from repro.core.kernel import (
     CelfQueue,
     PackedCoverage,
     evaluate_placement_many,
-    make_evaluator,
-    resolve_backend,
 )
+from repro.core.reference import IncrementalEvaluator
+from repro.core.reference import evaluate_placement as reference_scorer
 from repro.errors import InvalidScenarioError
 from repro.graphs import manhattan_grid
+from tests.oracle import reference_select
 
 UTILITIES = [ThresholdUtility, LinearUtility, SqrtUtility]
 
@@ -166,16 +167,19 @@ class TestEvaluatorAgreement:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 100_000))
     def test_finish_bit_identical_to_evaluate_placement(self, seed):
-        """Both evaluators' finish() pin evaluate_placement exactly."""
+        """Both evaluators' finish() pin the reference scorer exactly."""
         scenario, rng = random_instance(seed)
         raps = rng.sample(list(scenario.candidate_sites), rng.randint(0, 5))
-        reference = IncrementalEvaluator(scenario)
+        reference_evaluator = IncrementalEvaluator(scenario)
         array = ArrayEvaluator(scenario)
         for rap in raps:
-            reference.place(rap)
+            reference_evaluator.place(rap)
             array.place(rap)
-        pinned = evaluate_placement(scenario, raps, algorithm="x")
-        for finished in (reference.finish("x"), array.finish("x")):
+        pinned = reference_scorer(scenario, raps, algorithm="x")
+        kernel_scored = evaluate_placement(scenario, raps, algorithm="x")
+        for finished in (
+            reference_evaluator.finish("x"), array.finish("x"), kernel_scored
+        ):
             assert finished.raps == pinned.raps
             assert finished.attracted == pinned.attracted
             assert finished.outcomes == pinned.outcomes
@@ -192,9 +196,10 @@ class TestEvaluatorAgreement:
         totals = evaluate_placement_many(scenario, placements)
         for sites, total in zip(placements, totals):
             assert total == evaluate_placement(scenario, sites).attracted
-        assert evaluate_placement_many(
-            scenario, placements, backend="python"
-        ) == pytest.approx(totals, abs=1e-9)
+        assert [
+            reference_scorer(scenario, sites).attracted
+            for sites in placements
+        ] == pytest.approx(totals, abs=1e-9)
 
     def test_place_rejects_duplicates(self):
         scenario, _ = random_instance(3)
@@ -209,17 +214,12 @@ class TestBackendPlacementEquality:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 100_000))
     def test_backends_pick_identical_sites_in_identical_order(self, seed):
-        """CELF/batched numpy scans == exhaustive python scans, bit-equal."""
+        """CELF/batched kernel scans == the exhaustive oracle, bit-equal."""
         scenario, rng = random_instance(seed)
         k = rng.randint(1, 8)
         for name in GREEDY_VARIANTS:
-            python = algorithm_by_name(name, backend="python").select(
-                scenario, k
-            )
-            numpy_sites = algorithm_by_name(name, backend="numpy").select(
-                scenario, k
-            )
-            assert numpy_sites == python, name
+            expected = reference_select(scenario, name, k)
+            assert algorithm_by_name(name).select(scenario, k) == expected, name
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 100_000))
@@ -250,46 +250,6 @@ class TestBackendPlacementEquality:
         assert queue.evaluations == len(sites)
         queue.pop_best(evaluator.gain, 0)
         assert queue.evaluations == len(sites)  # round-0 seeds are fresh
-
-
-class TestBackendResolution:
-    def test_explicit_argument_wins(self):
-        scenario, _ = random_instance(1)
-        assert resolve_backend("python", scenario) == "python"
-
-    def test_scenario_default_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv("RAPFLOW_BACKEND", "numpy")
-        scenario, _ = random_instance(1)
-        pinned = Scenario(
-            scenario.network,
-            scenario.flows,
-            scenario.shop,
-            scenario.utility,
-            default_backend="python",
-        )
-        assert resolve_backend(None, pinned) == "python"
-        assert isinstance(make_evaluator(pinned), IncrementalEvaluator)
-
-    def test_environment_then_default(self, monkeypatch):
-        scenario, _ = random_instance(1)
-        monkeypatch.setenv("RAPFLOW_BACKEND", "python")
-        assert resolve_backend(None, scenario) == "python"
-        monkeypatch.delenv("RAPFLOW_BACKEND")
-        assert resolve_backend(None, scenario) == "numpy"
-        assert isinstance(make_evaluator(scenario), ArrayEvaluator)
-
-    def test_unknown_backend_rejected(self):
-        scenario, _ = random_instance(1)
-        with pytest.raises(InvalidScenarioError):
-            resolve_backend("fortran", scenario)
-        with pytest.raises(InvalidScenarioError):
-            Scenario(
-                scenario.network,
-                scenario.flows,
-                scenario.shop,
-                scenario.utility,
-                default_backend="fortran",
-            )
 
 
 class TestProbabilityArray:

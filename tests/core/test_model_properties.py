@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    IncrementalEvaluator,
     LinearUtility,
     Scenario,
     SqrtUtility,
@@ -15,6 +14,7 @@ from repro.core import (
     evaluate_placement,
     flow_between,
 )
+from repro.core.reference import IncrementalEvaluator
 from repro.graphs import manhattan_grid
 
 UTILITIES = [ThresholdUtility, LinearUtility, SqrtUtility]

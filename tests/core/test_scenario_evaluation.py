@@ -3,14 +3,14 @@
 import pytest
 
 from repro.core import (
-    IncrementalEvaluator,
     LinearUtility,
     Scenario,
     ThresholdUtility,
     TrafficFlow,
-    attracted_customers,
     evaluate_placement,
+    evaluate_placement_many,
 )
+from repro.core.reference import IncrementalEvaluator
 from repro.errors import InvalidScenarioError
 from repro.graphs import INFINITY, BoundingBox
 
@@ -131,9 +131,9 @@ class TestEvaluatePlacement:
         assert "k=1" in p.summary()
 
     def test_shortcut(self, paper_threshold_scenario):
-        assert attracted_customers(
-            paper_threshold_scenario, ["V3", "V5"]
-        ) == pytest.approx(21.0)
+        assert evaluate_placement_many(
+            paper_threshold_scenario, [["V3", "V5"]]
+        ) == [pytest.approx(21.0)]
 
 
 class TestIncrementalEvaluator:

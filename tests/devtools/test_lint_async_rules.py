@@ -85,7 +85,7 @@ class TestRap006:
 
     def test_kernel_import_flagged(self):
         diags = run(
-            "from repro.core.evaluation import evaluate_placement\n"
+            "from repro.core.kernel import evaluate_placement\n"
             "async def f(scenario, raps):\n"
             "    return evaluate_placement(scenario, raps)\n"
         )

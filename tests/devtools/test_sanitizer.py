@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.core import LinearUtility, Scenario, ThresholdUtility
-from repro.core import evaluation
+from repro.core import kernel
 from repro.core.utility import UtilityFunction
 from repro.devtools import sanitize
 from repro.errors import SanitizerViolation
@@ -44,7 +44,7 @@ class TestShippedObjectivePasses:
 
     def test_audit_with_placement_checks_first_rap(self):
         scenario = paper_scenario(LinearUtility(6.0))
-        placement = evaluation.evaluate_placement(scenario, ["V3", "V5"])
+        placement = kernel.evaluate_placement(scenario, ["V3", "V5"])
         report = sanitize.audit_scenario(
             scenario, placement, rng=random.Random(2), trials=2
         )
@@ -70,7 +70,7 @@ class TestPlantedFaultsAreCaught:
 
     def test_tampered_serving_rap_caught(self):
         scenario = paper_scenario(LinearUtility(6.0))
-        placement = evaluation.evaluate_placement(scenario, ["V3", "V5"])
+        placement = kernel.evaluate_placement(scenario, ["V3", "V5"])
         covered = next(
             i for i, o in enumerate(placement.outcomes) if o.serving_rap
         )
@@ -105,7 +105,7 @@ class TestInstrumentation:
         report = sanitize.install(sample_every=1, trials=2, seed=0)
         try:
             scenario = paper_scenario(LinearUtility(6.0))
-            evaluation.evaluate_placement(scenario, ["V3"])
+            kernel.evaluate_placement(scenario, ["V3"])
             assert report.audits == 1
             assert report.total_checks() > 0
         finally:
@@ -114,8 +114,8 @@ class TestInstrumentation:
         assert sanitize.uninstall() is None
 
     def test_greedy_place_is_audited(self):
-        # place() must reach the sampled audit whichever evaluator
-        # scores its result.
+        # place() scores its result on the kernel, so it must reach the
+        # sampled audit.
         from repro.algorithms import CompositeGreedy
 
         report = sanitize.install(sample_every=1, trials=1, seed=0)
@@ -139,7 +139,7 @@ class TestInstrumentation:
         try:
             scenario = paper_scenario(IncreasingUtility(6.0))
             with pytest.raises(SanitizerViolation):
-                evaluation.evaluate_placement(scenario, ["V3", "V2"])
+                kernel.evaluate_placement(scenario, ["V3", "V2"])
         finally:
             sanitize.uninstall()
 
@@ -148,7 +148,7 @@ class TestInstrumentation:
         try:
             scenario = paper_scenario(LinearUtility(6.0))
             for _ in range(5):
-                evaluation.evaluate_placement(scenario, ["V3"])
+                kernel.evaluate_placement(scenario, ["V3"])
             assert report.audits == 1  # only the first call sampled
         finally:
             sanitize.uninstall()

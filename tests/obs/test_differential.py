@@ -1,10 +1,10 @@
 """Instrumentation must not change behavior — differential proof.
 
-Running any greedy variant, on either backend, under an active
-:class:`ObsContext` must produce bit-identical placements and objective
-values to the uninstrumented run, and must leave the global RNG stream
-untouched.  Property-tested on random scenarios (the same generator the
-kernel differential tests use).
+Running any greedy variant under an active :class:`ObsContext` must
+produce bit-identical placements and objective values to the
+uninstrumented run, which in turn match the python greedy oracle, and
+must leave the global RNG stream untouched.  Property-tested on random
+scenarios (the same generator the kernel differential tests use).
 """
 
 import random
@@ -24,6 +24,7 @@ from repro.core import (
 )
 from repro.graphs import manhattan_grid
 from repro.obs import ObsContext
+from tests.oracle import reference_select
 
 UTILITIES = [ThresholdUtility, LinearUtility, SqrtUtility]
 
@@ -57,22 +58,20 @@ def random_instance(seed: int) -> Scenario:
 def test_instrumented_runs_are_bit_identical(seed, k):
     scenario = random_instance(seed)
     for name in GREEDY_VARIANTS:
-        for backend in ("python", "numpy"):
-            algorithm = algorithm_by_name(name, backend=backend)
-            baseline = algorithm.select(scenario, k)
-            rng_state = random.getstate()
-            with ObsContext() as ctx:
-                instrumented = algorithm.select(scenario, k)
-            assert instrumented == baseline, (name, backend)
-            assert random.getstate() == rng_state, (name, backend)
-            base_value = evaluate_placement(scenario, baseline).attracted
-            inst_value = evaluate_placement(scenario, instrumented).attracted
-            assert inst_value == base_value, (name, backend)
-            assert ctx.counters.get("algorithm.iterations") == len(
-                instrumented
-            ), (name, backend)
-            if instrumented:
-                assert ctx.counters.get("gain.evaluations", 0) > 0
+        algorithm = algorithm_by_name(name)
+        baseline = algorithm.select(scenario, k)
+        assert baseline == reference_select(scenario, name, k), name
+        rng_state = random.getstate()
+        with ObsContext() as ctx:
+            instrumented = algorithm.select(scenario, k)
+        assert instrumented == baseline, name
+        assert random.getstate() == rng_state, name
+        base_value = evaluate_placement(scenario, baseline).attracted
+        inst_value = evaluate_placement(scenario, instrumented).attracted
+        assert inst_value == base_value, name
+        assert ctx.counters.get("algorithm.iterations") == len(instrumented), name
+        if instrumented:
+            assert ctx.counters.get("gain.evaluations", 0) > 0
 
 
 @settings(max_examples=10, deadline=None)
@@ -82,13 +81,11 @@ def test_celf_counters_only_on_celf_backends(seed):
     scenario = random_instance(seed)
     for name in ("lazy-greedy", "marginal-greedy", "greedy-coverage"):
         with ObsContext() as ctx:
-            algorithm_by_name(name, backend="numpy").select(scenario, 4)
+            algorithm_by_name(name).select(scenario, 4)
         if ctx.counters.get("algorithm.iterations", 0) > 0:
             assert ctx.counters.get("celf.heap_pops", 0) > 0, name
     with ObsContext() as ctx:
-        algorithm_by_name("composite-greedy", backend="numpy").select(
-            scenario, 4
-        )
+        algorithm_by_name("composite-greedy").select(scenario, 4)
     assert "celf.heap_pops" not in ctx.counters
 
 

@@ -4,11 +4,16 @@ The acceptance-critical run (``TestKillAndStall``) stays in the default
 suite: kill + stall faults under concurrent load must leave ``evaluate``
 availability at or above 99% with at least one observed respawn and
 zero result mismatches against the reference engine.  The remaining
-preset sweeps are heavier and marked ``slow`` (CI's slow-tests job and
-the chaos-smoke job cover them).
+preset sweeps are heavier and marked ``slow`` (CI's slow-tests job runs
+them), as is ``TestKillCommand``, which runs ``rapflow chaos`` end to
+end under the runtime sanitizer and renders the traces it leaves.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,8 @@ from repro.serve import (
     run_chaos,
 )
 from repro.serve.chaos import fault_config_for
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestSchedules:
@@ -127,3 +134,68 @@ class TestPresetSweep:
             # The injector garbles replies; the front must catch every
             # one (mismatches==0 above proves none surfaced).
             assert result.corrupt_detected >= 1
+
+
+@pytest.mark.slow
+class TestKillCommand:
+    """``rapflow chaos --preset kill`` on four in-process workers."""
+
+    def rapflow(self, tmp_path, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        env["RAPFLOW_SANITIZE"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *args],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+
+    def test_kills_are_recovered_and_traces_render(self, tmp_path):
+        traces = str(tmp_path / "traces")
+        done = self.rapflow(
+            tmp_path, "chaos", "--city", "dublin", "--scale", "small",
+            "--preset", "kill", "--workers", "4", "--requests", "400",
+            "--concurrency", "8", "--chaos-seed", "0",
+            "--min-availability", "0.99", "--trace-dir", traces,
+            "--jsonl", str(tmp_path / "chaos-kill.jsonl"),
+        )
+        assert done.returncode == 0, done.stderr
+        summary = json.loads(done.stdout)
+        assert summary["respawns"] >= 1, summary
+        assert summary["mismatches"] == 0, summary
+        sanitizer = summary["sanitizer"]
+        assert sanitizer is not None, "sanitizer block missing from healthz"
+        assert sanitizer["async_violations"] == 0, sanitizer
+        assert sanitizer["leaked_tasks"] == 0, sanitizer
+        assert sanitizer["slow_callbacks"] == 0, sanitizer
+        # Mid-run kills may burn error budget; an absent or empty block
+        # means the SLO tracker fell off the healthz path.
+        slo = summary["slo"]
+        assert slo is not None and slo["windows"], slo
+        for window, stats in slo["windows"].items():
+            assert stats["burn_rate"] >= 0.0, (window, stats)
+            assert stats["latency_burn_rate"] >= 0.0, (window, stats)
+        lines = [
+            json.loads(line)
+            for line in (tmp_path / "chaos-kill.jsonl").read_text().splitlines()
+        ]
+        kills = [line for line in lines if line.get("event") == "kill"]
+        assert len(kills) == 2, kills
+
+        slowest = self.rapflow(
+            tmp_path, "traces", "--trace-dir", traces, "--slowest", "5"
+        )
+        assert slowest.returncode == 0, slowest.stderr
+        assert slowest.stdout.strip()
+        degraded = self.rapflow(tmp_path, "traces", "--trace-dir", traces, "--degraded")
+        assert degraded.returncode == 0, degraded.stderr
+        for trace_id in summary["degraded_trace_ids"][:1]:
+            tree = self.rapflow(
+                tmp_path, "trace", trace_id, "--trace-dir", traces
+            )
+            assert tree.returncode == 0, tree.stderr
+            assert "front.request" in tree.stdout, tree.stdout
+            assert "front.degrade" in tree.stdout, tree.stdout

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import CompositeGreedy
-from repro.core.kernel import evaluate_placement_many, make_evaluator
+from repro.core.kernel import ArrayEvaluator, evaluate_placement_many
 from repro.errors import ServeFaultError, ServeRequestError
 from repro.reliability import FaultConfig, FaultInjector
 from repro.serve import QueryEngine
@@ -79,13 +79,6 @@ class TestEvaluate:
             paper_linear_scenario, [["V3", "V2"]]
         )
 
-    def test_bad_backend_rejected(self, engine):
-        with pytest.raises(ServeRequestError, match="backend"):
-            engine.handle(
-                {"kind": "evaluate", "placements": [["V3"]],
-                 "backend": "gpu"}
-            )
-
 
 class TestWhatIf:
     def test_add_delta(self, engine, paper_threshold_scenario):
@@ -127,7 +120,7 @@ class TestTopGains:
     def test_matches_direct_evaluator_gains(self, engine,
                                             paper_threshold_scenario):
         response = engine.handle({"kind": "top_gains", "placement": []})
-        evaluator = make_evaluator(paper_threshold_scenario)
+        evaluator = ArrayEvaluator(paper_threshold_scenario)
         expected = {
             site: evaluator.gain(site)
             for site in paper_threshold_scenario.candidate_sites
@@ -149,6 +142,16 @@ class TestTopGains:
     def test_limit_validation(self, engine):
         with pytest.raises(ServeRequestError, match="limit"):
             engine.handle({"kind": "top_gains", "placement": [], "limit": 0})
+
+    @pytest.mark.parametrize(
+        "placement", [["no-such-node"], ["V3", "V3"]], ids=["unknown", "twice"]
+    )
+    def test_bad_placement_gets_the_evaluate_message(self, engine, placement):
+        with pytest.raises(ServeRequestError) as evaluated:
+            engine.handle({"kind": "evaluate", "placements": [placement]})
+        with pytest.raises(ServeRequestError) as ranked:
+            engine.handle({"kind": "top_gains", "placement": placement, "limit": 2})
+        assert str(ranked.value) == str(evaluated.value)
 
 
 class TestResultCache:

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.core.reference import evaluate_placement
 from repro.errors import ServeClientError, ServeRequestError, ServeWorkerError
 from repro.reliability import FaultConfig, FaultInjector
 from repro.serve import (
@@ -74,23 +75,19 @@ class TestShutdown:
 
 class TestRouting:
     def test_round_trip_is_bit_identical_to_direct_calls(self, artifact):
-        reference = QueryEngine(artifact)
-        expected = reference.evaluate_totals([("V3", "V5")])
+        expected = QueryEngine(artifact).evaluate_totals([("V3", "V5")])
+        oracle = evaluate_placement(artifact.scenario, ["V3", "V5"]).attracted
+        assert expected == [oracle] == [21.0]
         fleet = make_fleet(artifact)
         with FleetThread(fleet) as handle:
             client = handle.client()
-            for backend in ("python", "numpy"):
-                response = client.query(
-                    {
-                        "kind": "evaluate",
-                        "placements": [["V3", "V5"]],
-                        "backend": backend,
-                    }
-                )
-                assert response["totals"] == expected == [21.0]
-                assert response["digest"] == artifact.digest
-                assert response["served_by"].startswith("w")
-                assert "degraded" not in response
+            response = client.query(
+                {"kind": "evaluate", "placements": [["V3", "V5"]]}
+            )
+            assert response["totals"] == expected
+            assert response["digest"] == artifact.digest
+            assert response["served_by"].startswith("w")
+            assert "degraded" not in response
 
     def test_requests_spread_across_workers(self, artifact):
         fleet = make_fleet(artifact, config=fast_config(workers=3))

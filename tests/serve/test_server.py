@@ -100,6 +100,13 @@ class TestBasics:
                 handle.client().query({"kind": "explode"})
             assert info.value.status == 400
 
+    def test_top_gains_on_an_unknown_site_is_400(self, engine):
+        with ServerThread(engine) as handle:
+            with pytest.raises(ServeClientError) as info:
+                handle.client().top_gains(["no-such-node"], limit=2)
+            assert info.value.status == 400
+            assert "not an intersection" in str(info.value)
+
     def test_oversized_body_is_413(self, engine):
         import http.client
 

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.reference import evaluate_placement
 from repro.errors import ServeArtifactError
 from repro.serve import ArtifactStore, QueryEngine, ScenarioArtifact
 from repro.serve.shm import (
@@ -89,15 +90,14 @@ class TestPublishAttach:
         loaded = ArtifactStore(tmp_path / "cache").load(artifact.digest)
         attached = ScenarioArtifact.attach(pool, artifact.digest)
         placements = [("V3", "V5"), ("V2",), ("V2", "V4", "V6"), ()]
-        for backend in ("python", "numpy"):
-            via_shm = QueryEngine(attached).evaluate_totals(
-                placements, backend=backend
-            )
-            via_disk = QueryEngine(loaded).evaluate_totals(
-                placements, backend=backend
-            )
-            assert via_shm == via_disk
-            assert via_shm[0] == 21.0
+        via_shm = QueryEngine(attached).evaluate_totals(placements)
+        via_disk = QueryEngine(loaded).evaluate_totals(placements)
+        oracle = [
+            evaluate_placement(artifact.scenario, sites).attracted
+            for sites in placements
+        ]
+        assert via_shm == via_disk == oracle
+        assert via_shm[0] == 21.0
         pool.detach(artifact.digest)
 
     def test_publish_is_idempotent_per_digest(self, artifact, pool):

@@ -18,17 +18,21 @@ import sys
 import time
 from pathlib import Path
 
+from repro.devtools import sanitize
 from repro.serve import ServeClient
 from repro.serve.shm import ShmArtifactPool
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Modules (and their submodules) a serving worker must never import:
+#: the reference evaluator (a test oracle, once ``core.evaluation``),
 #: the figure harness and the other offline packages, the trace
 #: generators and the ingest pipeline, the fleet front and its test
 #: harnesses, the client, the linter, and the stdlib modules that only
 #: ``--version`` and an HTTP client load.
 NOT_IN_A_WORKER = (
+    "repro.core.evaluation",
+    "repro.core.reference",
     "repro.experiments",
     "repro.analysis",
     "repro.sim",
@@ -124,8 +128,13 @@ def test_shm_worker_imports_only_what_serving_runs(artifact, tmp_path):
     assert worker.returncode == 0, stderr
     loaded = json.loads(report.read_text())
     assert "repro.serve.server" in loaded["modules"]
+    # The worker inherits RAPFLOW_SANITIZE; a sanitized worker audits on
+    # the reference evaluator, so it loads that one at start-up.
+    allowed = ("repro.core.reference",) if sanitize.is_enabled() else ()
     leaked = [
-        name for name in loaded["modules"] if under(name, NOT_IN_A_WORKER)
+        name
+        for name in loaded["modules"]
+        if under(name, NOT_IN_A_WORKER) and not under(name, allowed)
     ]
     assert leaked == []
     assert loaded["after_ready"] == []

@@ -3,11 +3,12 @@
 The incremental patch path (:meth:`ScenarioArtifact.patched`, a
 copy-on-write update of the CSR volume vector) must be
 indistinguishable — digest, every packed column, every evaluated
-total, on both kernel backends — from compiling the updated scenario
-from scratch.  100 seeded random delta sequences chain 1–4 patches
-each and compare the end states; a second differential covers
-:func:`reevaluate_affected` (only affected placements recomputed)
-against full batch evaluation.
+total, scored on the kernel and on the reference evaluator — from
+compiling the updated scenario from scratch.  100 seeded random delta
+sequences chain 1–4 patches each and compare the end states; a second
+differential covers :func:`reevaluate_affected` (only affected
+placements recomputed) against full batch evaluation by the kernel
+(``numpy`` rows) and by the reference evaluator (``python`` rows).
 """
 
 import random
@@ -20,13 +21,15 @@ from repro.core.kernel import (
     evaluate_placement_many,
     reevaluate_affected,
 )
+from repro.core.reference import evaluate_placement
 from repro.serve import ScenarioArtifact
 from repro.serve.artifacts import scenario_from_spec, spec_digest
 from repro.stream import patched_spec
 
 from .conftest import build_stream_scenario
 
-BACKENDS = ("python", "numpy")
+#: Who scores the totals: the reference evaluator or the kernel.
+ORACLES = ("python", "numpy")
 
 PACKED_COLUMNS = (
     "indptr", "flow_index", "detour", "position", "entry_row",
@@ -52,6 +55,14 @@ def random_deltas(rng, spec):
     return deltas or {0: 100.0}
 
 
+def totals(scenario, oracle):
+    if oracle == "python":
+        return [
+            evaluate_placement(scenario, sites).attracted for sites in PLACEMENTS
+        ]
+    return evaluate_placement_many(scenario, PLACEMENTS)
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_patched_equals_recompiled(seed):
     rng = random.Random(seed)
@@ -71,25 +82,24 @@ def test_patched_equals_recompiled(seed):
         assert np.array_equal(
             getattr(packed_a, column), getattr(packed_b, column)
         ), column
-    for backend in BACKENDS:
-        assert evaluate_placement_many(
-            patched.scenario, PLACEMENTS, backend
-        ) == evaluate_placement_many(recompiled.scenario, PLACEMENTS, backend)
+    for oracle in ORACLES:
+        assert totals(patched.scenario, oracle) == totals(
+            recompiled.scenario, oracle
+        )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("oracle", ORACLES)
 @pytest.mark.parametrize("seed", range(20))
-def test_reevaluate_affected_matches_full_batch(seed, backend):
+def test_reevaluate_affected_matches_full_batch(seed, oracle):
     rng = random.Random(1000 + seed)
     deltas = random_deltas(rng, BASE.spec)
-    prior = evaluate_placement_many(BASE.scenario, PLACEMENTS, backend)
+    prior = evaluate_placement_many(BASE.scenario, PLACEMENTS)
     patched = BASE.patched(deltas)
 
     incremental = reevaluate_affected(
-        patched.scenario, PLACEMENTS, prior, sorted(deltas), backend
+        patched.scenario, PLACEMENTS, prior, sorted(deltas)
     )
-    full = evaluate_placement_many(patched.scenario, PLACEMENTS, backend)
-    assert incremental == full
+    assert incremental == totals(patched.scenario, oracle)
 
     affected = affected_placements(
         BASE.scenario.coverage.packed(), PLACEMENTS, sorted(deltas)
