@@ -22,7 +22,6 @@ if TYPE_CHECKING:
         affected_placements,
         evaluate_placement,
         evaluate_placement_many,
-        make_evaluator,
         reevaluate_affected,
     )
     from .placement import FlowOutcome, Placement
@@ -49,8 +48,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".flow": ("TrafficFlow", "flow_between", "total_volume"),
     ".kernel": (
         "ArrayEvaluator", "CelfQueue", "PackedCoverage", "affected_placements",
-        "evaluate_placement", "evaluate_placement_many", "make_evaluator",
-        "reevaluate_affected",
+        "evaluate_placement", "evaluate_placement_many", "reevaluate_affected",
     ),
     ".placement": ("FlowOutcome", "Placement"),
     ".scenario": ("Scenario",),
@@ -87,7 +85,6 @@ __all__ = [
     "flow_between",
     "has_errors",
     "lint_scenario",
-    "make_evaluator",
     "reevaluate_affected",
     "total_volume",
     "utility_by_name",

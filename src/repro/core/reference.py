@@ -4,7 +4,8 @@ The array kernel (:mod:`repro.core.kernel`) scores every placement a
 library call or a served request asks for.  This module computes the
 same numbers the plain way, as an independent oracle: the differential
 tests compare the kernel against it, and the runtime sanitizer
-(:mod:`repro.devtools.sanitize`) checks the objective's contracts on it.
+(:mod:`repro.devtools.sanitize`) re-scores sampled kernel placements and
+checks the objective's contracts on it.
 Nothing on a live path imports it.
 
 * :func:`evaluate_placement` scores a finished placement by walking
@@ -85,7 +86,6 @@ def evaluate_placement(
         outcomes=tuple(outcomes),
         algorithm=algorithm,
     )
-
 
 
 class IncrementalEvaluator:
@@ -266,4 +266,3 @@ class IncrementalEvaluator:
             outcomes=tuple(outcomes),
             algorithm=algorithm,
         )
-

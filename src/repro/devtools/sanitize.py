@@ -5,9 +5,7 @@ see; this module is the ASAN-style counterpart for what it cannot.  When
 enabled (env ``RAPFLOW_SANITIZE=1`` or pytest ``--sanitize``), every
 N-th placement scored by :func:`repro.core.kernel.evaluate_placement`
 (what ``PlacementAlgorithm.place`` returns) triggers an audit of the
-scenario it ran on, computed on the reference evaluator
-(:mod:`repro.core.reference`) so that the kernel is checked against an
-independent implementation:
+scenario it ran on and of the placement itself:
 
 * **edge weights** — every street length is finite and positive (the
   Dijkstra layer assumes it; a negative weight voids every distance);
@@ -18,9 +16,17 @@ independent implementation:
   exactly what the composite-greedy ``1 − 1/√e`` approximation bound
   consumes, so a refactor that silently breaks them invalidates the
   guarantee even while every unit test still passes;
+* **reference agreement** — the reference evaluator
+  (:mod:`repro.core.reference`), which walks every flow's path instead
+  of reducing packed arrays, re-scores the kernel's placement and must
+  reproduce its total and every per-flow outcome bit for bit;
 * **first-RAP semantics** — the RAP recorded as serving each flow is
   the first one in travel order attaining the minimum detour
   (Theorem 1's tie-breaking).
+
+The monotonicity and submodularity samples are scored on the reference
+as well: they check the objective the paper defines, and the agreement
+check ties each audited kernel placement to it.
 
 All sampling is driven by a private ``random.Random(seed)``, so a
 sanitized run is as reproducible as a plain one.  Violations raise
@@ -86,6 +92,7 @@ class SanitizerReport:
     edge_checks: int = 0
     monotonicity_checks: int = 0
     submodularity_checks: int = 0
+    reference_checks: int = 0
     first_rap_checks: int = 0
     audits: int = 0
 
@@ -94,6 +101,7 @@ class SanitizerReport:
         self.edge_checks += other.edge_checks
         self.monotonicity_checks += other.monotonicity_checks
         self.submodularity_checks += other.submodularity_checks
+        self.reference_checks += other.reference_checks
         self.first_rap_checks += other.first_rap_checks
         self.audits += other.audits
 
@@ -103,6 +111,7 @@ class SanitizerReport:
             self.edge_checks
             + self.monotonicity_checks
             + self.submodularity_checks
+            + self.reference_checks
             + self.first_rap_checks
         )
 
@@ -180,6 +189,44 @@ def check_monotone_submodular(
             )
 
 
+def check_reference_agreement(
+    scenario, placement, report: Optional[SanitizerReport] = None
+) -> None:
+    """Re-score ``placement`` on the reference evaluator and compare.
+
+    The kernel's total and per-flow outcomes must equal those of
+    :func:`~repro.core.reference.evaluate_placement` exactly: the kernel
+    promises bit-identical placements, so any difference, even in the
+    last bit, is a kernel fault.
+    """
+    from ..core import reference
+
+    tally = report if report is not None else SanitizerReport()
+    expected = reference.evaluate_placement(scenario, list(placement.raps))
+    tally.reference_checks += 1
+    for flow, got, want in zip(
+        scenario.flows, placement.outcomes, expected.outcomes
+    ):
+        if got != want:
+            raise SanitizerViolation(
+                f"flow {flow.label or flow.path!r} under RAPs "
+                f"{list(placement.raps)!r}: the kernel gives {got!r}, the "
+                f"reference evaluator {want!r}",
+                check="reference",
+            )
+    if (
+        len(placement.outcomes) != len(expected.outcomes)
+        or placement.attracted != expected.attracted
+    ):
+        raise SanitizerViolation(
+            f"RAPs {list(placement.raps)!r}: the kernel attracts "
+            f"{placement.attracted!r} over {len(placement.outcomes)} flows, "
+            f"the reference evaluator {expected.attracted!r} over "
+            f"{len(expected.outcomes)}",
+            check="reference",
+        )
+
+
 def check_first_rap_semantics(
     scenario, placement, report: Optional[SanitizerReport] = None
 ) -> None:
@@ -242,6 +289,7 @@ def audit_scenario(
         scenario, pool=pool, rng=generator, trials=trials, report=tally
     )
     if placement is not None:
+        check_reference_agreement(scenario, placement, report=tally)
         check_first_rap_semantics(scenario, placement, report=tally)
     return tally
 
@@ -540,6 +588,7 @@ __all__ = [
     "check_loop_shutdown",
     "check_monotone_submodular",
     "check_nonnegative_weights",
+    "check_reference_agreement",
     "install",
     "install_async",
     "install_async_if_enabled",

@@ -195,11 +195,8 @@ class TestEvaluatorAgreement:
         ]
         totals = evaluate_placement_many(scenario, placements)
         for sites, total in zip(placements, totals):
+            assert total == reference_scorer(scenario, sites).attracted
             assert total == evaluate_placement(scenario, sites).attracted
-        assert [
-            reference_scorer(scenario, sites).attracted
-            for sites in placements
-        ] == pytest.approx(totals, abs=1e-9)
 
     def test_place_rejects_duplicates(self):
         scenario, _ = random_instance(3)

@@ -1,6 +1,7 @@
 """Runtime sanitizer: shipped objective passes, planted faults are caught."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -49,6 +50,7 @@ class TestShippedObjectivePasses:
             scenario, placement, rng=random.Random(2), trials=2
         )
         assert report.first_rap_checks == len(scenario.flows)
+        assert report.reference_checks == 1
 
 
 class TestPlantedFaultsAreCaught:
@@ -84,6 +86,28 @@ class TestPlantedFaultsAreCaught:
             sanitize.check_first_rap_semantics(scenario, tampered)
         assert excinfo.value.check == "first-rap"
 
+    def test_kernel_drift_from_reference_caught(self):
+        scenario = paper_scenario(LinearUtility(6.0))
+        placement = kernel.evaluate_placement(scenario, ["V3", "V5"])
+        covered = next(
+            i for i, o in enumerate(placement.outcomes) if o.serving_rap
+        )
+        outcomes = list(placement.outcomes)
+        outcomes[covered] = dataclasses.replace(
+            outcomes[covered],
+            customers=math.nextafter(outcomes[covered].customers, math.inf),
+        )
+        for drifted in (
+            dataclasses.replace(placement, outcomes=tuple(outcomes)),
+            dataclasses.replace(
+                placement,
+                attracted=math.nextafter(placement.attracted, -math.inf),
+            ),
+        ):
+            with pytest.raises(SanitizerViolation) as excinfo:
+                sanitize.check_reference_agreement(scenario, drifted)
+            assert excinfo.value.check == "reference"
+
     def test_violation_is_assertion_error(self):
         # ASAN-style: a sanitized pytest run reports violations as
         # assertion failures without special-casing.
@@ -94,12 +118,13 @@ class TestInstrumentation:
     @pytest.fixture(autouse=True)
     def _isolated_installation(self):
         """Detach any session-level install (pytest --sanitize) so these
-        tests control the wrapper's lifecycle, then restore it."""
-        had_session_install = sanitize.uninstall() is not None
+        tests control the wrapper's lifecycle, then restore it with the
+        tallies it had gathered."""
+        session_report = sanitize.uninstall()
         yield
         sanitize.uninstall()
-        if had_session_install:
-            sanitize.install()
+        if session_report is not None:
+            sanitize.install().merge(session_report)
 
     def test_install_samples_evaluations(self):
         report = sanitize.install(sample_every=1, trials=2, seed=0)
@@ -142,6 +167,27 @@ class TestInstrumentation:
                 kernel.evaluate_placement(scenario, ["V3", "V2"])
         finally:
             sanitize.uninstall()
+
+    def test_installed_wrapper_catches_kernel_drift(self):
+        exact = kernel._evaluate_placement_impl
+
+        def drifted(scenario, raps, algorithm=""):
+            placement = exact(scenario, raps, algorithm)
+            return dataclasses.replace(
+                placement,
+                attracted=math.nextafter(placement.attracted, math.inf),
+            )
+
+        kernel._evaluate_placement_impl = drifted
+        try:
+            sanitize.install(sample_every=1, trials=1, seed=0)
+            scenario = paper_scenario(LinearUtility(6.0))
+            with pytest.raises(SanitizerViolation) as excinfo:
+                kernel.evaluate_placement(scenario, ["V3", "V5"])
+            assert excinfo.value.check == "reference"
+        finally:
+            sanitize.uninstall()
+            kernel._evaluate_placement_impl = exact
 
     def test_sampling_skips_between_audits(self):
         report = sanitize.install(sample_every=100, trials=1, seed=0)
