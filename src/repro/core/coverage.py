@@ -4,9 +4,10 @@ The placement algorithms never touch the graph directly — they operate on
 a :class:`CoverageIndex`, which materializes, for every intersection ``v``,
 the list of flows whose fixed path passes ``v`` together with the detour
 distance a RAP at ``v`` would impose on them.  Building the index costs
-one pass over all flow paths (plus the Dijkstra fields of the
-:class:`~repro.core.detour.DetourCalculator`), after which greedy steps
-are pure array work.
+one pass over all flow paths (plus the warm-up of the
+:class:`~repro.core.detour.DetourCalculator`: one reverse sweep per flow
+destination, dropped once its path nodes are recorded), after which
+greedy steps are pure array work.
 
 For the array kernel, :meth:`CoverageIndex.packed` compiles the
 incidence lists once into flat CSR arrays (see
@@ -66,6 +67,9 @@ class CoverageIndex:
         self._incidences = 0
         self._packed: Optional["PackedCoverage"] = None
         self._materialized = True
+        # Record every path node's d''' first, one destination at a
+        # time, so the build below only reads and no sweep is retained.
+        calculator.warm_up(self._flows)
         for flow_index, flow in enumerate(self._flows):
             per_flow: List[Tuple[NodeId, float]] = []
             best = INFINITY

@@ -12,10 +12,11 @@ the paper's ``O(|V|^3)`` all-pairs step:
 
 * one reverse field anchored at the shop  -> ``dist(v, shop)``;
 * one forward field anchored at the shop  -> ``dist(shop, j)``;
-* one reverse sweep per *distinct flow destination*  -> ``dist(v, j)``,
-  settled on demand: a flow asks only about the nodes on its own path,
-  so a sweep runs only until the asked node is settled, and the next
-  query resumes it (real workloads share destinations heavily).
+* one record per *distinct flow destination*  -> ``dist(v, j)``: a flow
+  asks only about the nodes on its own path, so a reverse sweep toward
+  ``j`` runs only until those nodes are settled, their distances are
+  recorded, and the sweep is dropped (real workloads share destinations
+  heavily, so one sweep serves every flow ending there).
 
 Two modes are supported for ``d'''``:
 
@@ -31,7 +32,7 @@ Two modes are supported for ``d'''``:
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..errors import InvalidScenarioError
 from ..graphs import (
@@ -50,16 +51,20 @@ DETOUR_MODES = ("shortest", "along-path")
 class DetourCalculator:
     """Per-shop detour-distance engine.
 
-    ``d'''`` comes from one :class:`~repro.graphs.ReverseSweep` per
-    distinct destination, over the network's integer
-    :meth:`~repro.graphs.RoadNetwork.reverse_adjacency`: a flat array of
-    distances, filled only as far as queries have needed.  Every value
-    equals the full reverse Dijkstra field's bit for bit.
+    ``d'''`` is kept as one record per distinct destination: a dict from
+    each node asked about to its distance to the destination.  A record
+    is filled by a :class:`~repro.graphs.ReverseSweep` over the
+    network's integer :meth:`~repro.graphs.RoadNetwork.reverse_adjacency`,
+    run only until every node asked for is settled and then dropped, so
+    the calculator holds memory in proportion to the recorded path
+    nodes, not to destinations × nodes.  A question the record cannot
+    answer (a node off the recorded paths, a flow never warmed) restarts
+    a sweep.  Every value equals the full reverse Dijkstra field's bit
+    for bit.
 
-    Safe to share between threads: sweeps are created and resumed under
-    one lock per calculator, because one search cannot be resumed by
-    two threads at once, and a distance already settled is read
-    without the lock.
+    Safe to share between threads: records are extended under one lock
+    per calculator, by replacing a record with an extended copy, so a
+    finished record is read without the lock.
     """
 
     def __init__(
@@ -80,7 +85,7 @@ class DetourCalculator:
         self._to_shop = distances_to_target(network, shop)
         self._from_shop = distances_from(network, shop)
         self._adjacency = network.reverse_adjacency()
-        self._sweeps: Dict[NodeId, ReverseSweep] = {}
+        self._records: Dict[NodeId, Dict[NodeId, float]] = {}
         self._lock = threading.Lock()
 
     @property
@@ -106,44 +111,66 @@ class DetourCalculator:
         """``d'' = dist(shop, node)``."""
         return self._from_shop[node]
 
-    def _sweep(self, destination: NodeId) -> ReverseSweep:
-        """The destination's sweep, created on first use.
+    def _record(
+        self, destination: NodeId, nodes: Sequence[NodeId]
+    ) -> Dict[NodeId, float]:
+        """The destination's record, extended to hold every one of ``nodes``.
 
-        Raises :class:`~repro.errors.NodeNotFoundError` when the
-        destination is not on the network.
+        A record that holds them already is returned without the lock.
+        Otherwise one sweep toward the destination settles the missing
+        nodes, an extended copy replaces the record, and the sweep is
+        dropped.  A node the sweep runs out without reaching, or one not
+        on the network, records ``inf``.  Raises
+        :class:`~repro.errors.NodeNotFoundError` when the destination is
+        not on the network.
         """
-        sweep = self._sweeps.get(destination)
-        if sweep is None:
-            with self._lock:
-                sweep = self._sweeps.get(destination)
-                if sweep is None:
-                    sweep = ReverseSweep(self._adjacency, destination)
-                    self._sweeps[destination] = sweep
-        return sweep
-
-    def _distance_to(self, sweep: ReverseSweep, node: NodeId) -> float:
-        """``d'''`` for ``node``: a settled read, or the sweep resumed."""
-        slot = self._adjacency.slots.get(node)
-        if slot is None:
-            return INFINITY
-        if sweep.settled[slot]:
-            return sweep.distances[slot]
+        record = self._records.get(destination)
+        if record is not None and all(node in record for node in nodes):
+            return record
         with self._lock:
-            return sweep.settle(slot)
+            record = self._records.get(destination, {})
+            missing = [node for node in nodes if node not in record]
+            if not missing:
+                return record
+            sweep = ReverseSweep(self._adjacency, destination)
+            slots = self._adjacency.slots
+            extended = dict(record)
+            for node in missing:
+                slot = slots.get(node)
+                extended[node] = INFINITY if slot is None else sweep.settle(slot)
+            self._records[destination] = extended
+            return extended
 
-    def warm_up(self, flows: List[TrafficFlow]) -> None:
-        """Settle ``d'''`` for every node on the flows' paths, eagerly.
+    def _distance_to(self, node: NodeId, flow: TrafficFlow) -> float:
+        """``d''' = dist(node, flow.destination)``, read from the record.
 
-        Optional, since queries settle what they need; useful to
-        front-load that cost before building coverage or timing a
-        placement algorithm.  ``"along-path"`` mode has nothing to settle.
+        A miss records the flow's whole path along with ``node``, so
+        walking an unwarmed flow node by node restarts one sweep, not
+        one per node.
+        """
+        record = self._records.get(flow.destination)
+        distance = None if record is None else record.get(node)
+        if distance is None:
+            distance = self._record(flow.destination, flow.path + (node,))[node]
+        return distance
+
+    def warm_up(self, flows: Sequence[TrafficFlow]) -> None:
+        """Record ``d'''`` for every node on the flows' paths, eagerly.
+
+        One destination group at a time: a sweep settles the group's
+        path nodes, they are recorded, and the sweep is dropped before
+        the next group starts.  Optional, since queries record what they
+        need; :class:`~repro.core.coverage.CoverageIndex` calls it before
+        it builds, and calling it first makes its cost visible on its
+        own.  ``"along-path"`` mode has nothing to settle.
         """
         if self._mode != "shortest":
             return
+        groups: Dict[NodeId, List[NodeId]] = {}
         for flow in flows:
-            sweep = self._sweep(flow.destination)
-            for node in flow.path:
-                self._distance_to(sweep, node)
+            groups.setdefault(flow.destination, []).extend(flow.path)
+        for destination, nodes in groups.items():
+            self._record(destination, nodes)
 
     def detour(self, node: NodeId, flow: TrafficFlow) -> float:
         """Detour distance if flow ``flow`` receives the ad at ``node``.
@@ -160,7 +187,7 @@ class DetourCalculator:
         if d_from_shop == INFINITY:
             return INFINITY
         if self._mode == "shortest":
-            d_direct = self._distance_to(self._sweep(flow.destination), node)
+            d_direct = self._distance_to(node, flow)
         else:
             d_direct = self._remaining_path_length(node, flow)
         if d_direct == INFINITY:
@@ -177,11 +204,11 @@ class DetourCalculator:
     def detours_along(self, flow: TrafficFlow) -> Iterator[Tuple[NodeId, float]]:
         """``(node, detour)`` for every intersection on the flow's path."""
         if self._mode == "shortest":
-            sweep = self._sweep(flow.destination)
+            record = self._record(flow.destination, flow.path)
             d_from_shop = self._from_shop[flow.destination]
             for node in flow.path:
                 d_to_shop = self._to_shop[node]
-                d_direct = self._distance_to(sweep, node)
+                d_direct = record[node]
                 if INFINITY in (d_to_shop, d_from_shop, d_direct):
                     yield node, INFINITY
                 else:

@@ -1,20 +1,25 @@
-"""Differential and concurrency tests for the on-demand destination sweeps.
+"""Differential and concurrency tests for the recorded destination sweeps.
 
 :class:`~repro.core.DetourCalculator` settles each destination's reverse
-Dijkstra only as far as queries ask, and resumes it on the next query.
-Whatever order the queries come in — path nodes, off-path nodes,
-repeats — every distance must equal the full field's exactly (``==``,
-never approx), and threads sharing one calculator must agree with it.
+Dijkstra only as far as its flows' path nodes, records those distances
+and drops the sweep; a question the record cannot answer restarts one.
+Whatever order the queries come in — warmed flows, unwarmed flows,
+off-path nodes, repeats — every distance must equal the full field's
+exactly (``==``, never approx), and threads sharing one calculator must
+agree with it.
 """
 
 import random
 import sys
 import threading
+import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DetourCalculator, TrafficFlow
+from repro.core import DetourCalculator, Scenario, TrafficFlow, utility_by_name
+from repro.core import detour as detour_module
 from repro.errors import NoPathError
 from repro.graphs import (
     INFINITY,
@@ -54,6 +59,31 @@ def digraphs(draw) -> RoadNetwork:
         if tail != head:
             net.add_road(tail, head, length)
     return net
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Every sweep a calculator starts, as ``(weak ref, settled flags, alive)``.
+
+    The flags outlive the sweep, so a test can count what each sweep
+    settled after the calculator dropped it; ``alive`` is how many
+    earlier sweeps were still referenced when this one started.
+    """
+    started = []
+
+    class RecordedSweep(ReverseSweep):
+        def __init__(self, adjacency, target):
+            super().__init__(adjacency, target)
+            alive = sum(ref() is not None for ref, _, _ in started)
+            started.append((weakref.ref(self), self.settled, alive))
+
+    monkeypatch.setattr(detour_module, "ReverseSweep", RecordedSweep)
+    return started
+
+
+def retained(sweeps) -> int:
+    """How many of the recorded sweeps something still references."""
+    return sum(ref() is not None for ref, _, _ in sweeps)
 
 
 def expected_detour(to_shop, from_shop, full, node, destination) -> float:
@@ -124,6 +154,10 @@ class TestCalculatorQueries:
         to_shop = distances_to_target(net, shop)
         from_shop = distances_from(net, shop)
         full = {j: distances_to_target(net, j) for j in nodes}
+        # Warm a drawn subset, so queries read records, restart sweeps
+        # for off-path nodes, and record flows never warmed.
+        warmed = data.draw(st.sets(st.integers(0, len(flows) - 1)))
+        calc.warm_up([flows[index] for index in sorted(warmed)])
         # Path nodes, off-path nodes and repeats, in a drawn order.
         queries = data.draw(
             st.lists(
@@ -151,23 +185,35 @@ class TestCalculatorQueries:
                     to_shop, from_shop, full, node, flow.destination
                 )
 
-    def test_warm_up_settles_every_path_node_and_no_more_than_needed(self):
+    def test_warm_up_settles_every_path_node_and_no_more_than_needed(
+        self, sweeps
+    ):
         net = dublin_like_city(12, 12, seed=5)
         patterns = generate_patterns(net, 10, random.Random(3))
         flows = [TrafficFlow(p.path, 1.0) for p in patterns]
-        calc = DetourCalculator(net, shop=sorted(net.nodes())[70])
+        shop = sorted(net.nodes())[70]
+        calc = DetourCalculator(net, shop)
         calc.warm_up(flows)
-        slots = net.reverse_adjacency().slots
+        # One sweep per destination group, each dropped before the next
+        # starts, and none retained.
+        assert len(sweeps) == len({flow.destination for flow in flows})
+        assert [alive for _, _, alive in sweeps] == [0] * len(sweeps)
+        assert retained(sweeps) == 0
+        to_shop = distances_to_target(net, shop)
+        from_shop = distances_from(net, shop)
+        full = {flow.destination: distances_to_target(net, flow.destination)
+                for flow in flows}
         for flow in flows:
-            sweep = calc._sweeps[flow.destination]
-            full = distances_to_target(net, flow.destination)
-            for node in flow.path:
-                assert sweep.settled[slots[node]]
-                assert sweep.distances[slots[node]] == full[node]
-        settled = sum(sum(sweep.settled) for sweep in calc._sweeps.values())
-        assert settled < len(calc._sweeps) * net.node_count
+            for node, detour in calc.detours_along(flow):
+                assert detour == expected_detour(
+                    to_shop, from_shop, full, node, flow.destination
+                )
+        # Every answer came from the records: no sweep restarted.
+        assert len(sweeps) == len(full)
+        settled = sum(sum(flags) for _, flags, _ in sweeps)
+        assert settled < len(sweeps) * net.node_count
 
-    def test_along_path_mode_settles_nothing(self):
+    def test_along_path_mode_settles_nothing(self, sweeps):
         net = dublin_like_city(8, 8, seed=5)
         patterns = generate_patterns(net, 5, random.Random(3))
         flows = [TrafficFlow(p.path, 1.0) for p in patterns]
@@ -177,7 +223,24 @@ class TestCalculatorQueries:
         for flow in flows:
             list(calc.detours_along(flow))
             calc.detour(flow.origin, flow)
-        assert calc._sweeps == {}
+        assert sweeps == []
+
+    def test_coverage_build_retains_no_sweep(self, sweeps):
+        net = dublin_like_city(12, 12, seed=5)
+        patterns = generate_patterns(net, 10, random.Random(3))
+        flows = [TrafficFlow(p.path, 1.0) for p in patterns]
+        shop = sorted(net.nodes())[70]
+        utility = utility_by_name("linear", 2_000.0)
+        plain = Scenario(net, flows, shop, utility)
+        built = plain.coverage.packed()
+        # The scenario and its calculator are alive; their sweeps are not.
+        assert sweeps and retained(sweeps) == 0
+        warmed = Scenario(net, flows, shop, utility)
+        warmed.detour_calculator.warm_up(flows)
+        explicit = warmed.coverage.packed()
+        for key in ("indptr", "flow_index", "detour", "position", "entry_row"):
+            assert getattr(built, key).tobytes() == getattr(explicit, key).tobytes()
+        assert built.nodes == explicit.nodes
 
 
 class TestSharedCalculatorThreads:
