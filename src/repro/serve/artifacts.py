@@ -15,7 +15,10 @@ that spec.  Two structurally identical scenarios share one digest, and a
 digest pins the scenario bit-for-bit: JSON's shortest-round-trip float
 encoding restores every ``float64`` exactly, so a restored scenario's
 detours, utility values, and therefore every placement and evaluation
-result are identical to the original's.
+result are identical to the original's.  An artifact keeps only the
+spec's canonical text (:attr:`ScenarioArtifact.spec_text`, the bytes
+the digest hashes), derived from its own scenario, so the text, the
+digest and the scenario always agree.
 
 :class:`ArtifactStore` persists artifacts under ``<root>/<digest>/``
 (``meta.json`` with the spec + pack stats, ``arrays.npz`` with the CSR
@@ -182,12 +185,20 @@ def scenario_from_spec(spec: Dict[str, object]) -> Scenario:
         raise ServeArtifactError(f"malformed scenario spec: {error}") from None
 
 
-def spec_digest(spec: Dict[str, object]) -> str:
-    """SHA-256 of the canonical JSON encoding of a scenario spec."""
-    canonical = json.dumps(
+def _canonical_text(spec: Dict[str, object]) -> str:
+    """The canonical JSON encoding of a scenario spec (what digests hash)."""
+    return json.dumps(
         spec, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _text_digest(spec_text: str) -> str:
+    return hashlib.sha256(spec_text.encode("utf-8")).hexdigest()
+
+
+def spec_digest(spec: Dict[str, object]) -> str:
+    """SHA-256 of the canonical JSON encoding of a scenario spec."""
+    return _text_digest(_canonical_text(spec))
 
 
 def scenario_digest(scenario: Scenario) -> str:
@@ -203,10 +214,15 @@ class ScenarioArtifact:
     kernel's per-scenario cache) the precompiled gain arrays and CELF
     seed heap; ``stats`` records the pack sizes
     (:func:`~repro.core.kernel.warm_kernel`'s return value).
+    ``spec_text`` is the canonical encoding of
+    ``scenario_to_spec(scenario)`` and ``digest`` its SHA-256: every
+    constructor derives the text from the scenario it holds, except
+    :meth:`attach`, which adopts the text a publisher wrote from such
+    an artifact once it hashes to the digest.
     """
 
     digest: str
-    spec: Dict[str, object]
+    spec_text: str
     scenario: Scenario
     stats: Dict[str, int]
     #: Set on the shared-memory restore path only: keeps the segment
@@ -214,16 +230,21 @@ class ScenarioArtifact:
     #: are views over it).
     shm: Optional["ShmAttachment"] = None
 
+    @property
+    def spec(self) -> Dict[str, object]:
+        """The scenario spec, parsed afresh from :attr:`spec_text`."""
+        return json.loads(self.spec_text)
+
     @classmethod
     def compile(cls, scenario: Scenario) -> "ScenarioArtifact":
         """Compile every serving-time structure for ``scenario`` once."""
-        spec = scenario_to_spec(scenario)
+        spec_text = _canonical_text(scenario_to_spec(scenario))
         with obs.span("serve.artifact.compile"):
             stats = warm_kernel(scenario)
         obs.count("serve.artifact.compiles")
         return cls(
-            digest=spec_digest(spec),
-            spec=spec,
+            digest=_text_digest(spec_text),
+            spec_text=spec_text,
             scenario=scenario,
             stats=stats,
         )
@@ -237,10 +258,10 @@ class ScenarioArtifact:
         shared with this artifact, and only the per-flow volume vector is
         rewritten (:meth:`~repro.core.kernel.PackedCoverage.apply_delta`).
         The patched scenario is re-warmed through the normal kernel
-        caches, and the new spec/digest are derived from the updated flow
-        volumes, so the result is indistinguishable (bit-for-bit, digest
-        included) from compiling the updated scenario from scratch —
-        without a single Dijkstra run or utility re-evaluation on the
+        caches, and the new spec text and digest are derived from the
+        patched scenario, so the result is indistinguishable (bit-for-bit,
+        digest included) from compiling the updated scenario from scratch
+        — without a single Dijkstra run or utility re-evaluation on the
         unchanged incidences.
         """
         if not volume_deltas:
@@ -248,15 +269,10 @@ class ScenarioArtifact:
         scenario = self.scenario
         packed = scenario.coverage.packed().apply_delta(dict(volume_deltas))
         flows: List[TrafficFlow] = list(scenario.flows)
-        spec_flows = [dict(entry) for entry in self.spec["flows"]]  # type: ignore[union-attr]
         for raw_index, raw_delta in volume_deltas.items():
             index = int(raw_index)
             flow = flows[index]
-            updated = flow.volume + float(raw_delta)
-            flows[index] = replace(flow, volume=updated)
-            spec_flows[index]["volume"] = float(updated)
-        new_spec: Dict[str, object] = dict(self.spec)
-        new_spec["flows"] = spec_flows
+            flows[index] = replace(flow, volume=flow.volume + float(raw_delta))
         patched_scenario = scenario.with_flows(flows)
         patched_scenario.attach_coverage(
             CoverageIndex.from_packed(patched_scenario.flows, packed, lazy=True)
@@ -264,9 +280,10 @@ class ScenarioArtifact:
         with obs.span("serve.artifact.patch", flows_changed=len(volume_deltas)):
             stats = warm_kernel(patched_scenario)
         obs.count("serve.artifact.patches")
+        spec_text = _canonical_text(scenario_to_spec(patched_scenario))
         return ScenarioArtifact(
-            digest=spec_digest(new_spec),
-            spec=new_spec,
+            digest=_text_digest(spec_text),
+            spec_text=spec_text,
             scenario=patched_scenario,
             stats=stats,
             # Shared columns may be views over this artifact's segment;
@@ -300,7 +317,7 @@ class ScenarioArtifact:
                             "format": FORMAT_NAME,
                             "version": FORMAT_VERSION,
                             "digest": self.digest,
-                            "spec": self.spec,
+                            "spec": scenario_to_spec(self.scenario),
                             "stats": self.stats,
                             "packed_nodes": [
                                 _encode_id(node) for node in packed.nodes
@@ -318,7 +335,12 @@ class ScenarioArtifact:
 
     @classmethod
     def load(cls, root: PathLike, digest: str) -> "ScenarioArtifact":
-        """Restore a persisted artifact — no Dijkstra, no re-packing."""
+        """Restore a persisted artifact — no Dijkstra, no re-packing.
+
+        Refuses a directory whose restored scenario does not hash to
+        ``digest``: its spec carries something the restore does not
+        keep, so the artifact could not be saved again under its name.
+        """
         directory = Path(root) / digest
         try:
             with open(directory / "meta.json") as handle:
@@ -339,13 +361,15 @@ class ScenarioArtifact:
             raise ServeArtifactError(
                 f"artifact {digest[:12]} meta.json has no scenario spec"
             )
-        actual = spec_digest(spec)
+        scenario = scenario_from_spec(spec)
+        spec_text = _canonical_text(scenario_to_spec(scenario))
+        actual = _text_digest(spec_text)
         if actual != digest:
             raise ServeArtifactError(
                 f"artifact digest mismatch under {directory}: directory "
-                f"says {digest[:12]}, spec hashes to {actual[:12]}"
+                f"says {digest[:12]}, the restored scenario hashes to "
+                f"{actual[:12]}"
             )
-        scenario = scenario_from_spec(spec)
         try:
             packed = PackedCoverage.from_arrays(
                 nodes=[_decode_id(raw) for raw in meta["packed_nodes"]],
@@ -369,7 +393,9 @@ class ScenarioArtifact:
         with obs.span("serve.artifact.load"):
             stats = warm_kernel(scenario)
         obs.count("serve.artifact.loads")
-        return cls(digest=digest, spec=spec, scenario=scenario, stats=stats)
+        return cls(
+            digest=digest, spec_text=spec_text, scenario=scenario, stats=stats
+        )
 
     @classmethod
     def attach(
@@ -384,6 +410,7 @@ class ScenarioArtifact:
         index is rebuilt lazily, so a worker serving through the numpy
         kernel holds private memory only for the per-incidence utility
         values — the arrays themselves stay one physical copy per host.
+        The manifest's spec text is hashed as it is and parsed once.
 
         The returned artifact keeps the attachment alive via
         :attr:`shm`; drop it with ``pool.detach(digest)`` when done.
@@ -391,18 +418,18 @@ class ScenarioArtifact:
         attachment = pool.attach(digest)
         try:
             meta = attachment.manifest.meta
-            spec = meta.get("spec")
-            if not isinstance(spec, dict):
+            spec_text = meta.get("spec_text")
+            if not isinstance(spec_text, str):
                 raise ServeArtifactError(
                     f"shm manifest for {digest[:12]} has no scenario spec"
                 )
-            actual = spec_digest(spec)
+            actual = _text_digest(spec_text)
             if actual != digest:
                 raise ServeArtifactError(
                     f"shm manifest digest mismatch: pool says {digest[:12]}, "
                     f"spec hashes to {actual[:12]}"
                 )
-            scenario = scenario_from_spec(spec)
+            scenario = scenario_from_spec(json.loads(spec_text))
             arrays = attachment.arrays
             try:
                 packed = PackedCoverage.from_arrays(
@@ -433,7 +460,7 @@ class ScenarioArtifact:
         obs.count("serve.artifact.attaches")
         return cls(
             digest=digest,
-            spec=spec,
+            spec_text=spec_text,
             scenario=scenario,
             stats=stats,
             shm=attachment,

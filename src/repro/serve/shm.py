@@ -11,18 +11,22 @@ number of processes attach zero-copy views:
     Owner-side registry rooted at a manifest directory.  ``publish``
     packs a compiled artifact's seven CSR columns into a single segment
     (name ``rf-<digest prefix>``) and writes a JSON manifest (segment
-    name, column table, owner pid, scenario spec).  ``attach`` opens the
-    segment read-only and rebuilds numpy views straight over the shared
-    buffer — refcounted per process, so repeated attaches are free.
+    name, column table, owner pid, and the artifact's canonical spec
+    text as one JSON string).  ``attach`` opens the segment read-only
+    and rebuilds numpy views straight over the shared buffer —
+    refcounted per process, so repeated attaches are free.
     ``unlink``/``unlink_all`` retire segments deterministically on fleet
     drain; ``sweep`` reclaims segments whose owner died without
     unlinking (manifests record the owner pid).
 
 ``ScenarioArtifact.attach`` (in :mod:`repro.serve.artifacts`) completes
-the zero-copy restore path: shm views → ``PackedCoverage.from_arrays``
-(adoption, no copy) → lazy ``CoverageIndex`` → ``warm_kernel``.  A
-worker serving through the numpy kernel then holds private memory only
-for the per-incidence utility values — not the coverage arrays.
+the zero-copy restore path: the manifest's spec text hashed as it is
+and parsed once → shm views → ``PackedCoverage.from_arrays`` (adoption,
+no copy) → lazy ``CoverageIndex`` → ``warm_kernel``.  A worker serving
+through the numpy kernel then holds private memory only for the
+per-incidence utility values — not the coverage arrays.  A publisher
+and its attachers run the same code, so a manifest of another version
+is refused rather than read.
 
 Lifecycle invariants (tested in ``tests/serve/test_shm.py``):
 
@@ -56,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PathLike = Union[str, Path]
 
 MANIFEST_FORMAT = "rapflow-shm"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 #: Segment names are digest-keyed: two pools publishing the same spec
 #: collide on purpose (the arrays are identical), unrelated artifacts
@@ -225,9 +229,11 @@ class ShmManifest:
 
     ``owner_pid`` is the publisher: ``sweep`` uses it to tell a live
     pool's segments from a crashed one's.  ``meta`` carries everything
-    ``ScenarioArtifact.attach`` needs that is not an array — the
-    canonical scenario spec, the packed node ids, and the compile
-    stats — so the attach path never touches the npz cache.
+    ``ScenarioArtifact.attach`` needs that is not an array —
+    ``spec_text`` (the artifact's canonical spec text, verbatim, which
+    its digest hashes), the packed node ids, and the compile stats — so
+    the attach path never touches the npz cache.  Version 2 carries
+    ``spec_text``; version 1 carried the spec as a JSON object.
     """
 
     digest: str
@@ -474,7 +480,7 @@ class ShmArtifactPool:
             owner_pid=os.getpid(),
             columns=tuple(columns),
             meta={
-                "spec": artifact.spec,
+                "spec_text": artifact.spec_text,
                 "stats": artifact.stats,
                 "packed_nodes": [_encode_id(node) for node in packed.nodes],
             },

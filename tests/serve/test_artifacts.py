@@ -1,5 +1,6 @@
 """Artifact compilation, content addressing, and disk round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from repro.serve import (
     scenario_to_spec,
     spec_digest,
 )
+from repro.serve.shm import ShmArtifactPool
 
 from ..conftest import build_paper_flows, build_paper_network
 
@@ -104,6 +106,64 @@ class TestSaveLoad:
         directory.rename(tmp_path / wrong)
         with pytest.raises(ServeArtifactError, match="digest mismatch"):
             ScenarioArtifact.load(tmp_path, wrong)
+
+
+def assert_holds_its_spec_text(artifact: ScenarioArtifact) -> None:
+    """The artifact's text is its scenario's canonical spec and hashes to it."""
+    text = artifact.spec_text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == artifact.digest
+    assert text == json.dumps(
+        scenario_to_spec(artifact.scenario),
+        sort_keys=True,
+        separators=(",", ":"),
+        allow_nan=False,
+    )
+    # The spec lives only as text: the one dict kept is the pack stats.
+    kept = [name for name, value in vars(artifact).items() if isinstance(value, dict)]
+    assert kept == ["stats"]
+
+
+class TestSpecText:
+    def test_every_artifact_holds_the_text_of_its_scenario(self, tmp_path):
+        compiled = ScenarioArtifact.compile(fresh_scenario())
+        compiled.save(tmp_path / "disk")
+        loaded = ScenarioArtifact.load(tmp_path / "disk", compiled.digest)
+        pool = ShmArtifactPool(tmp_path / "shm")
+        try:
+            pool.publish(compiled)
+            attached = ScenarioArtifact.attach(pool, compiled.digest)
+            patched = compiled.patched({0: 25.0, 2: -1.5})
+            patched.save(tmp_path / "disk")
+            reloaded = ScenarioArtifact.load(tmp_path / "disk", patched.digest)
+            patched_attached = attached.patched({1: 4.0})
+            for artifact in (
+                compiled, loaded, attached, patched, reloaded, patched_attached
+            ):
+                assert_holds_its_spec_text(artifact)
+        finally:
+            pool.detach_all()
+            pool.unlink_all()
+        assert attached.spec_text == loaded.spec_text == compiled.spec_text
+        assert reloaded.spec_text == patched.spec_text
+        assert patched.digest != compiled.digest
+        assert patched.spec["flows"][0]["volume"] == (
+            compiled.spec["flows"][0]["volume"] + 25.0
+        )
+
+    def test_load_refuses_a_spec_its_scenario_does_not_hash_to(self, tmp_path):
+        # A spec written while the retired backend setting still took a
+        # value: the directory is named by that spec's digest, but the
+        # restored scenario drops the key and hashes to another digest,
+        # so the artifact could never be saved again under its name.
+        directory = ScenarioArtifact.compile(fresh_scenario()).save(tmp_path)
+        meta = json.loads((directory / "meta.json").read_text())
+        meta["spec"]["default_backend"] = "python"
+        named = spec_digest(meta["spec"])
+        meta["digest"] = named
+        (directory / "meta.json").write_text(json.dumps(meta))
+        directory.rename(tmp_path / named)
+        with pytest.raises(ServeArtifactError, match="digest mismatch"):
+            ScenarioArtifact.load(tmp_path, named)
 
 
 class TestArtifactStore:

@@ -53,8 +53,10 @@ def test_shm_manifest_bytes(artifact, tmp_path):
     # The publisher's pid is the one field that differs between runs.
     owner = f'"owner_pid": {os.getpid()},'.encode()
     assert raw.count(owner) == 1
+    # Manifest version 2: ``meta["spec_text"]`` carries the canonical
+    # spec text in place of the version 1 ``meta["spec"]`` object.
     assert _sha256(raw.replace(owner, b'"owner_pid": 0,')) == (
-        "7e5478d02b5e26beae828035735e45a73909b023b60ded32414d39eefdaff277"
+        "1653009beef7105a2379a78df2dc22ef5c62627a5a2603221bc4566510bc8619"
     )
 
 
