@@ -42,8 +42,8 @@ Subcommands
     ``--serve-seconds`` expires, then drain gracefully.  With
     ``--workers N`` (N >= 2) a supervised fleet front routes to N
     worker subprocesses sharing the artifact cache: heartbeat probes,
-    bounded respawn with a circuit breaker, retry/hedging for
-    idempotent queries, and tiered load shedding.
+    bounded respawn with a circuit breaker, retry/hedging for every
+    query kind, and tiered load shedding.
 ``chaos``
     Run the seeded chaos harness against an in-process fleet: kill /
     stall / slow / corrupt workers under concurrent load, then print

@@ -17,8 +17,8 @@ restarts skip recompilation), then answer placement queries against it:
   deadlines (504), ``/healthz``, and graceful draining shutdown;
 * :class:`~repro.serve.fleet.PlacementFleet` — a supervised fleet of N
   worker replicas behind one routing front: heartbeat probes, bounded
-  respawn with a circuit breaker, retry/backoff/hedging for idempotent
-  queries, tiered load shedding, and degraded cache-replay fallback
+  respawn with a circuit breaker, retry/backoff/hedging for every
+  (read-only) query, tiered load shedding, and degraded cache-replay fallback
   (the front's one cache, consulted only when no worker answers);
 * :func:`~repro.serve.chaos.run_chaos` — seeded chaos harness that
   kills/stalls/slows/corrupts workers under concurrent load and checks

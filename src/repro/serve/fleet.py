@@ -23,11 +23,12 @@ The fleet stays alive under injected failure through four mechanisms:
   forever.
 * **request resilience** — the front forwards its remaining deadline
   budget via ``X-Rapflow-Deadline`` (a worker never works longer than
-  the front will wait), retries idempotent kinds (``evaluate`` /
-  ``top_gains``) on other replicas with backoff + jitter, and can hedge:
-  after a p95-based delay a second copy of the request races on another
-  replica and the first reply wins.
-* **graceful degradation** — every good idempotent reply feeds a bounded
+  the front will wait), retries every request kind on other replicas
+  with backoff + jitter — all four are pure reads of a content-addressed
+  artifact, so a repeat cannot change anything — and can hedge: after a
+  p95-based delay a second copy of the request races on another replica
+  and the first reply wins.
+* **graceful degradation** — every good reply feeds a bounded
   front-side LRU; when no replica can answer, the front replays the
   cached reply marked ``"degraded": true`` instead of failing, and only
   answers 503 when it has nothing cached.  It is the front's only
@@ -95,11 +96,6 @@ if TYPE_CHECKING:
 # Absent, the front's default shard answers; an unknown digest is a 404
 # (the front serves no such shard).
 
-#: Request kinds safe to retry/hedge: re-executing them cannot change
-#: state anywhere (evaluate and top_gains are pure reads; place is too,
-#: but an expensive one — re-running it under overload amplifies load).
-IDEMPOTENT_KINDS = frozenset({"evaluate", "top_gains"})
-
 #: Tiered admission budgets, as fractions of the front's
 #: ``max_inflight``: under overload the cheap read path keeps its full
 #: budget while expensive optimization runs are shed first — the same
@@ -123,7 +119,7 @@ _RETRY_AFTER = 0.05
 
 @dataclass
 class RetryPolicy:
-    """Front-side retry/hedging knobs for idempotent requests.
+    """Front-side retry/hedging knobs, applied to every request kind.
 
     ``retries`` counts *extra* attempts across replicas; ``backoff`` /
     ``backoff_cap`` shape the exponential sleep between attempts,
@@ -1155,14 +1151,9 @@ class PlacementFleet:
         body: bytes,
         digest: str,
     ) -> Tuple[int, Dict[str, object]]:
-        idempotent = kind in IDEMPOTENT_KINDS
-        attempts = self._config.retry.retries + 1 if idempotent else 1
+        attempts = self._config.retry.retries + 1
         deadline_at = self._clock.now() + self._config.timeout
-        cache_key = (
-            digest + "|" + json.dumps(request, sort_keys=True)
-            if idempotent
-            else ""
-        )
+        cache_key = digest + "|" + json.dumps(request, sort_keys=True)
         tried: List[int] = []
         for attempt in range(attempts):
             slot = self._pick_worker(tried, digest)
@@ -1174,7 +1165,7 @@ class PlacementFleet:
                 break
             responder = slot
             try:
-                if self._config.retry.hedge and idempotent:
+                if self._config.retry.hedge:
                     status, payload, responder = await self._forward_hedged(
                         slot, tried, body, budget, attempt
                     )
@@ -1201,8 +1192,7 @@ class PlacementFleet:
                         self.shard_served.get(digest, 0) + 1
                     )
                     payload["served_by"] = responder.worker_id
-                    if idempotent:
-                        self._remember(cache_key, payload)
+                    self._remember(cache_key, payload)
                     return 200, payload
             elif status not in (429, 502, 503, 504):
                 # Deterministic worker answer (400, 500 with the engine's
@@ -1384,7 +1374,7 @@ class PlacementFleet:
         self, kind: str, cache_key: str
     ) -> Tuple[int, Dict[str, object]]:
         """Last resort: replay a cached reply marked degraded, or 503."""
-        cached = self._degraded_cache.get(cache_key) if cache_key else None
+        cached = self._degraded_cache.get(cache_key)
         if cached is not None:
             self.degraded += 1
             obs.count("fleet.degraded")
@@ -1745,7 +1735,6 @@ async def run_fleet(
 __all__ = [
     "DIGEST_HEADER",
     "FleetConfig",
-    "IDEMPOTENT_KINDS",
     "LocalWorker",
     "PlacementFleet",
     "ProcessWorker",

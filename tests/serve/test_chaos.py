@@ -90,7 +90,10 @@ class TestKillAndStall:
             jsonl_path=jsonl,
             events=events,
         )
-        assert result.availability("evaluate") >= 0.99
+        # Every kind is a pure read the front retries and replays.
+        assert set(result.sent) == {"evaluate", "top_gains", "place"}
+        for kind in result.sent:
+            assert result.availability(kind) >= 0.99, (kind, result.to_dict())
         assert result.mismatches == 0, (
             "a non-degraded reply diverged from the reference engine"
         )

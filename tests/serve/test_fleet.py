@@ -259,17 +259,33 @@ class TestSupervision:
             assert client.evaluate([["V3", "V5"]]) == [21.0]
 
 
+#: One request of every kind the fleet serves; all four are pure reads.
+EVERY_KIND = [
+    {"kind": "evaluate", "placements": [["V3", "V5"]]},
+    {"kind": "what_if", "placement": ["V3"], "add": "V5"},
+    {"kind": "top_gains", "placement": ["V3"], "limit": 2},
+    {"kind": "place", "k": 2},
+]
+
+
 class TestResilience:
-    def test_retry_routes_around_a_dead_worker(self, artifact):
+    @pytest.mark.parametrize(
+        "request_body", EVERY_KIND, ids=[body["kind"] for body in EVERY_KIND]
+    )
+    def test_retry_routes_around_a_dead_worker(self, artifact, request_body):
         # Supervisor effectively disabled: the front's own retry must
-        # cover the gap between a crash and its detection.
+        # cover the gap between a crash and its detection, whatever
+        # the kind.
+        expected = QueryEngine(artifact).handle(dict(request_body))
         config = fast_config(workers=2, heartbeat_interval=30.0)
         fleet = make_fleet(artifact, config=config)
         with FleetThread(fleet) as handle:
             client = handle.client()
             fleet.worker_handle(0).kill()
             for _ in range(4):
-                assert client.evaluate([["V3", "V5"]]) == [21.0]
+                reply = client.query(dict(request_body))
+                assert not reply.get("degraded"), reply
+                assert {key: reply[key] for key in expected} == expected
             assert fleet.retries >= 1
 
     def test_worker_being_killed_has_no_address(self, artifact):

@@ -183,7 +183,8 @@ class TestReuse:
                 lambda: client.healthz()["respawns"] >= 1
                 and client.healthz()["workers"][0]["state"] == "up"
             ), "supervisor never respawned the killed worker"
-            # place is not idempotent: the front gives it one attempt.
+            # The pooled connection is stale; the front resends or
+            # retries the place like any other kind.
             reply = client.place(k=2)
             client.close()
         assert reply["raps"] == expected["raps"]
