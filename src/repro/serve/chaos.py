@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Union, cast
 from ..errors import ServeClientError, ServeError, ServeRequestError
 from ..reliability.faults import FaultConfig, FaultInjector
 from .artifacts import ScenarioArtifact
-from .client import ServeClient
 from .engine import QueryEngine, decode_site
 from .fleet import FleetConfig, PlacementFleet, RetryPolicy, local_worker_factory
 from .testing import FleetThread

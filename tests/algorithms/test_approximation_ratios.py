@@ -11,7 +11,6 @@ paper's proven bounds (with a small epsilon for float noise):
 import math
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
