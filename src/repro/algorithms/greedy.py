@@ -206,8 +206,7 @@ class GreedyVariant(PlacementAlgorithm):
             chosen = greedy(pick, k)
             tallies = pick.tallies()
             self.evaluations = tallies["gain.evaluations"]
-            if obs.active() is not None:
-                obs.count_many({"algorithm.iterations": len(chosen), **tallies})
+            obs.count_many({"algorithm.iterations": len(chosen), **tallies})
             return chosen
 
 

@@ -271,14 +271,13 @@ class SieveStreaming(PlacementAlgorithm):
             state.offer_many(scenario.candidate_sites)
             self.offers = state.offers
             self.admissions = state.admissions
-            if obs.active() is not None:
-                obs.count_many(
-                    {
-                        "sieve.offers": state.offers,
-                        "sieve.admissions": state.admissions,
-                        "sieve.thresholds": state.sieve_count,
-                    }
-                )
+            obs.count_many(
+                {
+                    "sieve.offers": state.offers,
+                    "sieve.admissions": state.admissions,
+                    "sieve.thresholds": state.sieve_count,
+                }
+            )
             return state.best_sites()
 
 

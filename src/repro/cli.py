@@ -64,8 +64,10 @@ Subcommands
     Print the installed package version (also ``--version``).
 
 ``place``, ``run-figure`` and ``sweep`` additionally accept
-``--obs-jsonl PATH`` to stream span events to a JSONL file without the
-profile report.
+``--obs-jsonl PATH`` to write the run's completed spans to a JSONL file
+without the profile report.  The file has the fleet's trace-segment
+format, so ``rapflow trace`` / ``rapflow traces --trace-dir`` on its
+directory render it.
 
 Exit codes
 ----------
@@ -168,7 +170,8 @@ class _VersionAction(argparse.Action):
 def _add_obs_jsonl(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--obs-jsonl", default=None, metavar="PATH",
-        help="stream observability span events to this JSONL file",
+        help="write the run's completed spans to this JSONL file "
+        "(rapflow traces --trace-dir reads its directory)",
     )
 
 

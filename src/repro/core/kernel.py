@@ -130,16 +130,15 @@ class PackedCoverage:
                 [flow.attractiveness for flow in index.flows], dtype=float
             ),
         )
-        if obs.active() is not None:
-            obs.count_many(
-                {
-                    "pack.builds": 1,
-                    "pack.rows": packed.row_count,
-                    "pack.incidences": packed.incidence_count,
-                    "pack.flows": packed.flow_count,
-                    "pack.bytes": packed.nbytes,
-                }
-            )
+        obs.count_many(
+            {
+                "pack.builds": 1,
+                "pack.rows": packed.row_count,
+                "pack.incidences": packed.incidence_count,
+                "pack.flows": packed.flow_count,
+                "pack.bytes": packed.nbytes,
+            }
+        )
         return packed
 
     @classmethod
@@ -276,10 +275,9 @@ class PackedCoverage:
             volume=volume,
             attractiveness=self.attractiveness,
         )
-        if obs.active() is not None:
-            obs.count_many(
-                {"pack.delta_patches": 1, "pack.delta_flows": len(deltas)}
-            )
+        obs.count_many(
+            {"pack.delta_patches": 1, "pack.delta_flows": len(deltas)}
+        )
         return patched
 
 
@@ -984,13 +982,12 @@ def reevaluate_affected(
         next(fresh) if hit else float(prior)
         for prior, hit in zip(prior_totals, flags)
     ]
-    if obs.active() is not None:
-        obs.count_many(
-            {
-                "kernel.delta_reevaluations": len(affected),
-                "kernel.delta_reeval_skips": len(placements) - len(affected),
-            }
-        )
+    obs.count_many(
+        {
+            "kernel.delta_reevaluations": len(affected),
+            "kernel.delta_reeval_skips": len(placements) - len(affected),
+        }
+    )
     return totals
 
 

@@ -1,17 +1,16 @@
-"""repro.obs — structured tracing, counters, and profiling hooks.
+"""repro.obs — one span model for runs and request traces.
 
-The observability layer of the reproduction.  One
-:class:`~repro.obs.context.ObsContext` records a run: nested spans
-(timed via an injectable :class:`~repro.obs.clock.Clock`, so the
-deterministic packages stay wall-clock free under lint rule RAP002),
-domain counters (CELF lazy skips, gain evaluations, pack stats,
-reliability quarantines, ...), gauges, and an optional JSONL event
-sink.
+Instrumented code calls the module-level hooks re-exported here
+(:func:`span`, :func:`count`, :func:`count_many`, :func:`gauge`);
+they are near-free no-ops until a recorder is live.  Two scopes feed
+the same :class:`Span` record and write the same completed-span JSONL
+event (:mod:`repro.obs.context`):
 
-Instrumented library code never talks to a context directly — it calls
-the module-level hooks re-exported here (:func:`span`, :func:`count`,
-:func:`count_many`, :func:`gauge`), which are near-free no-ops when no
-context is active::
+* a run context, :class:`ObsContext`: nested spans timed on an
+  injectable :class:`~repro.obs.clock.Clock` (so the deterministic
+  packages stay wall-clock free under lint rule RAP002), domain
+  counters (CELF lazy skips, gain evaluations, pack stats, reliability
+  quarantines, ...), gauges, and an optional JSONL file::
 
     from repro import obs
 
@@ -19,18 +18,19 @@ context is active::
         placement = CompositeGreedy().place(scenario, k=5)
     print(obs.render_report(ctx))
 
-Surfacing lives in the CLI (``rapflow profile``, ``--obs-jsonl``), the
-experiment runner (per-repetition metrics on results objects), and
-the benchmark of record, ``perfbench/`` (its per-layer ``kernel.*``
-metrics are obs counters).
+* a request trace across the serving fleet (:mod:`repro.obs.trace`):
+  seeded trace ids propagated over ``X-Rapflow-Trace`` headers, one
+  JSONL segment per process, and the same hooks adding child spans
+  and kernel counters to the request being served.
 
-The serving fleet adds the **distributed** half: cross-process trace
-propagation over ``X-Rapflow-Trace`` headers with per-process JSONL
-segments (:mod:`repro.obs.trace`), an offline collector that merges
-segments into trace trees (:mod:`repro.obs.collect`, surfaced as
-``rapflow trace``), fixed-bucket latency histograms for the
-``/metrics`` endpoints (:mod:`repro.obs.metrics`), and SLO burn-rate
-accounting on the injectable clock (:mod:`repro.obs.slo`).
+:mod:`repro.obs.collect` loads either kind of file back into trees
+(``rapflow trace``, ``rapflow traces``) and :mod:`repro.obs.report`
+renders them (also ``rapflow profile``).  The fleet's ``/metrics``
+endpoints use fixed-bucket latency histograms
+(:mod:`repro.obs.metrics`) and SLO burn-rate accounting on the
+injectable clock (:mod:`repro.obs.slo`).  The benchmark of record,
+``perfbench/``, reads its per-layer ``kernel.*`` metrics from obs
+counters and its span table from the trace segments.
 """
 
 from typing import TYPE_CHECKING
@@ -39,14 +39,7 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .clock import Clock, SystemClock, TickClock
-    from .collect import (
-        Trace,
-        TraceSpan,
-        build_traces,
-        find_trace,
-        load_traces,
-        render_trace,
-    )
+    from .collect import Trace, build_traces, find_trace, load_traces
     from .context import (
         Number,
         ObsContext,
@@ -55,15 +48,18 @@ if TYPE_CHECKING:
         count,
         count_many,
         gauge,
-        record_span,
         span,
     )
     from .metrics import LATENCY_BUCKETS_MS, LatencyHistogram, bucket_index
-    from .report import render_counter_table, render_report, render_span_tree
+    from .report import (
+        render_counter_table,
+        render_report,
+        render_span_tree,
+        render_trace,
+    )
     from .slo import SLOConfig, SLOTracker
     from .trace import (
         TRACE_HEADER,
-        TraceContext,
         TraceRecorder,
         format_trace_header,
         make_trace_id,
@@ -72,20 +68,20 @@ if TYPE_CHECKING:
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".clock": ("Clock", "SystemClock", "TickClock"),
-    ".collect": (
-        "Trace", "TraceSpan", "build_traces", "find_trace", "load_traces",
-        "render_trace",
-    ),
+    ".collect": ("Trace", "build_traces", "find_trace", "load_traces"),
     ".context": (
         "Number", "ObsContext", "Span", "active", "count", "count_many", "gauge",
-        "record_span", "span",
+        "span",
     ),
     ".metrics": ("LATENCY_BUCKETS_MS", "LatencyHistogram", "bucket_index"),
-    ".report": ("render_counter_table", "render_report", "render_span_tree"),
+    ".report": (
+        "render_counter_table", "render_report", "render_span_tree",
+        "render_trace",
+    ),
     ".slo": ("SLOConfig", "SLOTracker"),
     ".trace": (
-        "TRACE_HEADER", "TraceContext", "TraceRecorder", "format_trace_header",
-        "make_trace_id", "parse_trace_header",
+        "TRACE_HEADER", "TraceRecorder", "format_trace_header", "make_trace_id",
+        "parse_trace_header",
     ),
 })
 
@@ -102,9 +98,7 @@ __all__ = [
     "TRACE_HEADER",
     "TickClock",
     "Trace",
-    "TraceContext",
     "TraceRecorder",
-    "TraceSpan",
     "active",
     "bucket_index",
     "build_traces",
@@ -116,7 +110,6 @@ __all__ = [
     "load_traces",
     "make_trace_id",
     "parse_trace_header",
-    "record_span",
     "render_counter_table",
     "render_report",
     "render_span_tree",

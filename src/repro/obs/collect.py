@@ -1,87 +1,64 @@
-"""Merge per-process trace segments into cross-process trace trees.
+"""Load span events back into trees: fleet segments and profile files.
 
-Each traced process appends completed spans to its own JSONL segment
-(see :class:`~repro.obs.trace.TraceRecorder`); nothing at runtime ever
+Every recorder writes the same completed-span event
+(:mod:`repro.obs.context`), so one loader reads a fleet's per-process
+segments and an ``--obs-jsonl`` profile file alike; nothing at runtime
 joins them — that is this module's job, offline:
 
-* :func:`load_segments` reads every ``*.jsonl`` file in a trace
-  directory (unparseable or foreign lines are skipped, segments are
-  best-effort by design);
+* :func:`load_segments` reads every ``*.jsonl`` file in a directory
+  (foreign lines, torn tails and events with unusable ids or times are
+  skipped — segments are best-effort by design);
 * :func:`build_traces` stitches the spans into one :class:`Trace` per
   trace id, linking children to parents by span id — a span whose
   parent lives in a *lost* segment (worker killed mid-write) becomes
   an extra root rather than disappearing;
-* :func:`render_trace` draws the familiar ASCII tree (same connectors
-  as ``rapflow profile``), flagging the hop that breached its deadline
-  budget;
 * :func:`slowest` and :func:`degraded` answer the two questions chaos
   triage always starts with.
 
 ``rapflow trace <id>`` and ``rapflow traces`` are thin CLI wrappers
-over these functions.
+over these functions and :func:`repro.obs.report.render_trace`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 from ..errors import ObsError
+from .context import Span
 
-
-@dataclass
-class TraceSpan:
-    """One completed span, as read back from a segment."""
-
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str]
-    name: str
-    role: str
-    worker: Optional[str]
-    t_start: float
-    duration: float
-    attrs: Dict[str, object] = field(default_factory=dict)
-    children: List["TraceSpan"] = field(default_factory=list)
-
-    @property
-    def breached_deadline(self) -> bool:
-        """Did this hop blow its budget (or time out outright)?"""
-        status = self.attrs.get("status")
-        if status == 504 or status == "timeout":
-            return True
-        budget = self.attrs.get("budget")
-        if isinstance(budget, (int, float)) and budget > 0:
-            return self.duration >= float(budget)
-        return False
+#: The old name of a loaded span, kept for perfbench's tests until the
+#: next change to the benchmark (see ROADMAP, "Next benchmark change").
+TraceSpan = Span
 
 
 @dataclass
 class Trace:
     """All spans of one trace id, stitched into a forest.
 
-    Normally a single tree rooted at the front's request span; spans
-    whose parents were lost (killed worker, torn segment) surface as
-    additional roots so the evidence is never silently dropped.
+    Normally a single tree rooted at the front's request span (or a
+    run's root span); spans whose parents were lost (killed worker,
+    torn segment) surface as additional roots so the evidence is never
+    silently dropped.
     """
 
     trace_id: str
-    spans: Dict[str, TraceSpan]
-    roots: List[TraceSpan]
+    spans: Dict[str, Span]
+    roots: List[Span]
 
     @property
     def duration(self) -> float:
         """The longest root span — the end-to-end view of the trace."""
-        return max((root.duration for root in self.roots), default=0.0)
+        return max((root.duration or 0.0 for root in self.roots), default=0.0)
 
     @property
     def degraded(self) -> bool:
         """True when any hop served (or recorded) a degraded outcome."""
         return any(span.attrs.get("degraded") for span in self.spans.values())
 
-    def named(self, name: str) -> List[TraceSpan]:
+    def named(self, name: str) -> List[Span]:
         """Every span called ``name``, in segment order."""
         return [s for s in self.spans.values() if s.name == name]
 
@@ -114,23 +91,41 @@ def load_segments(
     return events
 
 
-def _span_from_event(event: Dict[str, object]) -> Optional[TraceSpan]:
+def _seconds(value: object) -> Optional[float]:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
+def _optional_str(value: object) -> Optional[str]:
+    return value if isinstance(value, str) else None
+
+
+def _span_from_event(event: Dict[str, object]) -> Optional[Span]:
     trace_id = event.get("trace_id")
     span_id = event.get("span_id")
-    if not isinstance(trace_id, str) or not isinstance(span_id, str):
+    t_start = _seconds(event.get("t_start"))
+    duration = _seconds(event.get("duration"))
+    if (
+        not isinstance(trace_id, str)
+        or not isinstance(span_id, str)
+        or t_start is None
+        or duration is None
+    ):
         return None
-    parent = event.get("parent_id")
     attrs = event.get("attrs")
-    return TraceSpan(
+    counters = event.get("counters")
+    return Span(
         trace_id=trace_id,
         span_id=span_id,
-        parent_id=parent if isinstance(parent, str) else None,
+        parent_id=_optional_str(event.get("parent_id")),
         name=str(event.get("name", "?")),
-        role=str(event.get("role", "?")),
-        worker=event.get("worker") if isinstance(event.get("worker"), str) else None,
-        t_start=float(event.get("t_start", 0.0) or 0.0),
-        duration=float(event.get("duration", 0.0) or 0.0),
+        role=_optional_str(event.get("role")),
+        worker=_optional_str(event.get("worker")),
+        t_start=t_start,
+        duration=duration,
         attrs=dict(attrs) if isinstance(attrs, dict) else {},
+        counters=dict(counters) if isinstance(counters, dict) else {},
     )
 
 
@@ -138,15 +133,15 @@ def build_traces(
     events: Iterable[Dict[str, object]]
 ) -> Dict[str, Trace]:
     """Group span events by trace id and link children to parents."""
-    by_trace: Dict[str, Dict[str, TraceSpan]] = {}
+    by_trace: Dict[str, Dict[str, Span]] = {}
     for event in events:
         span = _span_from_event(event)
         if span is None:
             continue
-        by_trace.setdefault(span.trace_id, {})[span.span_id] = span
+        by_trace.setdefault(str(span.trace_id), {})[span.span_id] = span
     traces: Dict[str, Trace] = {}
     for trace_id, spans in by_trace.items():
-        roots: List[TraceSpan] = []
+        roots: List[Span] = []
         for span in spans.values():
             parent = spans.get(span.parent_id) if span.parent_id else None
             if parent is None:
@@ -196,59 +191,12 @@ def degraded(traces: Dict[str, Trace]) -> List[Trace]:
     ]
 
 
-def _format_duration(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds * 1e6:.0f}us"
-
-
-def _span_label(span: TraceSpan) -> str:
-    origin = span.worker if span.worker is not None else span.role
-    parts = [f"{span.name}@{origin}"]
-    attrs = " ".join(f"{k}={v}" for k, v in sorted(span.attrs.items()))
-    if attrs:
-        parts.append(f"[{attrs}]")
-    parts.append(f"({_format_duration(span.duration)})")
-    if span.breached_deadline:
-        parts.append("<< deadline breached")
-    return "  ".join(parts)
-
-
-def _render_span(
-    span: TraceSpan, prefix: str, is_last: bool, lines: List[str]
-) -> None:
-    connector = "`- " if is_last else "|- "
-    lines.append(f"{prefix}{connector}{_span_label(span)}")
-    child_prefix = prefix + ("   " if is_last else "|  ")
-    for index, child in enumerate(span.children):
-        _render_span(
-            child, child_prefix, index == len(span.children) - 1, lines
-        )
-
-
-def render_trace(trace: Trace) -> str:
-    """ASCII tree of one merged trace, one line per span."""
-    flags = "  [degraded]" if trace.degraded else ""
-    lines = [
-        f"trace {trace.trace_id}  "
-        f"({_format_duration(trace.duration)}, {len(trace.spans)} spans)"
-        f"{flags}"
-    ]
-    for index, root in enumerate(trace.roots):
-        _render_span(root, "", index == len(trace.roots) - 1, lines)
-    return "\n".join(lines)
-
-
 __all__ = [
     "Trace",
-    "TraceSpan",
     "build_traces",
     "degraded",
     "find_trace",
     "load_segments",
     "load_traces",
-    "render_trace",
     "slowest",
 ]

@@ -1,21 +1,29 @@
-"""Human-readable rendering of a recorded :class:`ObsContext`.
+"""Human-readable rendering of span trees and counters.
 
-``rapflow profile ...`` prints two views after the instrumented run:
+One tree renderer draws every span: a recorded :class:`ObsContext`
+after ``rapflow profile ...``, and a loaded trace in ``rapflow trace``
+and ``rapflow traces``.  Each span is one line,
+``name[@origin] [attrs]  (duration)``, flagged ``<< deadline breached``
+when a hop blew its budget, followed by one ``name = value`` line per
+counter of its own:
 
-* :func:`render_span_tree` — the nested spans with durations, attrs and
-  each span's own counters (per-algorithm breakdowns fall out of the
-  ``select`` spans);
+* :func:`render_span_tree` — a run context's tree from its root;
+* :func:`render_trace` — a merged trace: a header, then each root's
+  tree;
 * :func:`render_counter_table` — the context-wide counter totals and
   gauges, aligned for eyeballing and greppable in CI logs.
 
-:func:`render_report` concatenates both.
+:func:`render_report` concatenates the span tree and the table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from .context import Number, ObsContext, Span
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .collect import Trace
 
 
 def _format_duration(seconds: Optional[float]) -> str:
@@ -35,33 +43,46 @@ def _format_value(value: Number) -> str:
 
 
 def _span_label(span: Span) -> str:
-    attrs = " ".join(f"{k}={v}" for k, v in span.attrs.items())
-    label = span.name if not attrs else f"{span.name} [{attrs}]"
-    return f"{label}  ({_format_duration(span.duration)})"
+    origin = span.worker if span.worker is not None else span.role
+    label = span.name if origin is None else f"{span.name}@{origin}"
+    attrs = " ".join(f"{k}={v}" for k, v in sorted(span.attrs.items()))
+    if attrs:
+        label += f" [{attrs}]"
+    label += f"  ({_format_duration(span.duration)})"
+    if span.breached_deadline:
+        label += "  << deadline breached"
+    return label
 
 
 def _render_span(
-    span: Span, prefix: str, is_last: bool, lines: List[str]
+    span: Span, lines: List[str], prefix: str = "", connector: str = ""
 ) -> None:
-    connector = "`- " if is_last else "|- "
     lines.append(f"{prefix}{connector}{_span_label(span)}")
-    child_prefix = prefix + ("   " if is_last else "|  ")
+    inner = prefix + ("|  " if connector == "|- " else " " * len(connector))
     for name in sorted(span.counters):
-        lines.append(
-            f"{child_prefix}  {name} = {_format_value(span.counters[name])}"
-        )
+        lines.append(f"{inner}  {name} = {_format_value(span.counters[name])}")
     for index, child in enumerate(span.children):
-        _render_span(
-            child, child_prefix, index == len(span.children) - 1, lines
-        )
+        last = index == len(span.children) - 1
+        _render_span(child, lines, inner, "`- " if last else "|- ")
 
 
 def render_span_tree(context: ObsContext) -> str:
     """The context's span tree, one line per span plus counter lines."""
-    root = context.root
-    lines = [_span_label(root)]
-    for index, child in enumerate(root.children):
-        _render_span(child, "", index == len(root.children) - 1, lines)
+    lines: List[str] = []
+    _render_span(context.root, lines)
+    return "\n".join(lines)
+
+
+def render_trace(trace: "Trace") -> str:
+    """One merged trace: a header line, then each root's tree."""
+    flags = "  [degraded]" if trace.degraded else ""
+    lines = [
+        f"trace {trace.trace_id}  "
+        f"({_format_duration(trace.duration)}, {len(trace.spans)} spans)"
+        f"{flags}"
+    ]
+    for root in trace.roots:
+        _render_span(root, lines)
     return "\n".join(lines)
 
 
@@ -92,4 +113,9 @@ def render_report(context: ObsContext) -> str:
     )
 
 
-__all__ = ["render_counter_table", "render_report", "render_span_tree"]
+__all__ = [
+    "render_counter_table",
+    "render_report",
+    "render_span_tree",
+    "render_trace",
+]

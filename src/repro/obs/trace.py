@@ -1,45 +1,42 @@
-"""Cross-process distributed tracing for the serving fleet.
+"""Request traces across the serving fleet's processes.
 
-PR 4's :class:`~repro.obs.context.ObsContext` records span trees inside
-one process; since the fleet split into a front plus N workers, a hedged
-query that degrades to the LRU fallback dies at the HTTP hop with no
-artifact explaining why.  This module is the cross-process half:
+A fleet request is one trace: the front's ``front.request`` span, a
+``front.attempt`` per replica it tried, the worker's
+``worker.request``, and below it ``engine.handle`` with the
+algorithm's ``select``.  This module carries that trace between and
+within processes:
 
 * every front request gets a **seeded-deterministic** ``trace_id``
   (:func:`make_trace_id` — fleet seed + a monotone request counter, no
   wall clock, no unseeded randomness);
 * the trace travels over the ``X-Rapflow-Trace`` header
   (``<trace_id>:<parent_span_id>``, see :func:`format_trace_header`);
-* each process appends completed spans to its own **JSONL segment**
-  file via a :class:`TraceRecorder` (``front.jsonl``,
-  ``worker-w0.jsonl``, ...), tagged with trace id, parent span id,
-  process role, worker id, shard digest, attempt number and hedge flag;
-* :mod:`repro.obs.collect` merges the segments back into one tree per
-  trace and ``rapflow trace <id>`` renders it.
+* :func:`request_span` opens a trace's first span in a process — from
+  the minted id on the front, from the header on a worker — and makes
+  it current in the task; below it the ordinary hooks
+  (:func:`repro.obs.span`, :func:`repro.obs.count`) open child spans
+  and add counters to the current one;
+* each process writes its completed spans to its own **JSONL
+  segment** through a :class:`TraceRecorder` (``front.jsonl``,
+  ``worker-w0.jsonl``, ...), in the event format of
+  :mod:`repro.obs.context`; :mod:`repro.obs.collect` merges the
+  segments back into one tree per trace and ``rapflow trace <id>``
+  renders it.
 
-Propagation *inside* a process rides a :class:`contextvars.ContextVar`
-(:func:`current` / :func:`activate`), so the engine can emit spans
-without threading trace arguments through every call.  Tracing is
-**opt-in** per process (a ``trace_dir``): when no recorder was
-installed the context variable is never set, and every
-hook here degrades to a single ``ContextVar.get`` + ``None`` check —
-``scripts/check_obs_overhead.py`` enforces the <5% disabled-mode
-contract on the serve path.
-
-Timing always goes through the recorder's injectable
-:class:`~repro.obs.clock.Clock` (RAP002: the serve layer never reads
-the wall clock directly).
+Tracing is **opt-in** per process (a ``trace_dir``): without a
+recorder no trace is ever current, and the hooks pay one
+context-variable read.  Span timing always goes through the recorder's
+injectable :class:`~repro.obs.clock.Clock` (RAP002: the serve layer
+never reads the wall clock directly).
 """
 
 from __future__ import annotations
 
-import json
-from contextvars import ContextVar, Token
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Mapping, Optional, Tuple, Union
+from typing import ContextManager, Mapping, Optional, Tuple, Union
 
 from .clock import Clock, SystemClock
+from .context import _NULL_SPAN, _TRACE, Span, SpanWriter, _trace_span
 
 #: Header carrying ``<trace_id>:<parent_span_id>`` over the fleet's
 #: HTTP hops.  Lowercase because the serving layer lowercases incoming
@@ -75,13 +72,15 @@ def parse_trace_header(value: str) -> Optional[Tuple[str, str]]:
 
 
 class TraceRecorder:
-    """Appends completed spans to one per-process JSONL segment.
+    """Writes one process's completed trace spans to a JSONL segment.
 
     One recorder per process role (the fleet front opens
     ``front.jsonl``; each worker opens ``worker-<id>.jsonl``).  Span
     ids are allocated from a local counter prefixed with the origin
     (``front-3``, ``w0-17``), so they are unique fleet-wide without
-    coordination and deterministic given the request order.
+    coordination and deterministic given the request order.  A span's
+    ``t_start`` counts from the recorder's creation (segment-local
+    ordering only — cross-process clocks are never compared).
 
     A failed write degrades the recorder permanently (mirroring the
     latency log's contract: observability must never take down
@@ -101,7 +100,7 @@ class TraceRecorder:
         self.clock = clock if clock is not None else SystemClock()
         self._origin = worker_id if worker_id is not None else role
         self._counter = 0
-        self._handle: Optional[IO[str]] = None
+        self._writer = SpanWriter(self.path)
         self._degraded = False
         self._epoch = self.clock.now()
 
@@ -116,6 +115,10 @@ class TraceRecorder:
         self._counter += 1
         return span_id
 
+    def elapsed(self) -> float:
+        """Seconds since this recorder was created, on its clock."""
+        return self.clock.now() - self._epoch
+
     def span(
         self,
         trace_id: str,
@@ -126,125 +129,69 @@ class TraceRecorder:
         end: float,
         attrs: Optional[Mapping[str, object]] = None,
     ) -> None:
-        """Append one completed span to the segment.
+        """Append one completed span timed by the clock readings given."""
+        self.write(
+            Span(
+                trace_id=trace_id,
+                span_id=span_id,
+                parent_id=parent_id,
+                name=name,
+                role=self.role,
+                worker=self.worker_id,
+                t_start=start - self._epoch,
+                duration=end - start,
+                attrs=dict(attrs or {}),
+            )
+        )
 
-        ``start``/``end`` are clock readings; the event stores
-        ``t_start`` relative to the recorder's creation (segment-local
-        ordering only — cross-process clocks are never compared) and
-        the span ``duration``.
-        """
+    def write(self, span: Span) -> None:
+        """Append a closed span's event (dropped once degraded)."""
         if self._degraded:
             return
-        event = {
-            "event": "span",
-            "trace_id": trace_id,
-            "span_id": span_id,
-            "parent_id": parent_id,
-            "name": name,
-            "role": self.role,
-            "worker": self.worker_id,
-            "t_start": round(start - self._epoch, 6),
-            "duration": round(end - start, 6),
-        }
-        if attrs:
-            event["attrs"] = dict(attrs)
         try:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = self.path.open("a", encoding="utf-8")
-            self._handle.write(json.dumps(event, sort_keys=True) + "\n")
-            self._handle.flush()
+            self._writer.write(span.event())
         except OSError:
             # Same stance as the server's latency log: a full disk must
             # not fail requests.  The flag is reported, not raised.
             self._degraded = True
-            self.close()
+            self._writer.close()
 
     def close(self) -> None:
         """Close the segment file (idempotent)."""
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            try:
-                handle.close()
-            except OSError:
-                pass
+        self._writer.close()
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """The active trace at one point in one process.
-
-    Carries the recorder so nested instrumentation (the engine)
-    reaches the *right* segment even when several workers share a
-    process (the chaos harness runs front + N local workers in one
-    interpreter, each on its own thread and loop).
-    """
-
-    trace_id: str
-    span_id: str
-    recorder: TraceRecorder = field(repr=False)
-
-
-_CURRENT: ContextVar[Optional[TraceContext]] = ContextVar(
-    "rapflow_trace", default=None
-)
-
-
-def current() -> Optional[TraceContext]:
-    """The task's active trace context, or ``None`` when untraced."""
-    return _CURRENT.get()
-
-
-def activate(context: TraceContext) -> "Token[Optional[TraceContext]]":
-    """Make ``context`` current; returns the token for :func:`deactivate`."""
-    return _CURRENT.set(context)
-
-
-def deactivate(token: "Token[Optional[TraceContext]]") -> None:
-    """Restore the trace context that was current before ``token``."""
-    _CURRENT.reset(token)
-
-
-def record(
+def request_span(
+    recorder: Optional[TraceRecorder],
+    parent: Optional[Tuple[str, Optional[str]]],
     name: str,
-    start: float,
-    end: float,
-    attrs: Optional[Mapping[str, object]] = None,
-    parent: Optional[str] = None,
-    context: Optional[TraceContext] = None,
-) -> Optional[str]:
-    """Record one completed span under the active trace.
+) -> "ContextManager[Optional[Span]]":
+    """Open a request's first span in this process and make it current.
 
-    No-op (returns ``None``) when no trace is active — the disabled
-    hot path is one ``ContextVar.get`` plus a ``None`` check.  Returns
-    the allocated span id otherwise.  ``parent`` defaults to the
-    active context's span.
+    ``parent`` is ``(trace_id, parent_span_id)``: a freshly minted id
+    and ``None`` on the front, the parsed ``X-Rapflow-Trace`` header on
+    a worker.  The span is written at exit, exception or not.  With no
+    recorder or no parent this is the hooks' shared no-op (yields
+    ``None``).
     """
-    ctx = context if context is not None else _CURRENT.get()
-    if ctx is None:
-        return None
-    span_id = ctx.recorder.next_span_id()
-    ctx.recorder.span(
-        ctx.trace_id,
-        span_id,
-        parent if parent is not None else ctx.span_id,
-        name,
-        start,
-        end,
-        attrs,
-    )
-    return span_id
+    if recorder is None or parent is None:
+        return _NULL_SPAN
+    trace_id, parent_id = parent
+    return _trace_span(recorder, trace_id, parent_id, name, {})
+
+
+def current() -> Optional[Span]:
+    """The trace span current in this task, or ``None`` when untraced."""
+    trace = _TRACE.get()
+    return None if trace is None else trace[0]
 
 
 __all__ = [
     "TRACE_HEADER",
-    "TraceContext",
     "TraceRecorder",
-    "activate",
     "current",
-    "deactivate",
     "format_trace_header",
     "make_trace_id",
     "parse_trace_header",
-    "record",
+    "request_span",
 ]

@@ -238,7 +238,10 @@ class ScenarioArtifact:
     @classmethod
     def compile(cls, scenario: Scenario) -> "ScenarioArtifact":
         """Compile every serving-time structure for ``scenario`` once."""
-        spec_text = _canonical_text(scenario_to_spec(scenario))
+        return cls._compile(scenario, _canonical_text(scenario_to_spec(scenario)))
+
+    @classmethod
+    def _compile(cls, scenario: Scenario, spec_text: str) -> "ScenarioArtifact":
         with obs.span("serve.artifact.compile"):
             stats = warm_kernel(scenario)
         obs.count("serve.artifact.compiles")
@@ -497,7 +500,8 @@ class ArtifactStore:
 
     def get_or_compile(self, scenario: Scenario) -> ScenarioArtifact:
         """The artifact for ``scenario`` — memory, then disk, then compile."""
-        digest = scenario_digest(scenario)
+        spec_text = _canonical_text(scenario_to_spec(scenario))
+        digest = _text_digest(spec_text)
         cached = self._loaded.get(digest)
         if cached is not None:
             obs.count("serve.artifact.memory_hits")
@@ -508,7 +512,7 @@ class ArtifactStore:
             artifact = ScenarioArtifact.load(self._root, digest)
             obs.count("serve.artifact.disk_hits")
         else:
-            artifact = ScenarioArtifact.compile(scenario)
+            artifact = ScenarioArtifact._compile(scenario, spec_text)
             if self._root is not None:
                 artifact.save(self._root)
         self._loaded[digest] = artifact

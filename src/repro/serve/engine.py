@@ -34,7 +34,6 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..obs import trace as obs_trace
 from ..algorithms import algorithm_by_name, registered_algorithms
 from ..core.kernel import ArrayEvaluator, _check_sites, evaluate_placement_many
 from ..core.scenario import Scenario
@@ -161,34 +160,24 @@ class QueryEngine:
     def handle(self, request: Dict[str, object]) -> Dict[str, object]:
         """Answer one request dict (the JSON body of ``POST /query``).
 
-        When a distributed trace is active (the serving layer set the
-        context in :mod:`repro.obs.trace`), the call is timed on the
-        trace recorder's injected clock and lands as an
-        ``engine.handle`` span under the worker's request span; the
-        untraced path pays a single context-variable check.
+        The call is an ``engine.handle`` span (:func:`repro.obs.span`):
+        under a request trace it lands below the worker's request span,
+        with the kernel counters of the work and the algorithm's
+        ``select`` span below it; untraced and unprofiled it costs the
+        hooks' no-op.
         """
-        ctx = obs_trace.current()
-        if ctx is None:
-            return self._handle(request)
-        clock = ctx.recorder.clock
-        t_start = clock.now()
-        status = "ok"
-        try:
-            response = self._handle(request)
-        except ReproError as error:
-            status = type(error).__name__
-            raise
-        finally:
-            obs_trace.record(
-                "engine.handle",
-                t_start,
-                clock.now(),
-                {"kind": str(request.get("kind")), "status": status}
-                if isinstance(request, dict)
-                else {"status": status},
-                context=ctx,
-            )
-        return response
+        with obs.span("engine.handle") as span:
+            if span is None:
+                return self._handle(request)
+            if isinstance(request, dict):
+                span.attrs["kind"] = str(request.get("kind"))
+            try:
+                response = self._handle(request)
+            except ReproError as error:
+                span.attrs["status"] = type(error).__name__
+                raise
+            span.attrs["status"] = "ok"
+            return response
 
     def _handle(self, request: Dict[str, object]) -> Dict[str, object]:
         if not isinstance(request, dict):

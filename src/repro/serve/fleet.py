@@ -1057,38 +1057,29 @@ class PlacementFleet:
             return 404, {"error": f"unknown path {path!r}"}
         if method != "POST":
             return 405, {"error": "query is POST-only"}
-        t_start = self._clock.now()
-        if self._tracer is None:
-            status, payload = await self._dispatch_query(headers, body)
-            duration = self._clock.now() - t_start
-        else:
-            # Root span: a seeded-deterministic trace id (fleet seed +
-            # request counter), activated on the context variable so
-            # every forward attempt below parents to it.
-            trace_id = obs_trace.make_trace_id(
-                self._config.seed, self._trace_index
+        # Root span: a seeded-deterministic trace id (fleet seed +
+        # request counter), current in this task, so every forward
+        # attempt below parents to it.
+        trace = None
+        if self._tracer is not None:
+            trace = (
+                obs_trace.make_trace_id(self._config.seed, self._trace_index),
+                None,
             )
             self._trace_index += 1
-            span_id = self._tracer.next_span_id()
-            token = obs_trace.activate(
-                obs_trace.TraceContext(trace_id, span_id, self._tracer)
-            )
-            try:
-                status, payload = await self._dispatch_query(headers, body)
-            finally:
-                obs_trace.deactivate(token)
-            t_end = self._clock.now()
-            duration = t_end - t_start
-            attrs: Dict[str, object] = {"status": status}
-            if payload.get("degraded"):
-                attrs["degraded"] = True
-            self._tracer.span(
-                trace_id, span_id, None, "front.request", t_start, t_end,
-                attrs,
-            )
-            # Clients (and the chaos harness) can map every reply to
-            # its merged trace tree.
-            payload["trace_id"] = trace_id
+        t_start = self._clock.now()
+        with obs_trace.request_span(
+            self._tracer, trace, "front.request"
+        ) as span:
+            status, payload = await self._dispatch_query(headers, body)
+            if span is not None:
+                span.attrs["status"] = status
+                if payload.get("degraded"):
+                    span.attrs["degraded"] = True
+                # Clients (and the chaos harness) can map every reply to
+                # its merged trace tree.
+                payload["trace_id"] = span.trace_id
+        duration = self._clock.now() - t_start
         self._metrics.observe(duration)
         # Availability counts servable outcomes: shedding (429) is
         # policy, not failure — only 5xx burns the error budget.
@@ -1250,59 +1241,52 @@ class PlacementFleet:
         # Per-attempt span: the worker parents its own span to this
         # one via the propagated header, so a retried request shows
         # one front.attempt per replica it touched (failed, hedged,
-        # and cancelled attempts included).  The bracket opens before
+        # and cancelled attempts included).  The span opens before
         # address resolution: a killed in-process worker fails right
         # there, and that attempt must still leave its hop in the tree.
-        ctx = obs_trace.current()
-        span_id: Optional[str] = None
-        # Filled by the exchange with how the hop travelled: over a
-        # ``new`` or ``reused`` connection, and ``resent`` when a reused
-        # one had gone stale.
-        hop: Optional[Dict[str, object]] = None
-        if ctx is not None:
-            span_id = ctx.recorder.next_span_id()
-            headers[obs_trace.TRACE_HEADER] = obs_trace.format_trace_header(
-                ctx.trace_id, span_id
-            )
-            hop = {}
-        slot.inflight += 1
-        t_start = self._clock.now()
-        outcome: object = "error"
-        try:
-            status, payload = await asyncio.wait_for(
-                self._exchange(slot, "POST", "/query", body, headers, hop),
-                budget,
-            )
-            outcome = status
-        except asyncio.CancelledError:
-            outcome = "cancelled"  # hedge loser — the race was won elsewhere
-            raise
-        except asyncio.TimeoutError:
-            outcome = "timeout"
-            raise
-        except (OSError, ServeWorkerError) as error:
-            outcome = type(error).__name__
-            raise
-        finally:
-            slot.inflight -= 1
-            if ctx is not None:
-                ctx.recorder.span(
-                    ctx.trace_id,
-                    span_id,
-                    ctx.span_id,
-                    "front.attempt",
-                    t_start,
-                    self._clock.now(),
-                    {
-                        "worker": slot.worker_id,
-                        "shard": slot.digest[:12],
-                        "attempt": attempt,
-                        "hedge": hedged,
-                        "status": outcome,
-                        "budget": round(budget, 6),
-                        **(hop or {}),
-                    },
+        with obs.span("front.attempt") as span:
+            # Filled by the exchange with how the hop travelled: over a
+            # ``new`` or ``reused`` connection, and ``resent`` when a
+            # reused one had gone stale.
+            hop: Optional[Dict[str, object]] = None
+            trace = obs_trace.current()
+            if trace is not None:
+                headers[obs_trace.TRACE_HEADER] = (
+                    obs_trace.format_trace_header(
+                        trace.trace_id, trace.span_id
+                    )
                 )
+                hop = {}
+            slot.inflight += 1
+            t_start = self._clock.now()
+            outcome: object = "error"
+            try:
+                status, payload = await asyncio.wait_for(
+                    self._exchange(slot, "POST", "/query", body, headers, hop),
+                    budget,
+                )
+                outcome = status
+            except asyncio.CancelledError:
+                outcome = "cancelled"  # hedge loser — the race was won elsewhere
+                raise
+            except asyncio.TimeoutError:
+                outcome = "timeout"
+                raise
+            except (OSError, ServeWorkerError) as error:
+                outcome = type(error).__name__
+                raise
+            finally:
+                slot.inflight -= 1
+                if span is not None:
+                    span.attrs.update(
+                        worker=slot.worker_id,
+                        shard=slot.digest[:12],
+                        attempt=attempt,
+                        hedge=hedged,
+                        status=outcome,
+                        budget=round(budget, 6),
+                        **(hop or {}),
+                    )
         slot.latencies.append(self._clock.now() - t_start)
         return status, payload
 
@@ -1395,14 +1379,11 @@ class PlacementFleet:
         self, kind: str, outcome: str, degraded: bool
     ) -> None:
         """Record the fallback hop so a degraded trace tree shows *why*."""
-        ctx = obs_trace.current()
-        if ctx is None:
-            return
-        now = self._clock.now()
         attrs: Dict[str, object] = {"kind": kind or "unknown", "outcome": outcome}
         if degraded:
             attrs["degraded"] = True
-        obs_trace.record("front.degrade", now, now, attrs, context=ctx)
+        with obs.span("front.degrade", **attrs):
+            pass
 
     # -- health ---------------------------------------------------------
     def healthz(self) -> Dict[str, object]:

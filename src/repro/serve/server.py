@@ -21,10 +21,11 @@ Endpoints:
 
 Distributed tracing is **opt-in** via ``trace_dir``: a front that sends
 ``X-Rapflow-Trace: <trace_id>:<parent_span_id>`` gets a
-``worker.request`` span appended to this process's JSONL segment, and
-the engine emits its child span through the context variable in
-:mod:`repro.obs.trace`.  Without a ``trace_dir`` the header is never
-even parsed.
+``worker.request`` span appended to this process's JSONL segment
+(:func:`repro.obs.trace.request_span`); below it the engine's
+``engine.handle`` span and the algorithm's ``select`` come from the
+ordinary :mod:`repro.obs` hooks, with their kernel counters.  Without
+a ``trace_dir`` the header is never even parsed.
 
 Operational behavior:
 
@@ -45,8 +46,8 @@ Operational behavior:
   the engine can fail (HTTP 500) or stall admitted requests.
 
 Per-request timing uses the injected :class:`~repro.obs.Clock` and lands
-as retroactive obs spans (:func:`repro.obs.record_span` — concurrent
-requests cannot nest) and optional JSONL latency records.
+in the ``/metrics`` histogram, the ``serve.http.<status>`` counter and
+optional JSONL latency records.
 """
 
 from __future__ import annotations
@@ -540,45 +541,23 @@ class PlacementServer:
     ) -> Tuple[int, Dict[str, object]]:
         # Parse the trace header only when this worker records traces —
         # the disabled hot path adds a single attribute check.
-        parsed_trace = None
+        trace = None
         if self._tracer is not None:
             raw_trace = headers.get(obs_trace.TRACE_HEADER)
             if raw_trace is not None:
-                parsed_trace = obs_trace.parse_trace_header(raw_trace)
+                trace = obs_trace.parse_trace_header(raw_trace)
         t_start = self._clock.now()
-        if parsed_trace is None:
+        with obs_trace.request_span(
+            self._tracer, trace, "worker.request"
+        ) as span:
             status, payload = await self._route(method, path, headers, body)
-            t_end = self._clock.now()
-        else:
-            trace_id, parent_id = parsed_trace
-            span_id = self._tracer.next_span_id()
-            token = obs_trace.activate(
-                obs_trace.TraceContext(trace_id, span_id, self._tracer)
-            )
-            try:
-                status, payload = await self._route(
-                    method, path, headers, body
+            if span is not None:
+                span.attrs.update(
+                    path=path,
+                    status=status,
+                    digest=self._engine.artifact.digest[:12],
                 )
-            finally:
-                obs_trace.deactivate(token)
-            t_end = self._clock.now()
-            self._tracer.span(
-                trace_id,
-                span_id,
-                parent_id,
-                "worker.request",
-                t_start,
-                t_end,
-                {
-                    "path": path,
-                    "status": status,
-                    "digest": self._engine.artifact.digest[:12],
-                },
-            )
-        duration = t_end - t_start
-        obs.record_span(
-            "serve.request", duration, path=path, status=status
-        )
+        duration = self._clock.now() - t_start
         obs.count(f"serve.http.{status}")
         if path == "/query":
             self._metrics.observe(duration)

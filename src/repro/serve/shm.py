@@ -30,10 +30,11 @@ is refused rather than read.
 
 Lifecycle invariants (tested in ``tests/serve/test_shm.py``):
 
-* attaching processes **never** own the segment: the pool unregisters
-  the mapping from ``multiprocessing.resource_tracker`` right after
-  attach, so a worker exit (clean or ``SIGKILL``) neither unlinks the
-  segment under its siblings nor emits leaked-resource warnings;
+* attaching processes **never** own the segment: the pool maps it
+  without registering it with ``multiprocessing.resource_tracker``, so
+  a worker starts no tracker process, and its exit (clean or
+  ``SIGKILL``) neither unlinks the segment under its siblings nor
+  emits leaked-resource warnings;
 * the publishing process keeps its registration, so even if the owner
   crashes without ``unlink_all`` its resource tracker reclaims the
   segments — ``sweep`` then retires the stale manifests.
@@ -41,7 +42,9 @@ Lifecycle invariants (tested in ``tests/serve/test_shm.py``):
 
 from __future__ import annotations
 
+import _posixshmem
 import json
+import mmap
 import os
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -92,37 +95,45 @@ def segment_exists(name: str) -> bool:
     """Probe whether a named segment currently exists on this host.
 
     Uses the ``/dev/shm`` filesystem view where available (Linux), and
-    falls back to an attach-and-close probe elsewhere.  The probe never
-    takes ownership: a fallback attach is unregistered from the
-    resource tracker before closing.
+    falls back to an attach-and-close probe elsewhere; the probe maps
+    the segment without taking ownership (:class:`_Mapping`).
     """
     dev_shm = Path("/dev/shm")
     if dev_shm.is_dir():
         return (dev_shm / name).exists()
     try:
-        segment = shared_memory.SharedMemory(name=name)
+        _Mapping(name).close()
     except FileNotFoundError:
         return False
-    _disown_segment(segment)
-    segment.close()
     return True
 
 
-def _disown_segment(segment: shared_memory.SharedMemory) -> None:
-    """Drop a segment from this process's resource tracker.
+class _Mapping:
+    """An existing segment, mapped without registering it anywhere.
 
-    ``SharedMemory.__init__`` registers every mapping — owner or not —
-    with ``multiprocessing.resource_tracker`` (until 3.13's ``track``
-    flag).  An attaching process must not own the lifecycle: without
-    this, the *first* attacher to exit would unlink the segment under
-    everyone else and log a leaked-resource warning.
+    Before 3.13's ``track`` flag, ``SharedMemory(name=...)`` registers
+    every mapping with ``multiprocessing.resource_tracker``, which
+    starts a tracker process in the attaching process; and were the
+    registration kept, the *first* attacher to exit would unlink the
+    segment under everyone else.  Attachers do not own segments, so
+    they open them here instead, with ``SharedMemory``'s buffer
+    semantics: ``buf`` is a writable view over a shared mapping, and
+    :meth:`close` raises :class:`BufferError` while views remain.
     """
-    try:
-        resource_tracker.unregister(
-            getattr(segment, "_name", segment.name), "shared_memory"
-        )
-    except (KeyError, ValueError):  # pragma: no cover - tracker variance
-        pass
+
+    def __init__(self, name: str) -> None:
+        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+        try:
+            self.size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, self.size)
+        finally:
+            os.close(fd)  # the mapping holds its own descriptor
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        """Unmap; raises :class:`BufferError` while views remain."""
+        self.buf.release()
+        self._mmap.close()
 
 
 def memory_probe() -> Dict[str, object]:
@@ -300,13 +311,9 @@ class ShmAttachment:
     mappings).
     """
 
-    def __init__(
-        self,
-        manifest: ShmManifest,
-        segment: shared_memory.SharedMemory,
-    ) -> None:
+    def __init__(self, manifest: ShmManifest, segment: "_Mapping") -> None:
         self.manifest = manifest
-        self._segment: Optional[shared_memory.SharedMemory] = segment
+        self._segment: Optional[_Mapping] = segment
         arrays: Dict[str, "np.ndarray"] = {}
         for column in manifest.columns:
             view: "np.ndarray" = np.ndarray(
@@ -557,8 +564,7 @@ class ShmArtifactPool:
                 obs.count("serve.shm.close_deferred")
             try:
                 # ``SharedMemory.unlink`` unregisters unconditionally;
-                # make sure a registration exists (an earlier disowned
-                # attach may have removed it — registrations are
+                # make sure a registration exists (registrations are
                 # deduped by name) so the tracker's books stay clean.
                 resource_tracker.register(
                     getattr(segment, "_name", segment.name), "shared_memory"
@@ -620,7 +626,7 @@ class ShmArtifactPool:
             return attachment
         manifest = self.manifest(digest)
         try:
-            segment = shared_memory.SharedMemory(name=manifest.segment)
+            segment = _Mapping(manifest.segment)
         except FileNotFoundError:
             raise ServeArtifactError(
                 f"shm segment {manifest.segment} for {digest[:12]} is gone "
@@ -630,11 +636,6 @@ class ShmArtifactPool:
             raise ServeArtifactError(
                 f"cannot attach shm segment {manifest.segment}: {error}"
             ) from error
-        if digest not in self._owned:
-            # The tracker dedups registrations by name, so disowning an
-            # attach in the owner process would also drop the owner's
-            # crash-cleanup registration.
-            _disown_segment(segment)
         if segment.size < manifest.nbytes:
             segment.close()
             raise ServeArtifactError(

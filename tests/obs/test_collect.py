@@ -116,6 +116,24 @@ class TestLoadSegments:
         ])
         assert len(load_segments(tmp_path)) == 1
 
+    def test_an_event_whose_time_is_not_a_number_is_skipped(self, tmp_path):
+        trace = "33" * 8
+        bad_start = _span(trace, "front-2", "front-0", "front.attempt",
+                          t_start="oops")
+        bad_duration = _span(trace, "front-3", "front-0", "front.attempt",
+                             duration=None)
+        _write_segment(tmp_path / "front.jsonl", [
+            _span(trace, "front-0", None, "front.request", duration=0.2),
+            bad_start,
+            _span(trace, "front-1", "front-0", "front.attempt",
+                  t_start=0.01),
+            bad_duration,
+        ])
+        built = load_traces(tmp_path)[trace]
+        assert sorted(built.spans) == ["front-0", "front-1"]
+        (root,) = built.roots
+        assert [child.span_id for child in root.children] == ["front-1"]
+
     def test_missing_directory_is_an_obs_error(self, tmp_path):
         with pytest.raises(ObsError):
             load_segments(tmp_path / "never-created")

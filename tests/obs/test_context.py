@@ -117,7 +117,7 @@ class TestCounters:
         assert ctx.counters == {"hits": 3}
         assert inner.counters == {"hits": 2}
         # At exit the root's counters become the global totals (that is
-        # what the root span_end event carries).
+        # what the root span's event carries).
         assert ctx.root.counters == {"hits": 3}
 
     def test_count_many(self):
@@ -204,51 +204,3 @@ class TestJsonlSinkErrors:
             ctx.__enter__()
         assert obs.active() is None
 
-
-class TestRecordSpan:
-    def test_retroactive_span_is_backdated_and_parented(self):
-        with ObsContext(clock=TickClock(start=0.0, step=1.0)) as ctx:
-            with ctx.span("request") as parent:
-                recorded = ctx.record_span("stage", 0.25, status=200)
-        assert recorded.parent_id == parent.span_id
-        assert parent.children == [recorded]
-        assert recorded.duration == 0.25
-        assert recorded.t_end - recorded.t_start == 0.25
-        assert recorded.attrs == {"status": 200}
-
-    def test_interleaved_recordings_do_not_nest(self):
-        # The motivating case: two concurrent request timings recorded
-        # out of order land as siblings, which ctx.span could not do.
-        with ObsContext(clock=TickClock()) as ctx:
-            first = ctx.record_span("req-a", 0.5)
-            second = ctx.record_span("req-b", 0.1)
-        assert ctx.root.children == [first, second]
-        assert first.parent_id == second.parent_id == ctx.root.span_id
-
-    def test_negative_duration_is_rejected(self):
-        with ObsContext() as ctx:
-            with pytest.raises(ObsError):
-                ctx.record_span("bad", -0.1)
-
-    def test_module_hook_routes_or_noops(self):
-        assert obs.record_span("ignored", 1.0) is None
-        with ObsContext() as ctx:
-            span = obs.record_span("routed", 0.125, path="/query")
-            assert span is not None
-        assert ctx.root.children[-1].name == "routed"
-
-    def test_events_are_emitted_in_order(self, tmp_path):
-        import json
-
-        sink = tmp_path / "events.jsonl"
-        with ObsContext(clock=TickClock(), jsonl_path=sink) as ctx:
-            ctx.record_span("stage", 0.5)
-        kinds = [
-            (json.loads(line)["event"], json.loads(line).get("name"))
-            for line in sink.read_text().splitlines()
-        ]
-        assert ("span_start", "stage") in kinds
-        assert ("span_end", "stage") in kinds
-        assert kinds.index(("span_start", "stage")) < kinds.index(
-            ("span_end", "stage")
-        )

@@ -1,4 +1,4 @@
-"""The distributed-trace primitives: ids, headers, recorder, context.
+"""The distributed-trace primitives: ids, headers, recorder, request spans.
 
 Everything here is deterministic — trace ids derive from (seed, index),
 span ids from a per-recorder counter, and timing runs on a
@@ -9,17 +9,18 @@ import json
 
 import pytest
 
-from repro.errors import ObsError
+from repro import obs
 from repro.obs import (
     TRACE_HEADER,
+    ObsContext,
     TickClock,
-    TraceContext,
     TraceRecorder,
     format_trace_header,
     make_trace_id,
     parse_trace_header,
 )
 from repro.obs import trace as obs_trace
+from repro.obs.trace import request_span
 
 
 class TestTraceIds:
@@ -108,45 +109,102 @@ class TestTraceRecorder:
         recorder.close()
 
 
+def read_events(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 class TestTraceContext:
-    def test_record_is_a_noop_without_an_active_context(self):
+    def test_record_is_a_noop_without_an_active_context(self, tmp_path):
+        # No current trace: the trace entry point and the hooks are the
+        # shared no-op, and nothing reaches a segment.
+        recorder = TraceRecorder(tmp_path / "seg.jsonl", role="front")
         assert obs_trace.current() is None
-        assert obs_trace.record("anything", 0.0, 1.0) is None
+        with request_span(None, ("c" * 16, None), "front.request") as span:
+            assert span is None
+            assert obs_trace.current() is None
+        with request_span(recorder, None, "worker.request") as span:
+            assert span is None
+        with obs.span("engine.handle") as span:
+            assert span is None
+        recorder.close()
+        assert not (tmp_path / "seg.jsonl").exists()
 
     def test_record_writes_through_the_active_context(self, tmp_path):
-        recorder = TraceRecorder(tmp_path / "seg.jsonl", role="front")
-        ctx = TraceContext("c" * 16, "front-0", recorder)
-        token = obs_trace.activate(ctx)
-        try:
-            span_id = obs_trace.record(
-                "front.request", 1.0, 2.0, attrs={"status": 200}
-            )
-        finally:
-            obs_trace.deactivate(token)
-        recorder.close()
-        assert span_id is not None
-        event = json.loads(
-            (tmp_path / "seg.jsonl").read_text().splitlines()[0]
+        # A span opened under the current trace goes to that trace's
+        # recorder, parented to the current span; the request span is
+        # current for its body and written when it closes.
+        clock = TickClock(step=0.25)
+        recorder = TraceRecorder(
+            tmp_path / "seg.jsonl", role="front", clock=clock
         )
-        assert event["trace_id"] == "c" * 16
-        # Default parent is the context's own span.
-        assert event["parent_id"] == "front-0"
+        with request_span(recorder, ("c" * 16, None), "front.request") as root:
+            assert obs_trace.current() is root
+            with obs.span("front.attempt", attempt=0) as child:
+                assert obs_trace.current() is child
+                assert child.parent_id == root.span_id
+            # The child is written as it closes; the root is not yet.
+            assert len(read_events(tmp_path / "seg.jsonl")) == 1
+            root.attrs["status"] = 200
+        recorder.close()
         assert obs_trace.current() is None
+        child_event, root_event = read_events(tmp_path / "seg.jsonl")
+        assert root_event["trace_id"] == child_event["trace_id"] == "c" * 16
+        assert root_event["parent_id"] is None
+        assert root_event["span_id"] == "front-0"
+        assert root_event["attrs"] == {"status": 200}
+        assert child_event["parent_id"] == "front-0"
+        assert child_event["attrs"] == {"attempt": 0}
+        assert child_event["duration"] == pytest.approx(0.25)
+        assert root_event["duration"] == pytest.approx(0.75)
 
     def test_explicit_parent_overrides_the_context_span(self, tmp_path):
+        # A worker's request span parents to the span named in the
+        # header, not to whatever trace is current in the task.
         recorder = TraceRecorder(tmp_path / "seg.jsonl", role="worker",
                                  worker_id="w1")
-        ctx = TraceContext("d" * 16, "front-9", recorder)
-        token = obs_trace.activate(ctx)
-        try:
-            obs_trace.record("worker.request", 0.0, 0.1, parent="front-2")
-        finally:
-            obs_trace.deactivate(token)
+        parent = parse_trace_header(format_trace_header("d" * 16, "front-2"))
+        with request_span(recorder, ("d" * 16, "front-9"), "outer"):
+            with request_span(recorder, parent, "worker.request"):
+                pass
         recorder.close()
-        event = json.loads(
-            (tmp_path / "seg.jsonl").read_text().splitlines()[0]
-        )
+        event, _ = read_events(tmp_path / "seg.jsonl")
+        assert event["name"] == "worker.request"
         assert event["parent_id"] == "front-2"
+        assert event["span_id"] == "w1-1"
+        assert (event["role"], event["worker"]) == ("worker", "w1")
+
+    def test_a_span_left_by_an_error_is_still_written(self, tmp_path):
+        recorder = TraceRecorder(tmp_path / "seg.jsonl", role="front")
+        with pytest.raises(ValueError):
+            with request_span(recorder, ("e" * 16, None), "front.request"):
+                raise ValueError("boom")
+        recorder.close()
+        assert obs_trace.current() is None
+        assert [e["name"] for e in read_events(tmp_path / "seg.jsonl")] == [
+            "front.request"
+        ]
+
+    def test_counters_land_on_the_current_trace_span(self, tmp_path):
+        recorder = TraceRecorder(tmp_path / "seg.jsonl", role="worker",
+                                 worker_id="w0")
+        with ObsContext() as ctx:
+            with request_span(recorder, ("f" * 16, "front-0"), "worker.request"):
+                obs.count("serve.http.200")
+                with obs.span("engine.handle"):
+                    obs.count_many({"gain.evaluations": 7, "celf.heap_pops": 2})
+                    obs.count("gain.evaluations", 3)
+        recorder.close()
+        handle, request = read_events(tmp_path / "seg.jsonl")
+        assert handle["counters"] == {
+            "gain.evaluations": 10, "celf.heap_pops": 2,
+        }
+        assert request["counters"] == {"serve.http.200": 1}
+        # The run context still counts everything, but the trace took
+        # the span: the run tree stays as it was.
+        assert ctx.counters == {
+            "serve.http.200": 1, "gain.evaluations": 10, "celf.heap_pops": 2,
+        }
+        assert ctx.root.children == []
 
     def test_context_is_task_local_not_global(self, tmp_path):
         import asyncio
@@ -154,14 +212,10 @@ class TestTraceContext:
         recorder = TraceRecorder(tmp_path / "seg.jsonl", role="front")
 
         async def scenario():
-            ctx = TraceContext("e" * 16, "front-0", recorder)
-            token = obs_trace.activate(ctx)
-            try:
-                # Tasks created under an active context inherit it ...
+            with request_span(recorder, ("e" * 16, None), "front.request"):
+                # Tasks created under a current trace inherit it ...
                 inherited = await asyncio.create_task(_current_id())
-            finally:
-                obs_trace.deactivate(token)
-            # ... and deactivation restores the outer state.
+            # ... and closing the span restores the outer state.
             cleared = await asyncio.create_task(_current_id())
             return inherited, cleared
 

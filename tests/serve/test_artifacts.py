@@ -185,6 +185,23 @@ class TestArtifactStore:
             loaded.scenario, [["V3", "V5"]]
         ) == [21.0]
 
+    def test_a_miss_encodes_the_spec_once(self, monkeypatch):
+        from repro.serve import artifacts
+
+        encodings = []
+        to_spec = artifacts.scenario_to_spec
+
+        def counting(scenario):
+            encodings.append(scenario)
+            return to_spec(scenario)
+
+        monkeypatch.setattr(artifacts, "scenario_to_spec", counting)
+        artifact = ArtifactStore().get_or_compile(fresh_scenario())
+        assert len(encodings) == 1
+        compiled = ScenarioArtifact.compile(fresh_scenario())
+        assert artifact.digest == compiled.digest
+        assert artifact.spec_text == compiled.spec_text
+
     def test_memory_only_store_cannot_load_unknown_digest(self):
         with pytest.raises(ServeArtifactError, match="no disk cache"):
             ArtifactStore().load("0" * 64)

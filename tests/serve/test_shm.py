@@ -8,8 +8,8 @@ attacher, crashed owner — must leave ``/dev/shm`` empty once the owner
 not the pool's bookkeeping.  Subprocess cases additionally assert the
 child's stderr carries no ``resource_tracker`` warnings — the tracker
 complaining about leaked shared memory at interpreter exit is exactly
-the bug class the disown/re-register dance in ``shm.py`` exists to
-prevent.
+the bug class ``shm.py``'s unregistered attach exists to prevent — and
+that an attaching child starts no tracker process at all.
 
 Bit-identity runs on the Fig. 4 worked example, so the expected totals
 stay hand-checkable ({V3, V5} attracts 21.0 under the threshold
@@ -228,6 +228,29 @@ pool.unlink_all()
         assert "resource_tracker" not in process.stderr, process.stderr
         assert not segment_exists(segment_name_for(artifact.digest))
         assert ShmArtifactPool(tmp_path / "shm").digests() == []
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/task").is_dir(), reason="needs Linux /proc"
+    )
+    def test_an_attacher_starts_no_resource_tracker(self, artifact, pool):
+        # A worker attaches and serves; it owns nothing, so nothing may
+        # start a multiprocessing.resource_tracker process under it.
+        pool.publish(artifact)
+        process = run_child(
+            """
+import os
+attached = ScenarioArtifact.attach(pool, artifact.digest)
+assert attached.shm is not None
+children = []
+for task in os.listdir("/proc/self/task"):
+    with open(f"/proc/self/task/{task}/children") as handle:
+        children.extend(handle.read().split())
+print("children", len(children))
+""",
+            str(pool.root),
+        )
+        assert process.stdout.split() == ["children", "0"], process.stdout
+        assert "resource_tracker" not in process.stderr, process.stderr
 
     def test_killed_attacher_leaves_owner_segment_intact(
         self, artifact, pool, tmp_path

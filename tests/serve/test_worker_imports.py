@@ -28,8 +28,9 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: the reference evaluator (a test oracle, once ``core.evaluation``),
 #: the figure harness and the other offline packages, the trace
 #: generators and the ingest pipeline, the fleet front and its test
-#: harnesses, the client, the linter, and the stdlib modules that only
-#: ``--version`` and an HTTP client load.
+#: harnesses, the client, the linter, the span loader and renderer
+#: (only ``rapflow trace``, ``traces`` and ``profile`` need them), and
+#: the stdlib modules that only ``--version`` and an HTTP client load.
 NOT_IN_A_WORKER = (
     "repro.core.evaluation",
     "repro.core.reference",
@@ -50,6 +51,8 @@ NOT_IN_A_WORKER = (
     "repro.serve.testing",
     "repro.serve.client",
     "repro.devtools.lint",
+    "repro.obs.collect",
+    "repro.obs.report",
     "importlib.metadata",
     "http.client",
 )

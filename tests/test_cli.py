@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -353,6 +358,20 @@ class TestIngestCommand:
         # Satellite: the failing file is named in the error.
         assert str(dirty_trace_csv) in err
 
+    def test_strict_refusal_is_the_process_exit_code(self, dirty_trace_csv):
+        # Scripts see the exit status of `python -m repro`, not main()'s
+        # return value: strict ingest of a corrupted trace must exit 3.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "ingest",
+             "--csv", str(dirty_trace_csv), "--city", "dublin",
+             "--scale", "small", "--mode", "strict"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_TRACE == 3, done.stderr
+        assert str(dirty_trace_csv) in done.stderr
+
     def test_dirty_lenient_degrades_and_reports(self, dirty_trace_csv, capsys):
         code = main(
             ["ingest", "--csv", str(dirty_trace_csv), "--city", "dublin",
@@ -475,8 +494,10 @@ class TestProfileCommand:
             json.loads(line)
             for line in events_path.read_text().splitlines()
         ]
-        assert events[0]["event"] == "span_start"
-        assert events[0]["name"] == "rapflow place"
+        assert {event["event"] for event in events} == {"span"}
+        # Spans are written as they close: the root comes last.
+        assert events[-1]["name"] == "rapflow place"
+        assert events[-1]["parent_id"] is None
         assert any(event["name"] == "select" for event in events)
 
     def test_obs_jsonl_without_profile(self, tmp_path, capsys):
@@ -493,7 +514,35 @@ class TestProfileCommand:
         assert events_path.is_file()
         for line in events_path.read_text().splitlines():
             event = json.loads(line)
-            assert "span_id" in event and "t_rel" in event
+            assert "span_id" in event and "t_start" in event
+            assert "duration" in event
+
+    def test_profile_file_renders_in_traces(self, tmp_path, capsys):
+        # The --obs-jsonl file is a trace segment: `traces` prints the
+        # same spans, attrs, nesting and counters as the profile's tree.
+        def without_durations(lines):
+            return [re.sub(r"  \([^()]*\)$", "", line) for line in lines]
+
+        code = main(
+            [
+                "profile", "place", "--city", "dublin", "--scale", "small",
+                "--algorithm", "lazy-greedy", "--k", "5",
+                "--obs-jsonl", str(tmp_path / "run.jsonl"),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        tree = out.split("span tree\n---------\n", 1)[1].split("\n\n", 1)[0]
+        assert main(["traces", "--trace-dir", str(tmp_path)]) == 0
+        header, *rendered = capsys.readouterr().out.splitlines()
+        assert header.startswith("trace ")
+        assert without_durations(rendered) == without_durations(
+            tree.splitlines()
+        )
+        assert any("select [algorithm=lazy-greedy k=5]" in line
+                   for line in rendered)
+        assert any(line.strip().startswith("gain.evaluations = ")
+                   for line in rendered)
 
     def test_profile_leaves_no_active_context(self):
         from repro import obs
