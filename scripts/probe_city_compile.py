@@ -15,17 +15,20 @@ set-up stages in order, in this one process: generate the network and
 the routes, warm up the detour calculator, build the coverage index,
 compile the artifact, place ``PLACE_K`` sites with the served
 algorithm, save, load the modules the front serves with, then publish
-to shared memory, attach and detach.  It saves and publishes into a
-temporary directory and pool that it removes.  At ``SIDE`` 28 the last
-high-water mark comes within about 1 MB of the benchmark's
+to shared memory, attach and detach.  A last stage, which the front
+does not run, restores the saved directory from disk (``load``), as a
+server restarted over its cache does.  It saves and publishes into a
+temporary directory and pool that it removes.  At ``SIDE`` 28
+``attach_peak_mb`` comes within about 1 MB of the benchmark's
 ``peak_rss_mb``.
 
 It prints one JSON row: the instance's size (nodes, routes, distinct
-destinations, coverage incidences), the placement's attracted value,
-and for each stage its seconds (``<stage>_s``), the resident memory
-after it (``<stage>_rss_mb``) and the process's high-water mark after
-it (``<stage>_peak_mb``), in MB.  Memory is read from this process
-only, so run one size per process.
+destinations, coverage incidences, the bytes of the artifact's
+canonical spec text), the placement's attracted value, and for each
+stage its seconds (``<stage>_s``), the resident memory after it
+(``<stage>_rss_mb``) and the process's high-water mark after it
+(``<stage>_peak_mb``), in MB.  Memory is read from this process only,
+so run one size per process.
 """
 
 from __future__ import annotations
@@ -120,7 +123,8 @@ def probe(side: int) -> Dict[str, object]:
         ),
     )
     with tempfile.TemporaryDirectory(prefix="probe-city-") as scratch:
-        stage("save", lambda: artifact.save(Path(scratch) / "artifacts"))
+        saved = Path(scratch) / "artifacts"
+        stage("save", lambda: artifact.save(saved))
         # The front loads its serving modules after it saves and before
         # it publishes, so publish and attach start from its footprint.
         stage("imports", lambda: [*map(importlib.import_module, SERVING_MODULES)])
@@ -136,11 +140,13 @@ def probe(side: int) -> Dict[str, object]:
         finally:
             pool.detach_all()
             pool.unlink_all()
+        stage("load", lambda: ScenarioArtifact.load(saved, artifact.digest))
     row.update(
         nodes=network.node_count,
         routes=len(flows),
         destinations=len({flow.destination for flow in flows}),
         incidences=coverage.incidence_count(),
+        spec_text_bytes=len(artifact.spec_text),
         attracted=placement.attracted,
     )
     return row

@@ -49,24 +49,46 @@ def _decode_id(raw: Any) -> Any:
     return raw
 
 
-def network_to_dict(network: RoadNetwork) -> dict:
-    """Serialize to a JSON-compatible dict."""
+def _decode_tuple_id(entry: dict) -> Any:
+    """``_decode_id`` for a JSON parser's ``object_hook``.
+
+    An encoded tuple id becomes its tuple as the parser closes the
+    object, so no dict or list stays alive per id.  Every other object
+    is returned as it is.
+    """
+    raw = entry.get("t") if len(entry) == 1 else None
+    return tuple(raw) if isinstance(raw, list) else entry
+
+
+def _node_entry(node: Any, x: Any, y: Any) -> dict:
+    """One entry of the document's ``nodes`` list."""
+    return {"id": _encode_id(node), "x": x, "y": y}
+
+
+def _edge_entry(tail: Any, head: Any, length: Any) -> dict:
+    """One entry of the document's ``edges`` list."""
+    return {"tail": _encode_id(tail), "head": _encode_id(head), "length": length}
+
+
+def _document(nodes: Any, edges: Any) -> dict:
+    """The document around its ``nodes`` and ``edges`` lists."""
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "nodes": [
-            {
-                "id": _encode_id(node),
-                "x": network.position(node).x,
-                "y": network.position(node).y,
-            }
+        "nodes": nodes,
+        "edges": edges,
+    }
+
+
+def network_to_dict(network: RoadNetwork) -> dict:
+    """Serialize to a JSON-compatible dict."""
+    return _document(
+        [
+            _node_entry(node, network.position(node).x, network.position(node).y)
             for node in network.nodes()
         ],
-        "edges": [
-            {"tail": _encode_id(tail), "head": _encode_id(head), "length": length}
-            for tail, head, length in network.edges()
-        ],
-    }
+        [_edge_entry(*edge) for edge in network.edges()],
+    )
 
 
 def network_from_dict(data: dict) -> RoadNetwork:

@@ -18,7 +18,9 @@ detours, utility values, and therefore every placement and evaluation
 result are identical to the original's.  An artifact keeps only the
 spec's canonical text (:attr:`ScenarioArtifact.spec_text`, the bytes
 the digest hashes), derived from its own scenario, so the text, the
-digest and the scenario always agree.
+digest and the scenario always agree.  The text and ``meta.json`` are
+encoded from the scenario entry by entry, and parsed back with node ids
+decoded as they close, so no serving path builds the spec's dict tree.
 
 :class:`ArtifactStore` persists artifacts under ``<root>/<digest>/``
 (``meta.json`` with the spec + pack stats, ``arrays.npz`` with the CSR
@@ -33,8 +35,18 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Union,
+)
 
 import numpy as np
 
@@ -50,8 +62,15 @@ from ..core.utility import (
     UtilityFunction,
 )
 from ..errors import ReproError, ServeArtifactError
-from ..graphs import network_from_dict, network_to_dict
-from ..graphs.io import _decode_id, _encode_id
+from ..graphs import network_from_dict
+from ..graphs.io import (
+    _decode_id,
+    _decode_tuple_id,
+    _document,
+    _edge_entry,
+    _encode_id,
+    _node_entry,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .shm import ShmArtifactPool, ShmAttachment
@@ -93,55 +112,139 @@ def utility_from_spec(spec: Dict[str, object]) -> UtilityFunction:
     return utility_by_name(name, threshold)
 
 
-def _canonical_network(network) -> Dict[str, object]:
-    """``network_to_dict`` with every numeric normalized to ``float``.
-
-    The loader casts coordinates and lengths to ``float``, so a network
-    built from ints would otherwise hash differently before and after
-    one round trip (``json.dumps(6) != json.dumps(6.0)`` even though
-    ``6 == 6.0``) — the digest must be idempotent under restore.
-    """
-    document = network_to_dict(network)
-    for node in document["nodes"]:
-        node["x"] = float(node["x"])
-        node["y"] = float(node["y"])
-    for edge in document["edges"]:
-        edge["length"] = float(edge["length"])
-    return document
+#: The spec's two encodings: the canonical text that digests hash, and
+#: ``meta.json``'s document (insertion order, default separators).
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+_META = json.JSONEncoder()
+#: Entries encoded per encoder call: enough to amortize the call, few
+#: enough that the batch's dicts stay small beside the text.
+_BATCH = 16
 
 
-def scenario_to_spec(scenario: Scenario) -> Dict[str, object]:
-    """Serialize a scenario to its canonical JSON-compatible spec.
+class _Entries:
+    """A list of a spec skeleton, produced and encoded one entry at a time."""
 
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Iterable[object]) -> None:
+        self.entries = entries
+
+
+def _flow_entry(flow: TrafficFlow) -> Dict[str, object]:
+    return {
+        "path": [_encode_id(node) for node in flow.path],
+        "volume": float(flow.volume),
+        "attractiveness": float(flow.attractiveness),
+        "label": flow.label,
+    }
+
+
+def _spec_skeleton(scenario: Scenario) -> Dict[str, object]:
+    """The spec of ``scenario`` with its long lists left as :class:`_Entries`.
+
+    The one statement of the spec's schema: :func:`scenario_to_spec`
+    fills the lists in, and :func:`_encode` writes them entry by entry.
     Node order in the network section follows ``network.nodes()``
     (insertion order) and flow/candidate order follows the scenario's
     tuples — the same orders every derived structure (Dijkstra heap
     tie-breaking, coverage build, candidate alignment) iterates in, so
-    restoring the spec reproduces those structures exactly.
+    restoring the spec reproduces those structures exactly.  Every
+    coordinate and length is a ``float``: the loader casts them, so a
+    network built from ints would otherwise hash differently before and
+    after one round trip (``json.dumps(6) != json.dumps(6.0)``).
     """
+    network = scenario.network
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "network": _canonical_network(scenario.network),
-        "flows": [
-            {
-                "path": [_encode_id(node) for node in flow.path],
-                "volume": float(flow.volume),
-                "attractiveness": float(flow.attractiveness),
-                "label": flow.label,
-            }
-            for flow in scenario.flows
-        ],
+        "network": _document(
+            _Entries(
+                _node_entry(
+                    node,
+                    float(network.position(node).x),
+                    float(network.position(node).y),
+                )
+                for node in network.nodes()
+            ),
+            _Entries(
+                _edge_entry(tail, head, float(length))
+                for tail, head, length in network.edges()
+            ),
+        ),
+        "flows": _Entries(_flow_entry(flow) for flow in scenario.flows),
         "shop": _encode_id(scenario.shop),
         "utility": utility_to_spec(scenario.utility),
-        "candidate_sites": [
+        "candidate_sites": _Entries(
             _encode_id(site) for site in scenario.candidate_sites
-        ],
+        ),
         "detour_mode": scenario.detour_mode,
         # A retired setting, written as a constant so that every digest
         # recorded before its removal still names the same scenario.
         "default_backend": None,
     }
+
+
+def _encode(value: object, encoder: json.JSONEncoder) -> Iterator[str]:
+    """``encoder.encode(value)`` in pieces, with no list of a skeleton built.
+
+    A JSON value's encoding is its members' encodings joined, so a
+    skeleton object is written member by member in the encoder's key
+    order and an :class:`_Entries` list entry by entry; anything else
+    is encoded whole.
+    """
+    if isinstance(value, _Entries):
+        yield "["
+        separator = ""
+        entries = iter(value.entries)
+        batch = list(islice(entries, _BATCH))
+        while batch:
+            yield separator
+            # A list's encoding between its brackets is its entries'
+            # encodings joined by the item separator.
+            yield encoder.encode(batch)[1:-1]
+            separator = encoder.item_separator
+            batch = list(islice(entries, _BATCH))
+        yield "]"
+    elif isinstance(value, dict) and any(
+        isinstance(member, _Entries) for member in value.values()
+    ):
+        yield "{"
+        separator = ""
+        for key in sorted(value) if encoder.sort_keys else value:
+            yield separator
+            yield encoder.encode(key)
+            yield encoder.key_separator
+            yield from _encode(value[key], encoder)
+            separator = encoder.item_separator
+        yield "}"
+    else:
+        yield encoder.encode(value)
+
+
+def _filled(value: object) -> object:
+    """A skeleton with every :class:`_Entries` made a list."""
+    if isinstance(value, _Entries):
+        return list(value.entries)
+    if isinstance(value, dict):
+        return {key: _filled(member) for key, member in value.items()}
+    return value
+
+
+def scenario_to_spec(scenario: Scenario) -> Dict[str, object]:
+    """Serialize a scenario to its canonical JSON-compatible spec.
+
+    The tree of :func:`_spec_skeleton`'s schema.  Artifacts never build
+    it: they encode the skeleton entry by entry instead, to the same
+    bytes.
+    """
+    return _filled(_spec_skeleton(scenario))  # type: ignore[return-value]
+
+
+def _parse(text: str) -> object:
+    """Parse a spec's JSON with no dict or list kept per tuple node id."""
+    return json.loads(text, object_hook=_decode_tuple_id)
 
 
 def scenario_from_spec(spec: Dict[str, object]) -> Scenario:
@@ -185,11 +288,9 @@ def scenario_from_spec(spec: Dict[str, object]) -> Scenario:
         raise ServeArtifactError(f"malformed scenario spec: {error}") from None
 
 
-def _canonical_text(spec: Dict[str, object]) -> str:
-    """The canonical JSON encoding of a scenario spec (what digests hash)."""
-    return json.dumps(
-        spec, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+def _spec_text(scenario: Scenario) -> str:
+    """The canonical text of ``scenario``'s spec (what digests hash)."""
+    return "".join(_encode(_spec_skeleton(scenario), _CANONICAL))
 
 
 def _text_digest(spec_text: str) -> str:
@@ -198,12 +299,12 @@ def _text_digest(spec_text: str) -> str:
 
 def spec_digest(spec: Dict[str, object]) -> str:
     """SHA-256 of the canonical JSON encoding of a scenario spec."""
-    return _text_digest(_canonical_text(spec))
+    return _text_digest(_CANONICAL.encode(spec))
 
 
 def scenario_digest(scenario: Scenario) -> str:
     """Content digest of a scenario (via its canonical spec)."""
-    return spec_digest(scenario_to_spec(scenario))
+    return _text_digest(_spec_text(scenario))
 
 
 @dataclass
@@ -238,7 +339,7 @@ class ScenarioArtifact:
     @classmethod
     def compile(cls, scenario: Scenario) -> "ScenarioArtifact":
         """Compile every serving-time structure for ``scenario`` once."""
-        return cls._compile(scenario, _canonical_text(scenario_to_spec(scenario)))
+        return cls._compile(scenario, _spec_text(scenario))
 
     @classmethod
     def _compile(cls, scenario: Scenario, spec_text: str) -> "ScenarioArtifact":
@@ -283,7 +384,7 @@ class ScenarioArtifact:
         with obs.span("serve.artifact.patch", flows_changed=len(volume_deltas)):
             stats = warm_kernel(patched_scenario)
         obs.count("serve.artifact.patches")
-        spec_text = _canonical_text(scenario_to_spec(patched_scenario))
+        spec_text = _spec_text(patched_scenario)
         return ScenarioArtifact(
             digest=_text_digest(spec_text),
             spec_text=spec_text,
@@ -313,21 +414,18 @@ class ScenarioArtifact:
                 volume=packed.volume,
                 attractiveness=packed.attractiveness,
             )
+            meta = {
+                "format": FORMAT_NAME,
+                "version": FORMAT_VERSION,
+                "digest": self.digest,
+                "spec": _spec_skeleton(self.scenario),
+                "stats": self.stats,
+                "packed_nodes": _Entries(
+                    _encode_id(node) for node in packed.nodes
+                ),
+            }
             with open(directory / "meta.json", "w") as handle:
-                handle.write(
-                    json.dumps(
-                        {
-                            "format": FORMAT_NAME,
-                            "version": FORMAT_VERSION,
-                            "digest": self.digest,
-                            "spec": scenario_to_spec(self.scenario),
-                            "stats": self.stats,
-                            "packed_nodes": [
-                                _encode_id(node) for node in packed.nodes
-                            ],
-                        }
-                    )
-                )
+                handle.writelines(_encode(meta, _META))
         except OSError as error:
             raise ServeArtifactError(
                 f"cannot persist artifact {self.digest[:12]} under "
@@ -347,7 +445,7 @@ class ScenarioArtifact:
         directory = Path(root) / digest
         try:
             with open(directory / "meta.json") as handle:
-                meta = json.load(handle)
+                meta = _parse(handle.read())
             with np.load(directory / "arrays.npz") as arrays:
                 columns = {key: arrays[key] for key in arrays.files}
         except OSError as error:
@@ -355,17 +453,27 @@ class ScenarioArtifact:
                 f"cannot read artifact {digest[:12]} under {directory}: "
                 f"{error}"
             ) from error
-        except (json.JSONDecodeError, ValueError) as error:
+        except ValueError as error:
             raise ServeArtifactError(
                 f"artifact {digest[:12]} is corrupt: {error}"
             ) from None
-        spec = meta.get("spec")
+        if not isinstance(meta, dict):
+            raise ServeArtifactError(
+                f"artifact {digest[:12]} meta.json is not a JSON object"
+            )
+        packed_nodes = meta.get("packed_nodes")
+        if not isinstance(packed_nodes, list):
+            raise ServeArtifactError(
+                f"artifact {digest[:12]} meta.json has no packed node list"
+            )
+        spec = meta.pop("spec", None)
         if not isinstance(spec, dict):
             raise ServeArtifactError(
                 f"artifact {digest[:12]} meta.json has no scenario spec"
             )
         scenario = scenario_from_spec(spec)
-        spec_text = _canonical_text(scenario_to_spec(scenario))
+        del spec  # the parsed tree, freed before the text is encoded
+        spec_text = _spec_text(scenario)
         actual = _text_digest(spec_text)
         if actual != digest:
             raise ServeArtifactError(
@@ -375,7 +483,7 @@ class ScenarioArtifact:
             )
         try:
             packed = PackedCoverage.from_arrays(
-                nodes=[_decode_id(raw) for raw in meta["packed_nodes"]],
+                nodes=[_decode_id(raw) for raw in packed_nodes],
                 indptr=columns["indptr"],
                 flow_index=columns["flow_index"],
                 detour=columns["detour"],
@@ -432,14 +540,24 @@ class ScenarioArtifact:
                     f"shm manifest digest mismatch: pool says {digest[:12]}, "
                     f"spec hashes to {actual[:12]}"
                 )
-            scenario = scenario_from_spec(json.loads(spec_text))
+            packed_nodes = meta.get("packed_nodes")
+            if not isinstance(packed_nodes, list):
+                raise ServeArtifactError(
+                    f"shm manifest for {digest[:12]} has no packed node list"
+                )
+            try:
+                spec = _parse(spec_text)
+            except json.JSONDecodeError as error:
+                raise ServeArtifactError(
+                    f"shm manifest for {digest[:12]} has a corrupt spec: "
+                    f"{error}"
+                ) from None
+            scenario = scenario_from_spec(spec)  # type: ignore[arg-type]
+            del spec  # the parsed tree, freed before the kernel warms
             arrays = attachment.arrays
             try:
                 packed = PackedCoverage.from_arrays(
-                    nodes=[
-                        _decode_id(raw)
-                        for raw in meta["packed_nodes"]  # type: ignore[union-attr]
-                    ],
+                    nodes=[_decode_id(raw) for raw in packed_nodes],
                     indptr=arrays["indptr"],
                     flow_index=arrays["flow_index"],
                     detour=arrays["detour"],
@@ -500,7 +618,7 @@ class ArtifactStore:
 
     def get_or_compile(self, scenario: Scenario) -> ScenarioArtifact:
         """The artifact for ``scenario`` — memory, then disk, then compile."""
-        spec_text = _canonical_text(scenario_to_spec(scenario))
+        spec_text = _spec_text(scenario)
         digest = _text_digest(spec_text)
         cached = self._loaded.get(digest)
         if cached is not None:

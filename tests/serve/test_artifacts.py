@@ -2,12 +2,22 @@
 
 import hashlib
 import json
+import random
+import tracemalloc
 
 import pytest
 
-from repro.core import CustomUtility, LinearUtility, Scenario, ThresholdUtility
-from repro.core.kernel import evaluate_placement_many
+from repro.core import (
+    CustomUtility,
+    LinearUtility,
+    Scenario,
+    ThresholdUtility,
+    TrafficFlow,
+    utility_by_name,
+)
+from repro.core.kernel import evaluate_placement_many, warm_kernel
 from repro.errors import ServeArtifactError
+from repro.graphs import dublin_like_city
 from repro.serve import (
     ArtifactStore,
     ScenarioArtifact,
@@ -17,6 +27,7 @@ from repro.serve import (
     spec_digest,
 )
 from repro.serve.shm import ShmArtifactPool
+from repro.traces import generate_patterns
 
 from ..conftest import build_paper_flows, build_paper_network
 
@@ -107,6 +118,46 @@ class TestSaveLoad:
         with pytest.raises(ServeArtifactError, match="digest mismatch"):
             ScenarioArtifact.load(tmp_path, wrong)
 
+    @pytest.mark.parametrize("meta", ["[]", '"x"', "null"])
+    def test_meta_that_is_not_an_object_raises(self, tmp_path, meta):
+        artifact = ScenarioArtifact.compile(fresh_scenario())
+        directory = artifact.save(tmp_path)
+        (directory / "meta.json").write_text(meta)
+        with pytest.raises(ServeArtifactError, match="not a JSON object"):
+            ScenarioArtifact.load(tmp_path, artifact.digest)
+        # A disk hit hands the refusal on, so the CLI exits with code 8.
+        with pytest.raises(ServeArtifactError, match="not a JSON object"):
+            ArtifactStore(tmp_path).get_or_compile(fresh_scenario())
+
+    @pytest.mark.parametrize("packed_nodes", [5, None])
+    def test_packed_nodes_that_are_not_a_list_raise(self, tmp_path, packed_nodes):
+        artifact = ScenarioArtifact.compile(fresh_scenario())
+        directory = artifact.save(tmp_path)
+        meta = json.loads((directory / "meta.json").read_text())
+        meta["packed_nodes"] = packed_nodes
+        (directory / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ServeArtifactError, match="packed node list"):
+            ScenarioArtifact.load(tmp_path, artifact.digest)
+
+    @pytest.mark.parametrize("packed_nodes", [5, None])
+    def test_attach_refuses_packed_nodes_that_are_not_a_list(
+        self, tmp_path, packed_nodes
+    ):
+        artifact = ScenarioArtifact.compile(fresh_scenario())
+        pool = ShmArtifactPool(tmp_path)
+        try:
+            pool.publish(artifact)
+            path = tmp_path / f"{artifact.digest}.json"
+            manifest = json.loads(path.read_text())
+            manifest["meta"]["packed_nodes"] = packed_nodes
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(ServeArtifactError, match="packed node list"):
+                ScenarioArtifact.attach(pool, artifact.digest)
+            assert pool.attached_digests() == []
+        finally:
+            pool.detach_all()
+            pool.unlink_all()
+
 
 def assert_holds_its_spec_text(artifact: ScenarioArtifact) -> None:
     """The artifact's text is its scenario's canonical spec and hashes to it."""
@@ -185,23 +236,105 @@ class TestArtifactStore:
             loaded.scenario, [["V3", "V5"]]
         ) == [21.0]
 
-    def test_a_miss_encodes_the_spec_once(self, monkeypatch):
-        from repro.serve import artifacts
-
-        encodings = []
-        to_spec = artifacts.scenario_to_spec
-
-        def counting(scenario):
-            encodings.append(scenario)
-            return to_spec(scenario)
-
-        monkeypatch.setattr(artifacts, "scenario_to_spec", counting)
-        artifact = ArtifactStore().get_or_compile(fresh_scenario())
-        assert len(encodings) == 1
-        compiled = ScenarioArtifact.compile(fresh_scenario())
-        assert artifact.digest == compiled.digest
-        assert artifact.spec_text == compiled.spec_text
-
     def test_memory_only_store_cannot_load_unknown_digest(self):
         with pytest.raises(ServeArtifactError, match="no disk cache"):
             ArtifactStore().load("0" * 64)
+
+
+def mid_size_scenario() -> Scenario:
+    """A 16 x 16 Dublin-like city with 114 routes, its kernel warmed."""
+    network = dublin_like_city(16, 16, extent=45_714.0, seed=11)
+    patterns = generate_patterns(network, 114, random.Random(2015))
+    flows = [
+        TrafficFlow(pattern.path, pattern.daily_buses * 100.0, label=pattern.pattern_id)
+        for pattern in patterns
+    ]
+    scenario = Scenario(
+        network, flows, next(iter(network.nodes())), utility_by_name("linear", 11_428.0)
+    )
+    warm_kernel(scenario)
+    return scenario
+
+
+def traced(run):
+    """``run()``'s result, the traced bytes it keeps, and its traced peak.
+
+    Both byte counts are taken from where tracing starts, just before
+    ``run``.
+    """
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - start, peak - start
+
+
+class TestNoSpecTree:
+    """The set-up paths encode and restore the spec without its dict tree."""
+
+    def test_serving_paths_never_call_scenario_to_spec(self, monkeypatch, tmp_path):
+        from repro.serve import artifacts
+
+        reference = ScenarioArtifact.compile(fresh_scenario())
+
+        def refuse(scenario):
+            raise AssertionError("a serving path built the spec tree")
+
+        encodings = []
+        spec_text = artifacts._spec_text
+
+        def counting(scenario):
+            encodings.append(scenario)
+            return spec_text(scenario)
+
+        monkeypatch.setattr(artifacts, "scenario_to_spec", refuse)
+        monkeypatch.setattr(artifacts, "_spec_text", counting)
+        compiled = ScenarioArtifact.compile(fresh_scenario())
+        patched = compiled.patched({0: 25.0})
+        compiled.save(tmp_path / "disk")
+        loaded = ScenarioArtifact.load(tmp_path / "disk", compiled.digest)
+        pool = ShmArtifactPool(tmp_path / "shm")
+        try:
+            pool.publish(compiled)
+            attached = ScenarioArtifact.attach(pool, compiled.digest)
+        finally:
+            pool.detach_all()
+            pool.unlink_all()
+        encodings.clear()
+        store = ArtifactStore(tmp_path / "store")
+        missed = store.get_or_compile(fresh_scenario())
+        assert len(encodings) == 1
+        assert ArtifactStore(tmp_path / "store").get_or_compile(
+            fresh_scenario()
+        ).digest == missed.digest
+        for artifact in (compiled, loaded, attached, missed):
+            assert artifact.digest == reference.digest
+            assert artifact.spec_text == reference.spec_text
+        assert patched.digest != reference.digest
+
+    def test_set_up_transients_stay_near_the_spec_text(self, tmp_path):
+        # The traced high-water each stage reaches above what it keeps:
+        # compile keeps the spec text, save nothing, attach the restored
+        # scenario.  The spec's dict tree alone is about 11x its text.
+        scenario = mid_size_scenario()
+        artifact = ScenarioArtifact.compile(scenario)
+        size = len(artifact.spec_text)
+        pool = ShmArtifactPool(tmp_path / "shm")
+        try:
+            pool.publish(artifact)
+            stages = {
+                "compile": lambda: ScenarioArtifact.compile(scenario),
+                "save": lambda: artifact.save(tmp_path / "disk"),
+                "attach": lambda: ScenarioArtifact.attach(pool, artifact.digest),
+            }
+            transients = {}
+            for name, run in stages.items():
+                _, kept, peak = traced(run)
+                transients[name] = round((peak - kept) / size, 2)
+        finally:
+            pool.detach_all()
+            pool.unlink_all()
+        assert all(ratio < 4.0 for ratio in transients.values()), transients

@@ -16,9 +16,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 STAGES = (
     "network", "routes", "warm_up", "coverage", "compile", "place",
-    "save", "imports", "publish", "attach",
+    "save", "imports", "publish", "attach", "load",
 )
-SIZES = ("nodes", "routes", "destinations", "incidences", "attracted")
+SIZES = (
+    "nodes", "routes", "destinations", "incidences", "spec_text_bytes", "attracted",
+)
 
 
 def test_probe_prints_one_finite_row():
@@ -40,3 +42,4 @@ def test_probe_prints_one_finite_row():
     assert all(math.isfinite(value) for value in row.values()), row
     assert row["side"] == 8 and row["nodes"] == 64
     assert row["attracted"] > 0
+    assert row["spec_text_bytes"] > 0
