@@ -25,8 +25,8 @@ from repro.serve import (
     FleetConfig,
     PlacementFleet,
     QueryEngine,
-    FleetThread,
     ScenarioArtifact,
+    ServerThread,
     ShmArtifactPool,
     local_worker_factory,
 )
@@ -135,13 +135,13 @@ def main() -> None:
                 worker_factory_for=worker_factory_for,
                 passengers_per_bus=100.0,
             )
-            with FleetThread(fleet) as handle, handle.client() as client:
+            with ServerThread(fleet) as handle, handle.client() as client:
                 raps = client.place(k=3)["raps"]
                 before = client.evaluate([raps])[0]
                 print(f"\nserving {client.healthz()['digest'][:16]}…  "
                       f"evaluate({raps}) = {before:.1f}")
 
-                # -- hot swap: FleetThread runs the fleet's event loop
+                # -- hot swap: ServerThread runs the fleet's event loop
                 # on a background thread, so the synchronous refresh()
                 # (request_swap().result() inside) is safe here.  Only
                 # the second window's signed deltas are folded — the

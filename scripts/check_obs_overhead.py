@@ -151,10 +151,10 @@ def measure_serve(
 
     from repro.serve import (
         FleetConfig,
-        FleetThread,
         PlacementFleet,
         QueryEngine,
         ScenarioArtifact,
+        ServerThread,
         local_worker_factory,
     )
     from repro.serve.engine import encode_site
@@ -183,7 +183,7 @@ def measure_serve(
 
     disabled: List[float] = []
     stubbed: List[float] = []
-    with FleetThread(build_fleet(None)) as handle:
+    with ServerThread(build_fleet(None)) as handle:
         client = handle.client()
         for _ in range(8):
             client.evaluate(placement)  # warm connections and caches
@@ -194,7 +194,7 @@ def measure_serve(
 
     traced: List[float] = []
     trace_dir = tempfile.mkdtemp(prefix="rapflow-obs-overhead-")
-    with FleetThread(build_fleet(trace_dir)) as handle:
+    with ServerThread(build_fleet(trace_dir)) as handle:
         client = handle.client()
         for _ in range(8):
             client.evaluate(placement)

@@ -283,6 +283,8 @@ def _add_sweep_args(sweep: argparse.ArgumentParser) -> None:
         "--scale", choices=("paper", "small"), default="paper",
     )
     sweep.add_argument("--seed", type=int, default=42)
+    # The sweep's shop is a city one, and its base threshold the city's.
+    sweep.set_defaults(shop="city", threshold=None)
     _add_obs_jsonl(sweep)
 
 
@@ -407,6 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scale", choices=("paper", "small"), default="paper",
     )
     render.add_argument("--seed", type=int, default=42)
+    # A rendered placement is a linear-utility one for a city shop.
+    render.set_defaults(shop="city", utility="linear")
 
     validate = commands.add_parser(
         "validate", help="lint a scenario (shop/threshold/site sanity)"
@@ -886,33 +890,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_place(args: argparse.Namespace) -> int:
     from .algorithms import algorithm_by_name
-    from .core import Scenario, utility_by_name
-    from .traces.locations import (
-        LocationClass,
-        classify_intersections,
-        locations_of_class,
-    )
-    from .traces.provider import TraceProvider
 
-    provider = TraceProvider(scale=args.scale)
-    bundle = provider.get(args.city)
-    threshold = args.threshold
-    if threshold is None:
-        threshold = 20_000.0 if args.city == "dublin" else 2_500.0
-    utility = utility_by_name(args.utility, threshold)
-    classes = classify_intersections(bundle.network, bundle.flows)
-    location = LocationClass(args.shop)
-    pool = locations_of_class(classes, location)
-    import random
-
-    shop = random.Random(args.seed).choice(pool)
-    scenario = Scenario(bundle.network, bundle.flows, shop, utility)
+    scenario = _build_scenario(args)
     kwargs = {"seed": args.seed} if args.algorithm == "random" else {}
     algorithm = algorithm_by_name(args.algorithm, **kwargs)
     placement = algorithm.place(scenario, args.k)
-    print(f"city      : {args.city} ({bundle.network})")
-    print(f"shop      : {shop!r} ({location.value})")
-    print(f"utility   : {utility!r}")
+    print(f"city      : {args.city} ({scenario.network})")
+    print(f"shop      : {scenario.shop!r} ({args.shop})")
+    print(f"utility   : {scenario.utility!r}")
     print(f"algorithm : {args.algorithm}")
     print(f"placement : {list(placement.raps)}")
     print(f"attracted : {placement.attracted:.4f} customers/day")
@@ -935,33 +920,16 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     from .algorithms import CompositeGreedy
-    from .core import Scenario, utility_by_name
-    from .traces.locations import (
-        LocationClass,
-        classify_intersections,
-        locations_of_class,
-    )
     from .traces.provider import TraceProvider
     from .viz import render_network, render_placement, save_svg
 
-    provider = TraceProvider(scale=args.scale)
-    bundle = provider.get(args.city)
     if args.k > 0:
-        threshold = args.threshold
-        if threshold is None:
-            threshold = 20_000.0 if args.city == "dublin" else 2_500.0
-        utility = utility_by_name("linear", threshold)
-        classes = classify_intersections(bundle.network, bundle.flows)
-        import random
-
-        shop = random.Random(args.seed).choice(
-            locations_of_class(classes, LocationClass.CITY)
-        )
-        scenario = Scenario(bundle.network, bundle.flows, shop, utility)
+        scenario = _build_scenario(args)
         k = min(args.k, len(scenario.candidate_sites))
         placement = CompositeGreedy().place(scenario, k)
         svg = render_placement(scenario, placement)
     else:
+        bundle = TraceProvider(scale=args.scale).get(args.city)
         svg = render_network(
             bundle.network,
             bundle.flows,
@@ -973,27 +941,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .core import Scenario, has_errors, lint_scenario, utility_by_name
-    from .traces.locations import (
-        LocationClass,
-        classify_intersections,
-        locations_of_class,
-    )
-    from .traces.provider import TraceProvider
+    from .core import has_errors, lint_scenario
 
-    provider = TraceProvider(scale=args.scale)
-    bundle = provider.get(args.city)
-    threshold = args.threshold
-    if threshold is None:
-        threshold = 20_000.0 if args.city == "dublin" else 2_500.0
-    utility = utility_by_name(args.utility, threshold)
-    classes = classify_intersections(bundle.network, bundle.flows)
-    import random
-
-    shop = random.Random(args.seed).choice(
-        locations_of_class(classes, LocationClass(args.shop))
-    )
-    scenario = Scenario(bundle.network, bundle.flows, shop, utility)
+    scenario = _build_scenario(args)
     issues = lint_scenario(scenario)
     print(f"scenario: {scenario}")
     if not issues:
@@ -1029,27 +979,16 @@ def _cmd_check_claims(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import random
-
     from .analysis import sparkline
-    from .core import Scenario, utility_by_name
     from .experiments import (
-        LocationClass,
-        TraceProvider,
-        classify_intersections,
-        locations_of_class,
         sweep_attractiveness,
         sweep_budget,
         sweep_threshold,
     )
 
-    provider = TraceProvider(scale=args.scale)
-    bundle = provider.get(args.city)
-    classes = classify_intersections(bundle.network, bundle.flows)
-    shop = random.Random(args.seed).choice(
-        locations_of_class(classes, LocationClass.CITY)
-    )
-    base_threshold = 20_000.0 if args.city == "dublin" else 2_500.0
+    scenario = _build_scenario(args)
+    network, flows, shop = scenario.network, list(scenario.flows), scenario.shop
+    base_threshold = _CITY_THRESHOLD[args.city]
     if args.values:
         values = [float(v) for v in args.values.split(",")]
     elif args.parameter == "threshold":
@@ -1061,19 +1000,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.parameter == "threshold":
         sweep = sweep_threshold(
-            bundle.network, list(bundle.flows), shop, args.utility,
-            values, args.k,
+            network, flows, shop, args.utility, values, args.k,
         )
     elif args.parameter == "budget":
-        scenario = Scenario(
-            bundle.network, bundle.flows, shop,
-            utility_by_name(args.utility, base_threshold),
-        )
         sweep = sweep_budget(scenario, [int(v) for v in values])
     else:
         sweep = sweep_attractiveness(
-            bundle.network, list(bundle.flows), shop, args.utility,
-            base_threshold, values, args.k,
+            network, flows, shop, args.utility, base_threshold, values,
+            args.k,
         )
     print(f"shop at {shop!r} ({args.city}); sweeping {sweep.parameter} "
           f"with {sweep.algorithm}")
@@ -1087,11 +1021,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_serve_scenario(args: argparse.Namespace) -> Scenario:
-    """Build the scenario ``serve`` / ``evaluate`` operate on.
+#: The detour threshold D (feet) a city's scenario uses without
+#: ``--threshold``.
+_CITY_THRESHOLD = {"dublin": 20_000.0, "seattle": 2_500.0}
 
-    Mirrors ``place``'s recipe (same provider, same shop draw for the
-    same seed) so a served instance is reproducible from its flags.
+
+def _build_scenario(args: argparse.Namespace) -> Scenario:
+    """The scenario a command's flags name.
+
+    The one recipe of every command that builds a scenario: the city's
+    generated trace at ``--scale``, the ``--utility`` with threshold
+    ``--threshold`` (default :data:`_CITY_THRESHOLD`), and a shop drawn
+    with ``--seed`` from the ``--shop`` location class, so a served
+    instance is reproducible from the flags that ``place`` takes.
+    Commands without one of these flags fix its value with
+    ``set_defaults``.
     """
     import random
 
@@ -1103,11 +1047,10 @@ def _build_serve_scenario(args: argparse.Namespace) -> Scenario:
     )
     from .traces.provider import TraceProvider
 
-    provider = TraceProvider(scale=args.scale)
-    bundle = provider.get(args.city)
+    bundle = TraceProvider(scale=args.scale).get(args.city)
     threshold = args.threshold
     if threshold is None:
-        threshold = 20_000.0 if args.city == "dublin" else 2_500.0
+        threshold = _CITY_THRESHOLD[args.city]
     utility = utility_by_name(args.utility, threshold)
     classes = classify_intersections(bundle.network, bundle.flows)
     shop = random.Random(args.seed).choice(
@@ -1143,7 +1086,7 @@ def _serve_artifact(args: argparse.Namespace):
         artifact = ScenarioArtifact.attach(pool, shm_attach)
         mode = "shm-attach"
     else:
-        scenario = _build_serve_scenario(args)
+        scenario = _build_scenario(args)
         store = ArtifactStore(args.cache_dir)
         artifact = store.get_or_compile(scenario)
         mode = "load"
@@ -1220,11 +1163,11 @@ def _serve_fleet(
         FleetConfig,
         PlacementFleet,
         process_worker_factory,
-        run_fleet,
+        run_server,
     )
 
     cache_dir = args.cache_dir or temporary_dir("rapflow-fleet-")
-    scenario = _build_serve_scenario(args)
+    scenario = _build_scenario(args)
     # Pre-compile into the shared cache so every worker disk-loads the
     # same digest instead of recompiling N times.
     artifact = ArtifactStore(cache_dir).get_or_compile(scenario)
@@ -1266,7 +1209,7 @@ def _serve_fleet(
     )
     try:
         asyncio.run(
-            run_fleet(
+            run_server(
                 fleet,
                 ready_file=args.ready_file,
                 serve_seconds=args.serve_seconds,
@@ -1325,7 +1268,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .errors import ServeError
     from .serve import ArtifactStore, run_chaos
 
-    scenario = _build_serve_scenario(args)
+    scenario = _build_scenario(args)
     artifact = ArtifactStore(args.cache_dir).get_or_compile(scenario)
     result = run_chaos(
         artifact,
@@ -1565,7 +1508,7 @@ def _cmd_stream_refresh(args: argparse.Namespace) -> int:
     from .serve import ArtifactStore
     from .stream import JourneyJournal, StreamRefresher, WindowedEstimator
 
-    scenario = _build_serve_scenario(args)
+    scenario = _build_scenario(args)
     store = ArtifactStore(args.cache_dir)
     artifact = store.get_or_compile(scenario)
     journal = JourneyJournal(args.journal)
@@ -1674,7 +1617,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.cache_dir:
         artifact, _ = _serve_artifact(args)
     else:
-        artifact = ScenarioArtifact.compile(_build_serve_scenario(args))
+        artifact = ScenarioArtifact.compile(_build_scenario(args))
     response = QueryEngine(artifact, cache_size=0).handle(document)
     print(json.dumps(response, indent=2, sort_keys=True))
     return 0

@@ -377,9 +377,9 @@ def install_if_enabled() -> Optional[SanitizerReport]:
 # asyncio sanitizer: slow callbacks and leaked tasks
 # ----------------------------------------------------------------------
 #: Task name fragments that legitimately outlive a drain: per-connection
-#: handlers are cancelled *by* shutdown (so they are still pending when
-#: the check runs), and the accept loop is the thing being torn down.
-_SHUTDOWN_EXEMPT = ("_serve_connection", "serve_forever")
+#: handlers are cancelled *by* shutdown, so they are still pending when
+#: the check runs.
+_SHUTDOWN_EXEMPT = ("_serve_connection",)
 
 #: Cap on stored violation objects; counters keep counting past it.
 _MAX_ASYNC_VIOLATIONS = 100
@@ -535,11 +535,11 @@ def install_async_if_enabled() -> Optional[AsyncSanitizerReport]:
 def check_loop_shutdown(where: str = "shutdown") -> List[str]:
     """Record tasks still pending at drain time as leaked-task violations.
 
-    Called from inside ``PlacementServer.shutdown`` and
-    ``PlacementFleet.shutdown`` after they believe every task they
-    spawned is awaited.  A task that is neither the caller, a
-    per-connection handler, nor the accept loop (both cancelled *by*
-    the drain) is a reference someone dropped — exactly what RAP007
+    Called at the end of ``PlacementServer.shutdown`` and
+    ``PlacementFleet.shutdown`` (``JsonService._stopped``), after they
+    believe every task they spawned is awaited.  A task that is neither
+    the caller nor a per-connection handler (cancelled *by* the drain)
+    is a reference someone dropped — exactly what RAP007
     flags statically, caught here for tasks built via indirection the
     AST cannot see.  Returns the leaked task names (empty when the
     sanitizer is off).

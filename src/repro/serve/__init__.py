@@ -20,6 +20,11 @@ restarts skip recompilation), then answer placement queries against it:
   respawn with a circuit breaker, retry/backoff/hedging for every
   (read-only) query, tiered load shedding, and degraded cache-replay fallback
   (the front's one cache, consulted only when no worker answers);
+* one service skeleton under both
+  (:class:`~repro.serve.server.JsonService`: connection loop, router,
+  ``Retry-After``, stop path), so :func:`~repro.serve.server.run_server`
+  runs either in a process and :class:`~repro.serve.testing.ServerThread`
+  on a background event loop;
 * :func:`~repro.serve.chaos.run_chaos` — seeded chaos harness that
   kills/stalls/slows/corrupts workers under concurrent load and checks
   availability plus bit-identity of every non-degraded answer;
@@ -78,7 +83,6 @@ if TYPE_CHECKING:
         SHED_TIERS,
         local_worker_factory,
         process_worker_factory,
-        run_fleet,
     )
     from .server import PlacementServer, run_server
     from .shm import (
@@ -89,7 +93,7 @@ if TYPE_CHECKING:
         segment_exists,
         segment_name_for,
     )
-    from .testing import FleetThread, ServerThread
+    from .testing import ServerThread
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".artifacts": (
@@ -103,14 +107,14 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".engine": ("REQUEST_KINDS", "QueryEngine"),
     ".fleet": (
         "FleetConfig", "LocalWorker", "PlacementFleet", "ProcessWorker", "RetryPolicy",
-        "SHED_TIERS", "local_worker_factory", "process_worker_factory", "run_fleet",
+        "SHED_TIERS", "local_worker_factory", "process_worker_factory",
     ),
     ".server": ("PlacementServer", "run_server"),
     ".shm": (
         "ShmArtifactPool", "ShmAttachment", "ShmManifest", "memory_probe",
         "segment_exists", "segment_name_for",
     ),
-    ".testing": ("FleetThread", "ServerThread"),
+    ".testing": ("ServerThread",),
 })
 
 __all__ = [
@@ -119,7 +123,6 @@ __all__ = [
     "ChaosEvent",
     "ChaosResult",
     "FleetConfig",
-    "FleetThread",
     "LocalWorker",
     "PlacementFleet",
     "PlacementServer",
@@ -139,7 +142,6 @@ __all__ = [
     "memory_probe",
     "process_worker_factory",
     "run_chaos",
-    "run_fleet",
     "run_server",
     "scenario_digest",
     "scenario_from_spec",

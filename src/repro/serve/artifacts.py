@@ -61,7 +61,7 @@ from ..core.utility import (
     ThresholdUtility,
     UtilityFunction,
 )
-from ..errors import ReproError, ServeArtifactError
+from ..errors import ReproError, ServeArtifactError, ServeError
 from ..graphs import network_from_dict
 from ..graphs.io import (
     _decode_id,
@@ -282,8 +282,14 @@ def scenario_from_spec(spec: Dict[str, object]) -> Scenario:
             ],
             detour_mode=str(spec.get("detour_mode", "shortest")),
         )
-    except ReproError:
+    except ServeError:
         raise
+    except ReproError as error:
+        # A network or flow section that does not rebuild is a bad
+        # artifact, whichever layer noticed it.
+        raise ServeArtifactError(
+            f"scenario spec does not rebuild: {error}"
+        ) from error
     except (KeyError, TypeError, ValueError) as error:
         raise ServeArtifactError(f"malformed scenario spec: {error}") from None
 

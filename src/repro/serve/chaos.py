@@ -41,7 +41,7 @@ from ..reliability.faults import FaultConfig, FaultInjector
 from .artifacts import ScenarioArtifact
 from .engine import QueryEngine, decode_site
 from .fleet import FleetConfig, PlacementFleet, RetryPolicy, local_worker_factory
-from .testing import FleetThread
+from .testing import ServerThread
 
 #: Failure presets the harness understands.
 CHAOS_PRESETS = ("kill", "stall", "slow", "corrupt", "mixed")
@@ -364,7 +364,7 @@ def run_chaos(
             digest=artifact.digest,
             config=config,
         )
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client(timeout=30.0)
 
             def fire_due_events(index: int) -> None:

@@ -1,15 +1,18 @@
 """Fault-tolerant serving fleet: one front, N supervised workers.
 
-One :class:`PlacementFleet` runs a routing front (same hand-rolled
-asyncio HTTP stack as :mod:`repro.serve.server`) over worker replicas,
+One :class:`PlacementFleet` runs a routing front over worker replicas,
 each an independent :class:`~repro.serve.server.PlacementServer`
-serving a content-addressed artifact.  Requests are routed by scenario
-digest: the fleet carries one or more **shards** (digest → worker
-group, the GreeDi-style partition topology from the billboard-placement
-companion paper), a client addresses a non-default shard with the
-``X-Rapflow-Digest`` header, and every worker reply must carry its
-shard's digest — a mismatched digest is treated as a corrupt reply,
-never returned to the caller.
+serving a content-addressed artifact.  The front and the workers share
+one service skeleton (:class:`~repro.serve.server.JsonService`): the
+same connection loop, router, ``Retry-After`` and stop path, run by the
+same :func:`~repro.serve.server.run_server` and
+:class:`~repro.serve.testing.ServerThread`.  Requests are routed by
+scenario digest: the fleet carries one or more **shards** (digest →
+worker group, the GreeDi-style partition topology from the
+billboard-placement companion paper), a client addresses a non-default
+shard with the ``X-Rapflow-Digest`` header, and every worker reply must
+carry its shard's digest — a mismatched digest is treated as a corrupt
+reply, never returned to the caller.
 
 The fleet stays alive under injected failure through four mechanisms:
 
@@ -80,12 +83,10 @@ from ..obs.slo import SLOConfig, SLOTracker
 from .server import (
     DEADLINE_HEADER,
     DIGEST_HEADER,
-    IdleConnections,
+    JsonService,
     close_quietly,
     sanitizer_health,
     split_head,
-    unread_body_answer,
-    write_json_response,
 )
 
 if TYPE_CHECKING:
@@ -111,10 +112,6 @@ SHED_TIERS: Dict[str, float] = {
 
 #: Latency samples retained per worker (p95/p99 estimation).
 _LATENCY_WINDOW = 256
-
-#: Seconds the front's 429/503 replies ask clients to wait; a drain also
-#: answers idle connections 503 for this long before closing them.
-_RETRY_AFTER = 0.05
 
 
 @dataclass
@@ -527,7 +524,7 @@ class _WorkerSlot:
 # ----------------------------------------------------------------------
 # the fleet
 # ----------------------------------------------------------------------
-class PlacementFleet:
+class PlacementFleet(JsonService):
     """Routing front + supervisor over replicated, digest-keyed shards.
 
     Parameters
@@ -553,6 +550,8 @@ class PlacementFleet:
         multi-shard front; must contain ``digest``.  Omitted, the fleet
         serves the single shard ``{digest: worker_factory}``.
     """
+
+    _counter_prefix = "fleet"
 
     def __init__(
         self,
@@ -581,10 +580,7 @@ class PlacementFleet:
         self._clock: Clock = clock if clock is not None else SystemClock()
         self._rng = random.Random(self._config.seed)
         self._slots: List[_WorkerSlot] = []
-        self._server: Optional[asyncio.AbstractServer] = None
         self._supervisor: Optional["asyncio.Task[None]"] = None
-        self._connections = IdleConnections()
-        self._draining = False
         self._inflight = 0
         self._next_slot = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -607,13 +603,14 @@ class PlacementFleet:
         self.shard_served: Dict[str, int] = {
             shard: 0 for shard in self._shards
         }
-        self._tracer: Optional[obs_trace.TraceRecorder] = None
+        tracer = None
         if self._config.trace_dir is not None:
-            self._tracer = obs_trace.TraceRecorder(
+            tracer = obs_trace.TraceRecorder(
                 Path(self._config.trace_dir) / "front.jsonl",
                 role="front",
                 clock=self._clock,
             )
+        super().__init__(self._config.host, self._config.port, tracer)
         #: Monotone per-front request counter feeding the seeded trace
         #: ids (seed + index — deterministic, wall-clock free).
         self._trace_index = 0
@@ -640,65 +637,21 @@ class PlacementFleet:
         """The fleet's configuration."""
         return self._config
 
-    @property
-    def port(self) -> int:
-        """The front's bound port (valid after :meth:`start`)."""
-        if self._server is None or not self._server.sockets:
-            raise ServeRequestError("fleet front is not started")
-        return int(self._server.sockets[0].getsockname()[1])
-
-    @property
-    def host(self) -> str:
-        """The front's bind host."""
-        return self._config.host
-
     async def start(self) -> None:
         """Spawn every worker, bind the front, start the supervisor."""
         from ..devtools import sanitize  # local: opt-in tooling, lazy
 
         sanitize.install_async_if_enabled()
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        spawns = []
-        index = 0
-        for shard in self.shard_digests:
-            factory = self._shards[shard]
-            for replica in range(self._config.workers):
-                slot = _WorkerSlot(
-                    index,
-                    factory(replica),
-                    shard,
-                    replica,
-                    factory,
-                    self._config.max_inflight,
-                )
-                index += 1
-                self._slots.append(slot)
-                spawns.append(loop.run_in_executor(None, slot.worker.start))
-        results = await asyncio.gather(*spawns, return_exceptions=True)
-        for slot, result in zip(self._slots, results):
-            if isinstance(result, BaseException):
-                slot.state = "down"
-                obs.count("fleet.spawn_failures")
-            else:
-                slot.state = "up"
-        for shard in self.shard_digests:
-            if not any(
-                slot.state == "up"
-                for slot in self._slots
-                if slot.digest == shard
-            ):
-                raise ServeWorkerError(
-                    f"no worker came up for shard {shard[:12]} at fleet start"
-                )
-        self._server = await asyncio.start_server(
-            self._serve_connection, self._config.host, self._config.port
+        self._loop = asyncio.get_running_loop()
+        self._slots = await self._spawn(
+            [(shard, self._shards[shard]) for shard in self.shard_digests]
         )
-        self._supervisor = loop.create_task(self._supervise())
+        await self._listen()
+        self._supervisor = self._loop.create_task(self._supervise())
 
     async def shutdown(self) -> None:
         """Stop the supervisor, close the front and its idle connections,
-        stop every worker."""
+        stop every worker, close the trace segment."""
         self._draining = True
         if self._supervisor is not None:
             self._supervisor.cancel()
@@ -706,14 +659,51 @@ class PlacementFleet:
                 await self._supervisor
             except asyncio.CancelledError:
                 pass
-        if self._server is not None:
-            self._server.close()
-            await self._connections.close_waiting(_RETRY_AFTER)
-            await self._server.wait_closed()
+        await self._stop_listening(timeout=5.0)
         await self._stop_slots(self._slots, "fleet.shutdown_errors")
-        from ..devtools import sanitize  # local: opt-in tooling, lazy
+        self._stopped("fleet.shutdown")
 
-        sanitize.check_loop_shutdown("fleet.shutdown")
+    async def _spawn(
+        self, shards: Sequence[Tuple[str, Callable[[int], object]]]
+    ) -> List[_WorkerSlot]:
+        """Start ``config.workers`` replicas of each shard, all at once.
+
+        Slot indices continue after the fleet's highest.  Each new slot
+        is marked ``up`` or ``down`` by how its start went; a shard with
+        no replica up raises :class:`ServeWorkerError`.
+        """
+        first = max((slot.index for slot in self._slots), default=-1) + 1
+        slots = [
+            _WorkerSlot(
+                first + position * self._config.workers + replica,
+                factory(replica),
+                digest,
+                replica,
+                factory,
+                self._config.max_inflight,
+            )
+            for position, (digest, factory) in enumerate(shards)
+            for replica in range(self._config.workers)
+        ]
+        loop = asyncio.get_running_loop()
+        results = await asyncio.gather(
+            *(loop.run_in_executor(None, slot.worker.start) for slot in slots),
+            return_exceptions=True,
+        )
+        for slot, result in zip(slots, results):
+            if isinstance(result, BaseException):
+                slot.state = "down"
+                obs.count("fleet.spawn_failures")
+            else:
+                slot.state = "up"
+        for digest, _ in shards:
+            if not any(
+                slot.state == "up" for slot in slots if slot.digest == digest
+            ):
+                raise ServeWorkerError(
+                    f"no worker came up for shard {digest[:12]}"
+                )
+        return slots
 
     async def _stop_slots(
         self, slots: Sequence[_WorkerSlot], error_counter: str
@@ -800,7 +790,6 @@ class PlacementFleet:
         if digest == old:
             return {"from": old, "to": digest, "seconds": 0.0, "spawned": 0}
         started = self._clock.now()
-        loop = asyncio.get_running_loop()
         spawned = 0
         with obs.span("fleet.swap", old=old[:12], new=digest[:12]):
             if digest not in self._shards:
@@ -809,39 +798,9 @@ class PlacementFleet:
                         f"shard {digest[:12]} is unknown and no "
                         "worker_factory was given"
                     )
-                new_slots: List[_WorkerSlot] = []
-                spawns = []
-                base = max(
-                    (slot.index for slot in self._slots), default=-1
-                ) + 1
-                for replica in range(self._config.workers):
-                    slot = _WorkerSlot(
-                        base + replica,
-                        worker_factory(replica),
-                        digest,
-                        replica,
-                        worker_factory,
-                        self._config.max_inflight,
-                    )
-                    new_slots.append(slot)
-                    spawns.append(
-                        loop.run_in_executor(None, slot.worker.start)
-                    )
-                results = await asyncio.gather(
-                    *spawns, return_exceptions=True
-                )
-                for slot, result in zip(new_slots, results):
-                    if isinstance(result, BaseException):
-                        slot.state = "down"
-                        obs.count("fleet.spawn_failures")
-                    else:
-                        slot.state = "up"
-                        spawned += 1
-                if not any(slot.state == "up" for slot in new_slots):
-                    # Failed swap leaves the fleet exactly as it was.
-                    raise ServeWorkerError(
-                        f"no worker came up for incoming shard {digest[:12]}"
-                    )
+                # A failed spawn raises here and leaves the fleet as it was.
+                new_slots = await self._spawn([(digest, worker_factory)])
+                spawned = sum(slot.state == "up" for slot in new_slots)
                 self._slots.extend(new_slots)
                 self._shards[digest] = worker_factory
                 self.shard_served.setdefault(digest, 0)
@@ -1014,49 +973,9 @@ class PlacementFleet:
         obs.count("fleet.respawns")
 
     # -- front HTTP -----------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                parsed = await self._connections.next_request(reader, writer)
-                if parsed is None:
-                    break
-                method, path, headers, body, keep_alive = parsed
-                status, payload = await self._dispatch(
-                    method, path, headers, body
-                )
-                extra = None
-                if status in (429, 503):
-                    extra = {"Retry-After": f"{_RETRY_AFTER:g}"}
-                await write_json_response(
-                    writer, status, payload, keep_alive, extra
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError) as error:
-            obs.count(f"fleet.conn_aborts.{type(error).__name__}")
-        finally:
-            await close_quietly(writer, where="fleet")
-
-    async def _dispatch(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
+    async def _query(
+        self, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, Dict[str, object]]:
-        unread = unread_body_answer(method)
-        if unread is not None:
-            return unread
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "healthz is GET-only"}
-            return 200, self.healthz()
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "metrics is GET-only"}
-            return 200, await self.metrics_doc()
-        if path != "/query":
-            return 404, {"error": f"unknown path {path!r}"}
-        if method != "POST":
-            return 405, {"error": "query is POST-only"}
         # Root span: a seeded-deterministic trace id (fleet seed +
         # request counter), current in this task, so every forward
         # attempt below parents to it.
@@ -1419,26 +1338,23 @@ class PlacementFleet:
                 "max_inflight": self._config.max_inflight,
                 "tiers": tiers,
             },
-            "requests": {
-                "served": self.served,
-                "retries": self.retries,
-                "hedges": self.hedges,
-                "degraded": self.degraded,
-                "corrupt_detected": self.corrupt_detected,
-                "rejected": self.rejected,
-            },
+            "requests": self._request_counts(),
             "respawns": sum(slot.respawns for slot in self._slots),
             "swap": {"count": self._swaps, "last": self._last_swap},
             "slo": self._slo.snapshot(),
-            "trace": {
-                "enabled": self._tracer is not None,
-                "degraded": (
-                    self._tracer.degraded
-                    if self._tracer is not None
-                    else False
-                ),
-            },
+            "trace": self._trace_health(),
             "sanitizer": sanitizer_health(),
+        }
+
+    def _request_counts(self) -> Dict[str, int]:
+        """The request outcomes both ``/healthz`` and ``/metrics`` report."""
+        return {
+            "served": self.served,
+            "retries": self.retries,
+            "hedges": self.hedges,
+            "degraded": self.degraded,
+            "corrupt_detected": self.corrupt_detected,
+            "rejected": self.rejected,
         }
 
     # -- metrics --------------------------------------------------------
@@ -1484,12 +1400,7 @@ class PlacementFleet:
             "workers_latency": merged.to_dict(),
             "workers_reporting": workers_reporting,
             "counters": {
-                "served": self.served,
-                "retries": self.retries,
-                "hedges": self.hedges,
-                "degraded": self.degraded,
-                "corrupt_detected": self.corrupt_detected,
-                "rejected": self.rejected,
+                **self._request_counts(),
                 "shed": dict(self.shed),
                 "respawns": sum(slot.respawns for slot in self._slots),
                 "shm_attached": shm_attached,
@@ -1640,7 +1551,7 @@ async def _round_trip(
 
 
 # ----------------------------------------------------------------------
-# convenience constructors + blocking runner
+# convenience constructors
 # ----------------------------------------------------------------------
 def local_worker_factory(
     engine_factory: Callable[[], object],
@@ -1676,43 +1587,6 @@ def process_worker_factory(
     return factory
 
 
-async def run_fleet(
-    fleet: PlacementFleet,
-    ready_file: Optional[Union[str, Path]] = None,
-    serve_seconds: Optional[float] = None,
-) -> None:
-    """Start ``fleet``, announce readiness, run until signalled, drain.
-
-    The fleet analogue of :func:`repro.serve.server.run_server`: SIGTERM
-    and SIGINT both trigger the same graceful shutdown (front stops
-    accepting, workers drain); ``serve_seconds`` bounds scripted runs.
-    """
-    import signal
-
-    await fleet.start()
-    loop = asyncio.get_running_loop()
-    if ready_file is not None:
-        await loop.run_in_executor(
-            None, Path(ready_file).write_text, f"{fleet.host} {fleet.port}\n"
-        )
-    stop = asyncio.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-    try:
-        if serve_seconds is not None:
-            try:
-                await asyncio.wait_for(stop.wait(), serve_seconds)
-            except asyncio.TimeoutError:
-                pass
-        else:
-            await stop.wait()
-    finally:
-        await fleet.shutdown()
-
-
 __all__ = [
     "DIGEST_HEADER",
     "FleetConfig",
@@ -1723,5 +1597,4 @@ __all__ = [
     "SHED_TIERS",
     "local_worker_factory",
     "process_worker_factory",
-    "run_fleet",
 ]

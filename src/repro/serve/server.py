@@ -5,6 +5,15 @@ web framework), single event loop, single worker: the engine's kernel
 calls run on the loop thread, so the whole serving stack inherits the
 library's single-threaded determinism guarantees.
 
+:class:`JsonService` is the service skeleton both rapflow HTTP services
+share: binding, the per-connection request loop, the three-path router
+with its framing, 404 and 405 answers, ``Retry-After`` on 429 and 503,
+and the stop path that closes the listener, the idle client
+connections and the trace segment.  :class:`PlacementServer` (a worker)
+and the fleet front (:class:`~repro.serve.fleet.PlacementFleet`) supply
+only their ``/healthz``, ``/metrics`` and ``/query`` answers, and
+:func:`run_server` runs either.
+
 Endpoints:
 
 * ``POST /query`` — one engine request (see
@@ -96,6 +105,12 @@ DEADLINE_HEADER = "x-rapflow-deadline"
 #: client → fleet → testing → client cycle.
 DIGEST_HEADER = "x-rapflow-digest"
 
+#: Seconds a 429 or 503 reply asks the client to wait (``Retry-After``);
+#: a drain also answers idle connections 503 for this long before
+#: closing them.
+RETRY_AFTER = 0.05
+_RETRY_HEADERS = {"Retry-After": f"{RETRY_AFTER:g}"}
+
 #: Sentinel methods :func:`read_http_request` returns for a request whose
 #: body it left unread, and the answer each gets.
 _TOO_LARGE = "__TOO_LARGE__"
@@ -132,9 +147,9 @@ async def read_http_request(
     connection).  A body that is oversized, or whose ``Content-Length``
     is not a non-negative integer, is left unread: it comes back with a
     sentinel method (``"__TOO_LARGE__"``, ``"__BAD_LENGTH__"``) and
-    ``keep_alive`` false, and :func:`unread_body_answer` gives its
-    answer.  Shared by :class:`PlacementServer` and the fleet front —
-    one framing implementation, one set of framing bugs.
+    ``keep_alive`` false, and :meth:`JsonService._dispatch` answers it.
+    Shared by :class:`PlacementServer` and the fleet front — one framing
+    implementation, one set of framing bugs.
 
     The whole head (request line + headers) is read with a single
     ``readuntil`` and split in memory: at high request rates the
@@ -171,18 +186,6 @@ async def read_http_request(
     body = await reader.readexactly(length) if length else b""
     keep_alive = headers.get("connection", "").lower() != "close"
     return method, path, headers, body, keep_alive
-
-
-def unread_body_answer(method: str) -> Optional[Tuple[int, Dict[str, object]]]:
-    """The answer to a request :func:`read_http_request` left unread.
-
-    ``None`` for an ordinary method.  Both servers ask this first, so a
-    framing failure gets the same status whichever of them read it.
-    """
-    answer = _UNREAD_BODY.get(method)
-    if answer is None:
-        return None
-    return answer[0], {"error": answer[1]}
 
 
 class IdleConnections:
@@ -330,7 +333,164 @@ def _garbled(response: Dict[str, object]) -> Dict[str, object]:
     return corrupted
 
 
-class PlacementServer:
+class JsonService:
+    """The skeleton of a rapflow JSON-over-HTTP service.
+
+    It binds (:meth:`_listen`), reads each connection's requests in
+    turn, routes ``GET /healthz`` to :meth:`healthz`, ``GET /metrics``
+    to :meth:`metrics_doc` and ``POST /query`` to :meth:`_query`,
+    answers everything else itself (a body left unread, an unknown
+    path, a wrong method), puts ``Retry-After`` on every 429 and 503,
+    and stops through :meth:`_stop_listening` and :meth:`_stopped`.  A
+    subclass supplies the three answers and its own ``start`` and
+    ``shutdown``, and may wrap :meth:`_dispatch`.
+    """
+
+    #: Prefix of the connection counters (``<prefix>.conn_aborts.<error>``,
+    #: ``<prefix>.close_aborts``).
+    _counter_prefix = "serve"
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        tracer: Optional[obs_trace.TraceRecorder],
+    ) -> None:
+        self._host = host
+        self._requested_port = port
+        self._tracer = tracer
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._connections = IdleConnections()
+        self._draining = False
+
+    @property
+    def host(self) -> str:
+        """The configured bind host."""
+        return self._host
+
+    @property
+    def port(self) -> int:
+        """The bound port (valid after ``start``)."""
+        if self._server is None or not self._server.sockets:
+            raise ServeRequestError("server is not started")
+        return int(self._server.sockets[0].getsockname()[1])
+
+    async def start(self) -> None:
+        """Make the service ready and bind it."""
+        raise NotImplementedError
+
+    async def shutdown(self) -> None:
+        """Stop the service gracefully."""
+        raise NotImplementedError
+
+    def abort(self) -> None:
+        """Abrupt stop (crash simulation): close the socket, drop work.
+
+        Unlike ``shutdown`` this does not wait for in-flight requests —
+        the chaos harness uses it to make a worker die the way a
+        SIGKILL'd process dies.
+        """
+        self._draining = True
+        if self._server is not None:
+            self._server.close()
+
+    def healthz(self) -> Dict[str, object]:
+        """The ``GET /healthz`` document."""
+        raise NotImplementedError
+
+    async def metrics_doc(self) -> Dict[str, object]:
+        """The ``GET /metrics`` document."""
+        raise NotImplementedError
+
+    async def _query(
+        self, headers: Dict[str, str], body: bytes
+    ) -> Tuple[int, Dict[str, object]]:
+        """The answer to one ``POST /query``."""
+        raise NotImplementedError
+
+    async def _listen(self) -> None:
+        """Bind and start accepting connections."""
+        self._server = await asyncio.start_server(
+            self._serve_connection, self._host, self._requested_port
+        )
+
+    async def _stop_listening(self, timeout: float) -> None:
+        """Close the listener, then the connections idling between requests.
+
+        An idle connection is answered 503 for one :data:`RETRY_AFTER`
+        before it is closed.
+        """
+        if self._server is not None:
+            self._server.close()
+            await self._connections.close_waiting(RETRY_AFTER, timeout)
+            await self._server.wait_closed()
+
+    def _stopped(self, where: str) -> None:
+        """Close the trace segment and check the loop for leftover tasks."""
+        if self._tracer is not None:
+            self._tracer.close()
+        from ..devtools import sanitize  # local: opt-in tooling, lazy
+
+        sanitize.check_loop_shutdown(where)
+
+    def _trace_health(self) -> Dict[str, object]:
+        """The ``trace`` block of ``/healthz``."""
+        return {
+            "enabled": self._tracer is not None,
+            "degraded": self._tracer is not None and self._tracer.degraded,
+        }
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        try:
+            while True:
+                parsed = await self._connections.next_request(reader, writer)
+                if parsed is None:
+                    break
+                method, path, headers, body, keep_alive = parsed
+                status, payload = await self._dispatch(
+                    method, path, headers, body
+                )
+                await write_json_response(
+                    writer,
+                    status,
+                    payload,
+                    keep_alive,
+                    _RETRY_HEADERS if status in (429, 503) else None,
+                )
+                if not keep_alive:
+                    break
+        except (ConnectionError, asyncio.IncompleteReadError) as error:
+            obs.count(
+                f"{self._counter_prefix}.conn_aborts.{type(error).__name__}"
+            )
+        finally:
+            await close_quietly(writer, where=self._counter_prefix)
+
+    async def _dispatch(
+        self, method: str, path: str, headers: Dict[str, str], body: bytes
+    ) -> Tuple[int, Dict[str, object]]:
+        """Route one request to its answer."""
+        unread = _UNREAD_BODY.get(method)
+        if unread is not None:
+            return unread[0], {"error": unread[1]}
+        if path == "/healthz":
+            if method != "GET":
+                return 405, {"error": "healthz is GET-only"}
+            return 200, self.healthz()
+        if path == "/metrics":
+            if method != "GET":
+                return 405, {"error": "metrics is GET-only"}
+            return 200, await self.metrics_doc()
+        if path != "/query":
+            return 404, {"error": f"unknown path {path!r}"}
+        if method != "POST":
+            return 405, {"error": "query is POST-only"}
+        return await self._query(headers, body)
+
+
+class PlacementServer(JsonService):
     """Asyncio HTTP server around one :class:`QueryEngine`.
 
     Parameters
@@ -356,10 +516,6 @@ class PlacementServer:
     clock:
         Injected time source for request timing (RAP002: the serve
         layer never reads the wall clock directly).
-    retry_after:
-        Seconds advertised in the ``Retry-After`` header of 429/503
-        responses, so well-behaved clients back off by the amount the
-        server actually wants.
     trace_dir:
         Optional directory for this worker's JSONL trace segment
         (``worker-<label>.jsonl``).  Enables distributed tracing:
@@ -382,7 +538,6 @@ class PlacementServer:
         restore_info: Optional[Dict[str, object]] = None,
         latency_log: Optional[Union[str, Path]] = None,
         clock: Optional[Clock] = None,
-        retry_after: float = 0.05,
         trace_dir: Optional[Union[str, Path]] = None,
         worker_label: Optional[str] = None,
     ) -> None:
@@ -392,35 +547,26 @@ class PlacementServer:
             )
         if timeout <= 0:
             raise ServeRequestError(f"timeout must be > 0, got {timeout}")
-        if retry_after < 0:
-            raise ServeRequestError(
-                f"retry_after must be >= 0, got {retry_after}"
-            )
         self._engine = engine
-        self._host = host
-        self._requested_port = port
         self._max_inflight = max_inflight
         self._timeout = timeout
         self._restore_info = restore_info
         self._latency_log = Path(latency_log) if latency_log else None
         self._latency_log_degraded = False
         self._clock: Clock = clock if clock is not None else SystemClock()
-        self._retry_after = retry_after
         self._worker_label = worker_label if worker_label else "solo"
-        self._tracer: Optional[obs_trace.TraceRecorder] = None
+        tracer = None
         if trace_dir is not None:
-            self._tracer = obs_trace.TraceRecorder(
+            tracer = obs_trace.TraceRecorder(
                 Path(trace_dir) / f"worker-{self._worker_label}.jsonl",
                 role="worker",
                 worker_id=self._worker_label,
                 clock=self._clock,
             )
+        super().__init__(host, port, tracer)
         self._metrics = LatencyHistogram()
         self._query_statuses: Dict[int, int] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections = IdleConnections()
         self._inflight = 0
-        self._draining = False
         # Created in start(): asyncio primitives bind the running loop
         # on construction under Python 3.9.
         self._idle: Optional[asyncio.Event] = None
@@ -430,18 +576,6 @@ class PlacementServer:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        """The configured bind host."""
-        return self._host
-
-    @property
-    def port(self) -> int:
-        """The bound port (valid after :meth:`start`)."""
-        if self._server is None or not self._server.sockets:
-            raise ServeRequestError("server is not started")
-        return int(self._server.sockets[0].getsockname()[1])
-
     @property
     def draining(self) -> bool:
         """Whether the server is refusing new work while shutting down."""
@@ -459,9 +593,7 @@ class PlacementServer:
         sanitize.install_async_if_enabled()
         self._idle = asyncio.Event()
         self._idle.set()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self._host, self._requested_port
-        )
+        await self._listen()
 
     async def shutdown(self, drain_timeout: float = 10.0) -> None:
         """Graceful stop: refuse new work, drain in-flight, close.
@@ -469,7 +601,7 @@ class PlacementServer:
         New requests arriving during the drain are answered 503, and
         in-flight ones finish rather than being abandoned.  Once they
         have, connections idling between requests are closed, after one
-        ``retry_after`` in which they are still answered 503.
+        :data:`RETRY_AFTER` in which they are still answered 503.
         """
         self._draining = True
         if self._server is not None:
@@ -479,59 +611,8 @@ class PlacementServer:
                 await asyncio.wait_for(self._idle.wait(), drain_timeout)
             except asyncio.TimeoutError:
                 obs.count("serve.drain_timeouts")
-        await self._connections.close_waiting(self._retry_after, drain_timeout)
-        if self._server is not None:
-            await self._server.wait_closed()
-        if self._tracer is not None:
-            self._tracer.close()
-        from ..devtools import sanitize  # local: opt-in tooling, lazy
-
-        sanitize.check_loop_shutdown("server.shutdown")
-
-    def abort(self) -> None:
-        """Abrupt stop (crash simulation): close the socket, drop work.
-
-        Unlike :meth:`shutdown` this does not wait for in-flight
-        requests — the chaos harness uses it to make a worker die the
-        way a SIGKILL'd process dies.
-        """
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-
-    async def serve_forever(self) -> None:
-        """Block until cancelled (pair with :meth:`start`)."""
-        if self._server is None:
-            raise ServeRequestError("server is not started")
-        await self._server.serve_forever()
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                parsed = await self._connections.next_request(reader, writer)
-                if parsed is None:
-                    break
-                method, path, headers, body, keep_alive = parsed
-                status, payload = await self._dispatch(
-                    method, path, headers, body
-                )
-                extra = None
-                if status in (429, 503):
-                    extra = {"Retry-After": f"{self._retry_after:g}"}
-                await write_json_response(
-                    writer, status, payload, keep_alive, extra
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError) as error:
-            obs.count(f"serve.conn_aborts.{type(error).__name__}")
-        finally:
-            await close_quietly(writer, where="serve")
+        await self._stop_listening(drain_timeout)
+        self._stopped("server.shutdown")
 
     # ------------------------------------------------------------------
     # request dispatch
@@ -550,7 +631,9 @@ class PlacementServer:
         with obs_trace.request_span(
             self._tracer, trace, "worker.request"
         ) as span:
-            status, payload = await self._route(method, path, headers, body)
+            status, payload = await super()._dispatch(
+                method, path, headers, body
+            )
             if span is not None:
                 span.attrs.update(
                     path=path,
@@ -587,24 +670,9 @@ class PlacementServer:
             self._latency_log_degraded = True  # ... but say so in /healthz
             obs.count("serve.latency_log_errors")
 
-    async def _route(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
+    async def _query(
+        self, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, Dict[str, object]]:
-        unread = unread_body_answer(method)
-        if unread is not None:
-            return unread
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "healthz is GET-only"}
-            return 200, self._healthz()
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "metrics is GET-only"}
-            return 200, self.metrics_doc()
-        if path != "/query":
-            return 404, {"error": f"unknown path {path!r}"}
-        if method != "POST":
-            return 405, {"error": "query is POST-only"}
         if self._draining:
             self.rejected += 1
             return 503, {"error": "server is draining", "retryable": True}
@@ -667,7 +735,8 @@ class PlacementServer:
             return "degraded"
         return "ok" if self._latency_log is not None else "disabled"
 
-    def _healthz(self) -> Dict[str, object]:
+    def healthz(self) -> Dict[str, object]:
+        """The worker health document (also ``GET /healthz``)."""
         return {
             "status": "draining" if self._draining else "ok",
             "inflight": self._inflight,
@@ -678,19 +747,12 @@ class PlacementServer:
             "cache": self._engine.cache_info(),
             "restore": self._restore_info,
             "latency_log": self._latency_log_status(),
-            "trace": {
-                "enabled": self._tracer is not None,
-                "degraded": (
-                    self._tracer.degraded
-                    if self._tracer is not None
-                    else False
-                ),
-            },
+            "trace": self._trace_health(),
             "pipeline": self.health.to_dict(),
             "sanitizer": sanitizer_health(),
         }
 
-    def metrics_doc(self) -> Dict[str, object]:
+    async def metrics_doc(self) -> Dict[str, object]:
         """The ``GET /metrics`` payload: histogram + counters.
 
         The histogram covers ``/query`` requests only (health probes
@@ -725,24 +787,25 @@ class PlacementServer:
 
 
 async def run_server(
-    server: PlacementServer,
+    service: JsonService,
     ready_file: Optional[Union[str, Path]] = None,
     serve_seconds: Optional[float] = None,
 ) -> None:
-    """Start ``server``, optionally announce readiness, run, drain.
+    """Start ``service``, optionally announce readiness, run, drain.
 
-    ``ready_file`` (written after binding, containing ``host port``)
-    lets test harnesses and CI smoke jobs wait for the ephemeral port
-    without polling; ``serve_seconds`` bounds the run (graceful drain at
+    ``service`` is a :class:`PlacementServer` or a fleet front
+    (:class:`~repro.serve.fleet.PlacementFleet`).  ``ready_file``
+    (written after binding, containing ``host port``) lets test
+    harnesses and CI smoke jobs wait for the ephemeral port without
+    polling; ``serve_seconds`` bounds the run (graceful drain at
     expiry) so scripted runs terminate deterministically.  SIGTERM and
     SIGINT both trigger the same graceful drain.
     """
-    await server.start()
+    await service.start()
     loop = asyncio.get_running_loop()
     if ready_file is not None:
-        await loop.run_in_executor(
-            None, Path(ready_file).write_text, f"{server.host} {server.port}\n"
-        )
+        address = f"{service.host} {service.port}\n"
+        await loop.run_in_executor(None, Path(ready_file).write_text, address)
     stop = asyncio.Event()
     for signum in (signal.SIGTERM, signal.SIGINT):
         try:
@@ -758,20 +821,21 @@ async def run_server(
         else:
             await stop.wait()
     finally:
-        await server.shutdown()
+        await service.shutdown()
 
 
 __all__ = [
     "DEADLINE_HEADER",
     "DIGEST_HEADER",
     "IdleConnections",
+    "JsonService",
     "PlacementServer",
+    "RETRY_AFTER",
     "close_quietly",
     "effective_deadline",
     "read_http_request",
     "run_server",
     "sanitizer_health",
     "split_head",
-    "unread_body_answer",
     "write_json_response",
 ]

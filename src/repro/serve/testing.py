@@ -1,11 +1,15 @@
-"""Synchronous harness around the asyncio server (tests, examples, CLI).
+"""Synchronous harness around an asyncio service (tests, examples, CLI).
 
-:class:`ServerThread` runs a :class:`~repro.serve.server.PlacementServer`
-on a dedicated event loop in a background thread, so synchronous callers
-(pytest tests, the examples, interactive sessions) can drive it with
-:class:`~repro.serve.client.ServeClient` instances without touching
-asyncio themselves.  Entering the context binds the port; exiting
-performs the full graceful drain.
+:class:`ServerThread` runs a service — a
+:class:`~repro.serve.server.PlacementServer` or a fleet front
+(:class:`~repro.serve.fleet.PlacementFleet`), both
+:class:`~repro.serve.server.JsonService` subclasses — on a dedicated
+event loop in a background thread, so synchronous callers (pytest
+tests, the examples, the chaos harness, interactive sessions) can drive
+it with :class:`~repro.serve.client.ServeClient` instances without
+touching asyncio themselves.  Entering the context starts the service
+(a fleet spawns its workers) and binds the port; exiting performs the
+service's full graceful shutdown.
 
 The split keeps the serving stack itself single-threaded: the only
 cross-thread traffic is the HTTP socket and the
@@ -21,35 +25,36 @@ from typing import Optional
 from ..errors import ServeError
 from .client import ServeClient
 from .engine import QueryEngine
-from .server import PlacementServer
+from .server import JsonService, PlacementServer
 
 #: How long :meth:`ServerThread.stop` waits for the loop thread.
 _JOIN_TIMEOUT = 30.0
 
 
 class ServerThread:
-    """Run a placement server on a background event loop.
+    """Run a rapflow service on a background event loop.
 
-    Accepts either a ready-made :class:`PlacementServer` or a
-    :class:`QueryEngine` (plus server keyword arguments) to wrap in one.
+    Accepts a ready-made service (a :class:`PlacementServer` or a
+    :class:`~repro.serve.fleet.PlacementFleet`) or a
+    :class:`QueryEngine` (plus server keyword arguments) to wrap in a
+    :class:`PlacementServer`.
     """
 
-    def __init__(self, engine_or_server: object, **server_kwargs: object) -> None:
-        if isinstance(engine_or_server, PlacementServer):
-            if server_kwargs:
-                raise ServeError(
-                    "pass server kwargs only together with a QueryEngine"
-                )
-            self._placement_server = engine_or_server
-        elif isinstance(engine_or_server, QueryEngine):
-            self._placement_server = PlacementServer(
-                engine_or_server, **server_kwargs  # type: ignore[arg-type]
+    def __init__(self, service: object, **server_kwargs: object) -> None:
+        if isinstance(service, QueryEngine):
+            service = PlacementServer(
+                service, **server_kwargs  # type: ignore[arg-type]
             )
-        else:
+        elif not isinstance(service, JsonService):
             raise ServeError(
-                f"ServerThread wraps a QueryEngine or PlacementServer, got "
-                f"{type(engine_or_server).__name__}"
+                f"ServerThread wraps a QueryEngine or a JsonService, got "
+                f"{type(service).__name__}"
             )
+        elif server_kwargs:
+            raise ServeError(
+                "pass server kwargs only together with a QueryEngine"
+            )
+        self._service: JsonService = service
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
@@ -57,19 +62,19 @@ class ServerThread:
         self._killed = False
 
     @property
-    def server(self) -> PlacementServer:
-        """The wrapped server (port is valid once the context is entered)."""
-        return self._placement_server
+    def server(self) -> JsonService:
+        """The wrapped service (port is valid once the context is entered)."""
+        return self._service
 
     @property
     def port(self) -> int:
         """The bound port."""
-        return self._placement_server.port
+        return self._service.port
 
-    def client(self, timeout: float = 30.0) -> ServeClient:
-        """A fresh client pointed at this server."""
+    def client(self, timeout: float = 30.0, **kwargs: object) -> ServeClient:
+        """A fresh client pointed at this service."""
         return ServeClient(
-            self._placement_server.host, self.port, timeout=timeout
+            self._service.host, self.port, timeout=timeout, **kwargs
         )
 
     # ------------------------------------------------------------------
@@ -80,7 +85,7 @@ class ServerThread:
         asyncio.set_event_loop(loop)
         self._loop = loop
         try:
-            loop.run_until_complete(self._placement_server.start())
+            loop.run_until_complete(self._service.start())
         except BaseException as error:  # rapflow: noqa[RAP003] re-raised in the starting thread by __enter__
             self._startup_error = error
             self._started.set()
@@ -95,7 +100,7 @@ class ServerThread:
                 # resulting CancelledErrors are expected, not reportable.
                 loop.set_exception_handler(lambda _loop, _context: None)
             else:
-                loop.run_until_complete(self._placement_server.shutdown())
+                loop.run_until_complete(self._service.shutdown())
             # Let connection handlers and transport close callbacks
             # finish before the loop closes, so no callback lands on a
             # closed loop.
@@ -142,7 +147,7 @@ class ServerThread:
         self._killed = True
         if self._loop is not None and self._loop.is_running():
             def _abort() -> None:
-                self._placement_server.abort()
+                self._service.abort()
                 self._loop.stop()
 
             self._loop.call_soon_threadsafe(_abort)
@@ -163,93 +168,4 @@ class ServerThread:
         self._loop.call_soon_threadsafe(blocker.wait, seconds)
 
 
-class FleetThread:
-    """Run a :class:`~repro.serve.fleet.PlacementFleet` on a background loop.
-
-    The fleet analogue of :class:`ServerThread`: entering the context
-    starts every worker and binds the front; exiting shuts the whole
-    fleet down.  Synchronous callers (fleet tests, the chaos harness)
-    drive the front with ordinary
-    :class:`~repro.serve.client.ServeClient` instances.
-    """
-
-    def __init__(self, fleet: object) -> None:
-        from .fleet import PlacementFleet
-
-        if not isinstance(fleet, PlacementFleet):
-            raise ServeError(
-                f"FleetThread wraps a PlacementFleet, got "
-                f"{type(fleet).__name__}"
-            )
-        self._fleet = fleet
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def fleet(self) -> object:
-        """The wrapped fleet (port valid once the context is entered)."""
-        return self._fleet
-
-    @property
-    def port(self) -> int:
-        """The front's bound port."""
-        return self._fleet.port
-
-    def client(self, timeout: float = 30.0, **kwargs: object) -> ServeClient:
-        """A fresh client pointed at the fleet front."""
-        return ServeClient(
-            self._fleet.host, self.port, timeout=timeout, **kwargs
-        )
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._fleet.start())
-        except BaseException as error:  # rapflow: noqa[RAP003] re-raised in the starting thread by __enter__
-            self._startup_error = error
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(self._fleet.shutdown())
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)  # rapflow: noqa[RAP009] drain of cancelled tasks; results are the CancelledErrors we caused
-                )
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    def __enter__(self) -> "FleetThread":
-        self._thread = threading.Thread(
-            target=self._run, name="rapflow-fleet", daemon=True
-        )
-        self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            raise ServeError(
-                f"fleet failed to start: {self._startup_error}"
-            ) from self._startup_error
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self.stop()
-
-    def stop(self) -> None:
-        """Stop the loop; the thread shuts the fleet down before exiting."""
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=_JOIN_TIMEOUT)
-
-
-__all__ = ["FleetThread", "ServerThread"]
+__all__ = ["ServerThread"]

@@ -15,8 +15,9 @@ from repro.core import (
     TrafficFlow,
     utility_by_name,
 )
+from repro.cli import EXIT_SERVE, main
 from repro.core.kernel import evaluate_placement_many, warm_kernel
-from repro.errors import ServeArtifactError
+from repro.errors import GraphError, ServeArtifactError
 from repro.graphs import dublin_like_city
 from repro.serve import (
     ArtifactStore,
@@ -39,6 +40,13 @@ def fresh_scenario(utility=None) -> Scenario:
         shop="V1",
         utility=utility or ThresholdUtility(6.0),
     )
+
+
+def break_an_edge(directory) -> None:
+    """Point one edge of a saved artifact's spec at a node that is not there."""
+    meta = json.loads((directory / "meta.json").read_text())
+    meta["spec"]["network"]["edges"][0]["tail"] = "nowhere"
+    (directory / "meta.json").write_text(json.dumps(meta))
 
 
 class TestDigest:
@@ -138,6 +146,31 @@ class TestSaveLoad:
         (directory / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(ServeArtifactError, match="packed node list"):
             ScenarioArtifact.load(tmp_path, artifact.digest)
+
+    def test_a_spec_that_does_not_rebuild_is_an_artifact_error(self, tmp_path):
+        artifact = ScenarioArtifact.compile(fresh_scenario())
+        break_an_edge(artifact.save(tmp_path))
+        with pytest.raises(ServeArtifactError, match="bad edge entry") as info:
+            ScenarioArtifact.load(tmp_path, artifact.digest)
+        assert isinstance(info.value.__cause__, GraphError)
+        with pytest.raises(ServeArtifactError, match="bad edge entry"):
+            ArtifactStore(tmp_path).get_or_compile(fresh_scenario())
+
+    def test_a_cached_spec_that_does_not_rebuild_exits_with_serve_code(
+        self, tmp_path, capsys
+    ):
+        document = tmp_path / "placements.json"
+        document.write_text(json.dumps({"placements": [[]]}))
+        argv = [
+            "evaluate", "--city", "dublin", "--scale", "small",
+            "--cache-dir", str(tmp_path / "cache"), "--in", str(document),
+        ]
+        assert main(argv) == 0
+        (directory,) = (tmp_path / "cache").iterdir()
+        break_an_edge(directory)
+        capsys.readouterr()
+        assert main(argv) == EXIT_SERVE == 8
+        assert "bad edge entry" in capsys.readouterr().err
 
     @pytest.mark.parametrize("packed_nodes", [5, None])
     def test_attach_refuses_packed_nodes_that_are_not_a_list(

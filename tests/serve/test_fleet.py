@@ -18,11 +18,11 @@ from repro.errors import ServeClientError, ServeRequestError, ServeWorkerError
 from repro.reliability import FaultConfig, FaultInjector
 from repro.serve import (
     FleetConfig,
-    FleetThread,
     PlacementFleet,
     QueryEngine,
     RetryPolicy,
     SHED_TIERS,
+    ServerThread,
     local_worker_factory,
 )
 
@@ -66,7 +66,7 @@ class TestShutdown:
     def test_idle_keep_alive_client_is_closed_at_drain(self, artifact, caplog):
         fleet = make_fleet(artifact)
         with caplog.at_level(logging.ERROR, logger="asyncio"):
-            with FleetThread(fleet) as handle:
+            with ServerThread(fleet) as handle:
                 client = handle.client()
                 assert client.evaluate([["V3", "V5"]]) == [21.0]
         client.close()
@@ -79,7 +79,7 @@ class TestRouting:
         oracle = evaluate_placement(artifact.scenario, ["V3", "V5"]).attracted
         assert expected == [oracle] == [21.0]
         fleet = make_fleet(artifact)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             response = client.query(
                 {"kind": "evaluate", "placements": [["V3", "V5"]]}
@@ -91,7 +91,7 @@ class TestRouting:
 
     def test_requests_spread_across_workers(self, artifact):
         fleet = make_fleet(artifact, config=fast_config(workers=3))
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             served_by = {
                 client.query(
@@ -103,7 +103,7 @@ class TestRouting:
 
     def test_healthz_reports_workers_and_tiers(self, artifact):
         fleet = make_fleet(artifact)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             health = handle.client().healthz()
         assert health["digest"] == artifact.digest
         assert [doc["state"] for doc in health["workers"]] == ["up", "up"]
@@ -113,7 +113,7 @@ class TestRouting:
 
     def test_unknown_path_and_draining(self, artifact):
         fleet = make_fleet(artifact)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             with pytest.raises(ServeClientError) as info:
                 client.query({"kind": "nonsense"})
@@ -155,7 +155,7 @@ class TestMultiShard:
         # switched worker groups.
         assert threshold_expected != linear_expected
         fleet = self.two_shard_fleet(artifact, linear_artifact)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             for digest, expected in (
                 (artifact.digest, threshold_expected),
                 (linear_artifact.digest, linear_expected),
@@ -170,7 +170,7 @@ class TestMultiShard:
     def test_no_header_hits_the_default_shard(self, artifact,
                                               linear_artifact):
         fleet = self.two_shard_fleet(artifact, linear_artifact)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             response = handle.client().query(
                 {"kind": "evaluate", "placements": [["V3", "V5"]]}
             )
@@ -179,7 +179,7 @@ class TestMultiShard:
 
     def test_unknown_digest_is_a_404(self, artifact, linear_artifact):
         fleet = self.two_shard_fleet(artifact, linear_artifact)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client(digest="f" * 64)
             with pytest.raises(ServeClientError) as info:
                 client.evaluate([["V3"]])
@@ -188,7 +188,7 @@ class TestMultiShard:
 
     def test_healthz_reports_every_shard(self, artifact, linear_artifact):
         fleet = self.two_shard_fleet(artifact, linear_artifact)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             health = handle.client().healthz()
         shards = health["shards"]
         assert set(shards) == {artifact.digest, linear_artifact.digest}
@@ -214,7 +214,7 @@ class TestMultiShard:
 class TestSupervision:
     def test_killed_worker_is_respawned(self, artifact):
         fleet = make_fleet(artifact)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             assert client.evaluate([["V3", "V5"]]) == [21.0]
             fleet.worker_handle(0).kill()
@@ -230,7 +230,7 @@ class TestSupervision:
 
     def test_stalled_worker_is_detected_and_recovered(self, artifact):
         fleet = make_fleet(artifact)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             fleet.worker_handle(1).inject_stall(1.2)
             assert wait_until(
@@ -243,7 +243,7 @@ class TestSupervision:
             workers=2, breaker_threshold=1, breaker_window=60.0
         )
         fleet = make_fleet(artifact, config=config)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             fleet.worker_handle(0).kill()
             assert wait_until(lambda: client.healthz()["respawns"] >= 1)
@@ -279,7 +279,7 @@ class TestResilience:
         expected = QueryEngine(artifact).handle(dict(request_body))
         config = fast_config(workers=2, heartbeat_interval=30.0)
         fleet = make_fleet(artifact, config=config)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             fleet.worker_handle(0).kill()
             for _ in range(4):
@@ -316,7 +316,7 @@ class TestResilience:
             return LocalWorker(f"w{index}", lambda: engine_for(index))
 
         fleet = make_fleet(artifact, factory=factory)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             response = client.query(
                 {"kind": "evaluate", "placements": [["V3", "V5"]]}
@@ -333,7 +333,7 @@ class TestResilience:
         # and the front must fall back to its reply cache.
         config = fast_config(workers=1, heartbeat_interval=30.0)
         fleet = make_fleet(artifact, config=config)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             fresh = client.query(
                 {"kind": "evaluate", "placements": [["V3", "V5"]]}
@@ -376,7 +376,7 @@ class TestResilience:
             retry=RetryPolicy(retries=1, hedge=True, hedge_delay=0.05),
         )
         fleet = make_fleet(artifact, config=config, factory=factory)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             t0 = time.monotonic()
             response = client.query(
@@ -411,7 +411,7 @@ class TestSheddingTiers:
     def test_shed_responses_carry_retry_after_over_http(self, artifact):
         config = fast_config(workers=1, max_inflight=4)
         fleet = make_fleet(artifact, config=config)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             fleet._inflight = 4  # simulate saturation
             try:

@@ -21,7 +21,6 @@ from repro.errors import ServeClientError
 from repro.obs import load_traces
 from repro.serve import (
     FleetConfig,
-    FleetThread,
     PlacementFleet,
     PlacementServer,
     QueryEngine,
@@ -146,7 +145,7 @@ class TestReuse:
         # touch the pools.
         fleet = make_fleet(artifact, fast_config(heartbeat_interval=30.0))
         reference = QueryEngine(artifact)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             for size in range(1, 21):
                 request = evaluate_request(size)
@@ -159,7 +158,7 @@ class TestReuse:
 
     def test_heartbeats_share_the_pool(self, artifact):
         fleet = make_fleet(artifact, fast_config())
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             for _ in range(40):
                 client.query(evaluate_request(2))
@@ -175,7 +174,7 @@ class TestReuse:
     def test_place_succeeds_after_kill_and_respawn(self, artifact):
         fleet = make_fleet(artifact, fast_config(workers=1))
         expected = QueryEngine(artifact).handle({"kind": "place", "k": 2})
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             client.query(evaluate_request(3))  # pools a connection
             fleet.worker_handle(0).kill()
@@ -198,7 +197,7 @@ class TestReuse:
         )
         fleet = make_fleet(artifact, config)
         expected = QueryEngine(artifact).handle({"kind": "place", "k": 2})
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             first = client.query(evaluate_request(1))
             second = client.query(evaluate_request(2))
@@ -238,7 +237,7 @@ class TestNoMisattribution:
             retry=RetryPolicy(retries=0),
         )
         fleet = make_fleet(artifact, config)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             client.query(evaluate_request(1))  # pools the connection
             fleet.worker_handle(0).inject_stall(0.6)
@@ -264,7 +263,7 @@ class TestNoMisattribution:
             retry=RetryPolicy(retries=1, hedge=True, hedge_delay=0.05),
         )
         fleet = make_fleet(artifact, config)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             # Round-robin: w0, w1 — one pooled connection each.
             client.query(evaluate_request(1))
@@ -300,7 +299,7 @@ class TestDrainOrder:
             digest=artifact.digest,
             config=fast_config(),
         )
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             for size in range(1, 7):
                 client.query(evaluate_request(size))
@@ -321,7 +320,7 @@ class TestDrainOrder:
             digest=artifact.digest,
             config=fast_config(),
         )
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             for size in range(1, 7):
                 client.query(evaluate_request(size))

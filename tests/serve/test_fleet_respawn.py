@@ -14,11 +14,11 @@ import time
 
 from repro.serve import (
     FleetConfig,
-    FleetThread,
     LocalWorker,
     PlacementFleet,
     QueryEngine,
     RetryPolicy,
+    ServerThread,
 )
 
 
@@ -139,7 +139,7 @@ class TestRespawnCaughtByStop:
             digest=artifact.digest,
             config=fast_config(),
         )
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             respawn_held_mid_start(fleet, ledger)
             swap = fleet.request_swap(
                 linear_artifact.digest,
@@ -185,7 +185,7 @@ class TestRespawnCaughtByStop:
             digest=artifact.digest,
             config=fast_config(),
         )
-        handle = FleetThread(fleet).__enter__()
+        handle = ServerThread(fleet).__enter__()
         respawn_held_mid_start(fleet, ledger)
         closer = threading.Thread(target=handle.__exit__, args=(None, None, None))
         closer.start()

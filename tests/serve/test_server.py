@@ -23,7 +23,6 @@ from repro.errors import ServeClientError, ServeError
 from repro.reliability import FaultConfig, FaultInjector
 from repro.serve import (
     FleetConfig,
-    FleetThread,
     PlacementFleet,
     PlacementServer,
     QueryEngine,
@@ -157,7 +156,7 @@ def front(request, artifact):
             digest=artifact.digest,
             config=FleetConfig(workers=1),
         )
-        handle = FleetThread(fleet)
+        handle = ServerThread(fleet)
     with handle:
         yield handle
 

@@ -15,10 +15,10 @@ from repro.core import Scenario, ThresholdUtility
 from repro.obs import ObsContext, load_traces
 from repro.serve import (
     FleetConfig,
-    FleetThread,
     PlacementFleet,
     QueryEngine,
     ScenarioArtifact,
+    ServerThread,
     local_worker_factory,
 )
 
@@ -52,7 +52,7 @@ def traced_replies(artifact, trace_dir):
         digest=artifact.digest,
         config=FleetConfig(workers=1, trace_dir=trace_dir, seed=11),
     )
-    with FleetThread(fleet) as handle:
+    with ServerThread(fleet) as handle:
         client = handle.client()
         return [client.query(dict(request)) for request in REQUESTS]
 

@@ -8,6 +8,8 @@ paths are first-class: retries, hedges, and degraded cache-replay
 fallbacks each leave their hop in the tree.
 """
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -18,7 +20,6 @@ from repro.reliability import FaultConfig, FaultInjector
 from repro.serve import (
     ChaosEvent,
     FleetConfig,
-    FleetThread,
     PlacementFleet,
     QueryEngine,
     RetryPolicy,
@@ -56,13 +57,24 @@ def spans_named(trace, name):
     return trace.named(name)
 
 
+def open_file_targets():
+    """What this process's open descriptors point at."""
+    targets = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            targets.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # closed since the listing
+            pass
+    return targets
+
+
 class TestFleetPropagation:
     def test_traced_query_yields_a_complete_cross_process_tree(
         self, artifact, tmp_path
     ):
         config = fast_config(trace_dir=tmp_path)
         fleet = make_fleet(artifact, config, trace_dir=tmp_path)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             payload = client.query(
                 {"kind": "evaluate", "placements": [["V3", "V5"]]}
@@ -100,7 +112,7 @@ class TestFleetPropagation:
     def test_trace_ids_advance_per_request(self, artifact, tmp_path):
         config = fast_config(trace_dir=tmp_path)
         fleet = make_fleet(artifact, config, trace_dir=tmp_path)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             ids = [
                 client.query(
@@ -110,9 +122,25 @@ class TestFleetPropagation:
             ]
         assert ids == [make_trace_id(SEED, index) for index in range(3)]
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_shutdown_closes_every_trace_segment(self, artifact, tmp_path):
+        config = fast_config(workers=1, trace_dir=tmp_path)
+        fleet = make_fleet(artifact, config, trace_dir=tmp_path)
+        with ServerThread(fleet) as handle:
+            handle.client().evaluate([["V3", "V5"]])
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "front.jsonl", "worker-w0.jsonl",
+        ]
+        assert [
+            target for target in open_file_targets()
+            if target.startswith(str(tmp_path))
+        ] == []
+
     def test_untraced_fleet_has_no_trace_plane(self, artifact, tmp_path):
         fleet = make_fleet(artifact, fast_config())
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             payload = handle.client().query(
                 {"kind": "evaluate", "placements": [["V3", "V5"]]}
             )
@@ -141,7 +169,7 @@ class TestFleetPropagation:
         fleet = PlacementFleet(
             factory, digest=artifact.digest, config=config
         )
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             payload = handle.client().query(
                 {"kind": "evaluate", "placements": [["V3", "V5"]]}
             )
@@ -187,7 +215,7 @@ class TestFleetPropagation:
         fleet = PlacementFleet(
             factory, digest=artifact.digest, config=config
         )
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             payload = handle.client().query(
                 {"kind": "evaluate", "placements": [["V3", "V5"]]}
             )
@@ -287,7 +315,7 @@ class TestMetricsEndpoints:
 
     def test_front_metrics_aggregate_the_fleet(self, artifact):
         fleet = make_fleet(artifact, fast_config())
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             for _ in range(4):
                 client.evaluate([["V3", "V5"]])
@@ -309,7 +337,7 @@ class TestMetricsEndpoints:
 
     def test_fleet_metrics_tolerate_a_dead_worker(self, artifact):
         fleet = make_fleet(artifact, fast_config(heartbeat_interval=30.0))
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             client.evaluate([["V3", "V5"]])
             fleet.worker_handle(0).kill()
@@ -347,7 +375,7 @@ class TestHealthSurfacing:
     ):
         config = fast_config(trace_dir=tmp_path)
         fleet = make_fleet(artifact, config, trace_dir=tmp_path)
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             client = handle.client()
             client.evaluate([["V3", "V5"]])
             health = client.healthz()

@@ -16,9 +16,9 @@ from repro.core.kernel import evaluate_placement_many
 from repro.errors import ServeRequestError
 from repro.serve import (
     FleetConfig,
-    FleetThread,
     PlacementFleet,
     QueryEngine,
+    ServerThread,
     local_worker_factory,
 )
 from repro.stream import StreamRefresher, TrafficDelta
@@ -50,7 +50,7 @@ class TestSwap:
     ):
         upgraded = stream_artifact.patched({0: 300.0})
         fleet = make_fleet(stream_artifact)
-        with FleetThread(fleet) as handle, handle.client() as client:
+        with ServerThread(fleet) as handle, handle.client() as client:
             assert client.evaluate([PLACEMENT]) == [
                 expected_total(stream_artifact)
             ]
@@ -72,7 +72,7 @@ class TestSwap:
 
     def test_swap_to_current_digest_is_a_noop(self, stream_artifact):
         fleet = make_fleet(stream_artifact)
-        with FleetThread(fleet) as handle, handle.client() as client:
+        with ServerThread(fleet) as handle, handle.client() as client:
             record = fleet.request_swap(stream_artifact.digest).result(
                 timeout=30.0
             )
@@ -84,7 +84,7 @@ class TestSwap:
         self, stream_artifact
     ):
         fleet = make_fleet(stream_artifact)
-        with FleetThread(fleet):
+        with ServerThread(fleet):
             future = fleet.request_swap("ff" * 32)
             with pytest.raises(ServeRequestError):
                 future.result(timeout=30.0)
@@ -97,7 +97,7 @@ class TestSwap:
     def test_swap_can_keep_the_old_shard(self, stream_artifact):
         upgraded = stream_artifact.patched({1: 150.0})
         fleet = make_fleet(stream_artifact)
-        with FleetThread(fleet) as handle, handle.client() as client:
+        with ServerThread(fleet) as handle, handle.client() as client:
             fleet.request_swap(
                 upgraded.digest, factory_for(upgraded), retire_old=False
             ).result(timeout=30.0)
@@ -143,7 +143,7 @@ class TestChaosSwapUnderLoad:
                     with lock:
                         outcomes.append(entry)
 
-        with FleetThread(fleet) as handle:
+        with ServerThread(fleet) as handle:
             refresher = StreamRefresher(
                 stream_artifact,
                 fleet=fleet,

@@ -28,8 +28,8 @@ import json
 
 from examples.stream_refresh import build_scenario
 from repro.serve import (
-    FleetConfig, FleetThread, PlacementFleet, QueryEngine,
-    ScenarioArtifact, ShmArtifactPool, local_worker_factory,
+    FleetConfig, PlacementFleet, QueryEngine, ScenarioArtifact,
+    ServerThread, ShmArtifactPool, local_worker_factory,
 )
 from repro.stream import StreamRefresher, TrafficDelta
 
@@ -47,7 +47,7 @@ try:
     refresher = StreamRefresher(
         artifact, pool=pool, fleet=fleet, worker_factory_for=factory_for,
     )
-    with FleetThread(fleet) as handle, handle.client() as client:
+    with ServerThread(fleet) as handle, handle.client() as client:
         client.evaluate([[]])
         result = refresher.refresh([TrafficDelta(
             route="north-south artery", count=3,

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 import re
@@ -263,6 +264,93 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("customers/day") == 2
+
+
+class TestScenarioRecipe:
+    """Every scenario-building command keeps the scenario its flags name.
+
+    The outputs were recorded before the commands shared one recipe;
+    each flag set moves the threshold, utility, shop class or seed away
+    from its default.
+    """
+
+    def run(self, capsys, *argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    def test_place(self, capsys):
+        code, out = self.run(
+            capsys, "place", "--city", "dublin", "--scale", "small", "--k",
+            "3", "--threshold", "9000", "--seed", "11",
+        )
+        assert code == 0
+        assert out == (
+            "city      : dublin (RoadNetwork(nodes=81, edges=234))\n"
+            "shop      : (3, 8) (city)\n"
+            "utility   : LinearUtility(D=9000)\n"
+            "algorithm : composite-greedy\n"
+            "placement : [(3, 5), (1, 8), (4, 2)]\n"
+            "attracted : 0.6539 customers/day\n"
+            "coverage  : 10/15 flows\n"
+        )
+
+    def test_validate(self, capsys):
+        code, out = self.run(
+            capsys, "validate", "--city", "seattle", "--scale", "small",
+            "--threshold", "1200", "--utility", "threshold", "--seed", "9",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == (
+            "scenario: Scenario(shop=(3, 7), flows=15, sites=121, "
+            "utility=ThresholdUtility(D=1200))"
+        )
+        assert len(lines) == 14
+        assert "100/121 candidate sites" in lines[-1]
+
+    def test_render_a_placement(self, capsys, tmp_path):
+        out = tmp_path / "placement.svg"
+        code, _ = self.run(
+            capsys, "render", "--city", "seattle", "--scale", "small", "--k",
+            "2", "--threshold", "1800", "--seed", "8", "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "efc8f9b8b971a1493281d06fd61014123ea5d95f8eacfbd5f3206caebf9b6ed6"
+        )
+
+    def test_sweep_threshold(self, capsys):
+        code, out = self.run(
+            capsys, "sweep", "threshold", "--city", "dublin", "--scale",
+            "small", "--utility", "sqrt", "--seed", "5", "--k", "3",
+        )
+        assert code == 0
+        assert out == (
+            "shop at (8, 1) (dublin); sweeping threshold with "
+            "composite-greedy\n"
+            "   5000  ->      0.6000 customers/day\n"
+            "  10000  ->      0.6000 customers/day\n"
+            "  20000  ->      0.6000 customers/day\n"
+            "  40000  ->      0.6206 customers/day\n"
+            "  80000  ->      0.8093 customers/day\n"
+            "  trend: ▁▁▁▁█\n"
+            "  peak at 80000 (0.8093); 95% saturation at 80000\n"
+        )
+
+    def test_sweep_budget(self, capsys):
+        code, out = self.run(
+            capsys, "sweep", "budget", "--city", "seattle", "--scale",
+            "small", "--seed", "6", "--values", "1,3",
+        )
+        assert code == 0
+        assert out == (
+            "shop at (2, 6) (seattle); sweeping budget with "
+            "composite-greedy\n"
+            "  1  ->      1.9600 customers/day\n"
+            "  3  ->      1.9600 customers/day\n"
+            "  trend: ▁▁\n"
+            "  peak at 1 (1.9600); 95% saturation at 1\n"
+        )
 
 
 class TestExitCodeMapping:
