@@ -1,21 +1,22 @@
 """Coverage index: which intersection reaches which flow, at what detour.
 
 The placement algorithms never touch the graph directly — they operate on
-a :class:`CoverageIndex`, which materializes, for every intersection ``v``,
-the list of flows whose fixed path passes ``v`` together with the detour
+a :class:`CoverageIndex`, which records, for every intersection ``v``,
+the flows whose fixed path passes ``v`` together with the detour
 distance a RAP at ``v`` would impose on them.  Building the index costs
 one pass over all flow paths (plus the warm-up of the
 :class:`~repro.core.detour.DetourCalculator`: one reverse sweep per flow
 destination, dropped once its path nodes are recorded), after which
 greedy steps are pure array work.
 
-For the array kernel, :meth:`CoverageIndex.packed` compiles the
-incidence lists once into flat CSR arrays (see
-:mod:`repro.core.kernel`); the compiled form is cached on the index.
+The index stores only its CSR pack (:mod:`repro.core.kernel`), built
+straight from the walk; the per-site and per-flow object lists that the
+reference oracle and the offline algorithms read come from it on first use.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -31,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 @dataclass(frozen=True)
 class CoverageEntry:
-    """One (intersection, flow) incidence.
+    """One (intersection, flow) incidence, an element of ``covering()``.
 
     ``position`` is the intersection's index along the flow's fixed path
     (travel order).  It carries the paper's Theorem 1 tie-breaking: among
@@ -45,50 +46,31 @@ class CoverageEntry:
 
 
 class CoverageIndex:
-    """Incidence structure between candidate intersections and flows.
+    """Incidences between candidate intersections and flows, as a CSR pack.
 
     ``index.covering(v)`` lists the flows a RAP at ``v`` would reach (the
     flow passes ``v``) with the corresponding detour distance; entries
     with infinite detour (shop unreachable) are dropped at build time.
 
-    The per-flow best detours and the total incidence count are computed
-    once at build time — both are queried inside per-step loops by
-    analysis code, so the accessors must stay O(1).
+    Built or restored (:meth:`from_packed`), the index is its CSR pack
+    (:meth:`packed`); the object views are derived from it on first use
+    (``coverage.materializations``), which no serving path does.
     """
 
     def __init__(
         self, flows: Sequence[TrafficFlow], calculator: DetourCalculator
     ) -> None:
         self._flows: Tuple[TrafficFlow, ...] = tuple(flows)
-        self._calculator = calculator
+        self._calculator: Optional[DetourCalculator] = calculator
+        # Record every path node's d''' first, one destination at a
+        # time, so the walk only reads and no sweep is retained.
+        calculator.warm_up(self._flows)
+        packed, best_by_flow = _compile(self._flows, calculator)
+        self._packed: "PackedCoverage" = packed
+        self._best_by_flow: Optional[Sequence[float]] = best_by_flow
         self._by_node: Dict[NodeId, List[CoverageEntry]] = {}
         self._by_flow: List[List[Tuple[NodeId, float]]] = []
-        self._best_by_flow: List[float] = []
-        self._incidences = 0
-        self._packed: Optional["PackedCoverage"] = None
-        self._materialized = True
-        # Record every path node's d''' first, one destination at a
-        # time, so the build below only reads and no sweep is retained.
-        calculator.warm_up(self._flows)
-        for flow_index, flow in enumerate(self._flows):
-            per_flow: List[Tuple[NodeId, float]] = []
-            best = INFINITY
-            for position, (node, detour) in enumerate(
-                calculator.detours_along(flow)
-            ):
-                if detour == INFINITY:
-                    continue
-                per_flow.append((node, detour))
-                if detour < best:
-                    best = detour
-                self._by_node.setdefault(node, []).append(
-                    CoverageEntry(
-                        flow_index=flow_index, detour=detour, position=position
-                    )
-                )
-                self._incidences += 1
-            self._by_flow.append(per_flow)
-            self._best_by_flow.append(best)
+        self._materialized = False
 
     @classmethod
     def from_packed(
@@ -96,72 +78,57 @@ class CoverageIndex:
         flows: Sequence[TrafficFlow],
         packed: "PackedCoverage",
         calculator: Optional[DetourCalculator] = None,
-        lazy: bool = False,
     ) -> "CoverageIndex":
-        """Rebuild an index from its CSR-compiled form — no Dijkstra pass.
+        """An index over an existing CSR pack — no Dijkstra pass, no copy.
 
-        The inverse of :meth:`packed`, used when an artifact cache
-        restores a scenario: the incidence lists, per-flow options, and
-        best-detour cache are reassembled from the CSR columns in the
-        exact order the original build produced them (node rows in
-        first-incidence order, per-node entries by ascending flow index,
-        per-flow options by path position), so evaluators walking the
-        restored index visit entries in the same order and accumulate
-        bit-identical totals.
-
-        ``calculator`` may be omitted: a restored index answers every
-        coverage query without one, and accessing :attr:`calculator`
-        then raises.
-
-        With ``lazy=True`` the Python-object incidence lists are not
-        built up front: the index answers :attr:`flows`,
-        :meth:`incidence_count`, and :meth:`packed` straight from the
-        CSR columns, and materializes the per-node / per-flow lists only
-        when an accessor that needs them is first hit.  A worker that
-        serves purely through the numpy kernel therefore never pays the
-        object-graph memory — the point of the shared-memory attach
-        path, where the CSR columns live in a shared segment.
+        The artifact restore, attach and patch paths adopt their pack
+        as it is (shared-memory views included); the object views come
+        from it in the order a build lists them, so evaluators walking a
+        restored index accumulate bit-identical totals.  The pack must
+        cover exactly ``flows`` (else
+        :class:`~repro.errors.InvalidScenarioError`).  Without a
+        ``calculator``, accessing :attr:`calculator` raises.
         """
         index = cls.__new__(cls)
         index._flows = tuple(flows)
+        flow_count, referenced = len(index._flows), packed.flow_index
+        if packed.flow_count != flow_count or (
+            len(referenced)
+            and not 0 <= referenced.min() <= referenced.max() < flow_count
+        ):
+            raise InvalidScenarioError(
+                f"packed coverage of {packed.flow_count} flows does not "
+                f"match the {flow_count} flows supplied"
+            )
         index._calculator = calculator
+        index._packed = packed
+        index._best_by_flow = None
         index._by_node = {}
         index._by_flow = []
-        index._best_by_flow = []
-        index._incidences = int(packed.incidence_count)
-        index._packed = packed
         index._materialized = False
-        if not lazy:
-            index._materialize()
         return index
 
     def _materialize(self) -> None:
-        """Reassemble the object incidence lists from the CSR columns."""
+        """Derive the per-node and per-flow object views from the pack."""
         packed = self._packed
-        assert packed is not None  # only unset on the __init__ path
-        flow_count = len(self._flows)
-        by_node: Dict[NodeId, List[CoverageEntry]] = {}
+        nodes = packed.nodes
+        by_node: Dict[NodeId, List[CoverageEntry]] = {node: [] for node in nodes}
         positioned: List[List[Tuple[int, NodeId, float]]] = [
             [] for _ in self._flows
         ]
-        for row, node in enumerate(packed.nodes):
-            entries: List[CoverageEntry] = []
-            for j in range(int(packed.indptr[row]), int(packed.indptr[row + 1])):
-                flow_index = int(packed.flow_index[j])
-                if not 0 <= flow_index < flow_count:
-                    raise InvalidScenarioError(
-                        f"packed coverage references flow {flow_index} "
-                        f"but only {flow_count} flows were supplied"
-                    )
-                detour = float(packed.detour[j])
-                position = int(packed.position[j])
-                entries.append(
-                    CoverageEntry(
-                        flow_index=flow_index, detour=detour, position=position
-                    )
+        for row, flow_index, detour, position in zip(
+            packed.entry_row.tolist(),
+            packed.flow_index.tolist(),
+            packed.detour.tolist(),
+            packed.position.tolist(),
+        ):
+            node = nodes[row]
+            by_node[node].append(
+                CoverageEntry(
+                    flow_index=flow_index, detour=detour, position=position
                 )
-                positioned[flow_index].append((position, node, detour))
-            by_node[node] = entries
+            )
+            positioned[flow_index].append((position, node, detour))
         by_flow: List[List[Tuple[NodeId, float]]] = []
         for options in positioned:
             options.sort(key=lambda item: item[0])
@@ -200,10 +167,8 @@ class CoverageIndex:
         return self._calculator
 
     def nodes(self) -> Iterator[NodeId]:
-        """Intersections that cover at least one flow."""
-        if not self._materialized:
-            self._materialize()
-        return iter(self._by_node)
+        """Intersections that cover at least one flow (the pack's rows)."""
+        return iter(self._packed.nodes)
 
     def covering(self, node: NodeId) -> Sequence[CoverageEntry]:
         """Flows reachable from a RAP at ``node`` (may be empty)."""
@@ -218,25 +183,90 @@ class CoverageIndex:
         return self._by_flow[flow_index]
 
     def best_possible_detour(self, flow_index: int) -> float:
-        """Smallest detour any single RAP can give this flow (cached)."""
-        if not self._materialized:
+        """Smallest detour any single RAP can give this flow."""
+        if self._best_by_flow is None:
             self._materialize()
+        assert self._best_by_flow is not None  # set by _materialize
         return self._best_by_flow[flow_index]
 
     def incidence_count(self) -> int:
-        """Total number of (node, flow) incidences — the index's size.
-
-        Computed at build time; this accessor is O(1).
-        """
-        return self._incidences
+        """Total number of (node, flow) incidences — the index's size (O(1))."""
+        return self._packed.incidence_count
 
     def packed(self) -> "PackedCoverage":
-        """The CSR-compiled form of this index (built once, then cached).
+        """The CSR pack this index stores its incidences in.
 
         See :class:`repro.core.kernel.PackedCoverage` for the layout.
         """
-        if self._packed is None:
-            from .kernel import PackedCoverage
-
-            self._packed = PackedCoverage.from_index(self)
         return self._packed
+
+
+def _compile(
+    flows: Tuple[TrafficFlow, ...], calculator: DetourCalculator
+) -> Tuple["PackedCoverage", "array[float]"]:
+    """The CSR pack of ``flows``' finite incidences, and each best detour.
+
+    The walk appends each incidence to typed buffers (its node's row,
+    numbered by first incidence, its detour and position) and each
+    flow's end; a stable sort by row keeps the walk's order in every
+    row.  Buffers are freed as they are gathered, to hold about one
+    column more than the pack.
+    """
+    import numpy as np
+
+    from .kernel import PackedCoverage
+
+    row_of: Dict[NodeId, int] = {}
+    rows, position, flow_ends = array("q"), array("q"), array("q")
+    detour, best_by_flow = array("d"), array("d")
+    for flow in flows:
+        best = INFINITY
+        for step, (node, value) in enumerate(calculator.detours_along(flow)):
+            if value == INFINITY:
+                continue
+            rows.append(row_of.setdefault(node, len(row_of)))
+            detour.append(value)
+            position.append(step)
+            if value < best:
+                best = value
+        flow_ends.append(len(rows))
+        best_by_flow.append(best)
+    walk_rows = np.frombuffer(rows, dtype=np.int64)
+    order = np.argsort(walk_rows, kind="stable")
+    indptr = np.zeros(len(row_of) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(walk_rows, minlength=len(row_of)), out=indptr[1:])
+    entry_row = walk_rows[order]
+    del walk_rows, rows
+    detour_column = np.frombuffer(detour, dtype=np.float64)[order]
+    del detour
+    position_column = np.frombuffer(position, dtype=np.int64)[order]
+    del position
+    # Walk index w belongs to flow f exactly when the f flows before it
+    # end at or before w and flow f ends after it.
+    flow_column = np.searchsorted(
+        np.frombuffer(flow_ends, dtype=np.int64), order, side="right"
+    )
+    del order
+    packed = PackedCoverage(
+        nodes=tuple(row_of),
+        row_of=row_of,
+        indptr=indptr,
+        flow_index=flow_column,
+        detour=detour_column,
+        position=position_column,
+        entry_row=entry_row,
+        volume=np.asarray([flow.volume for flow in flows], dtype=float),
+        attractiveness=np.asarray(
+            [flow.attractiveness for flow in flows], dtype=float
+        ),
+    )
+    obs.count_many(
+        {
+            "pack.builds": 1,
+            "pack.rows": packed.row_count,
+            "pack.incidences": packed.incidence_count,
+            "pack.flows": packed.flow_count,
+            "pack.bytes": packed.nbytes,
+        }
+    )
+    return packed, best_by_flow

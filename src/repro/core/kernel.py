@@ -6,8 +6,8 @@ run.  The reference evaluator (:mod:`repro.core.reference`) walks one
 the utility function on every query; the kernel computes the same
 numbers around three ideas:
 
-* **CSR packing** — :class:`PackedCoverage` flattens the coverage index
-  into contiguous arrays: per-node slices ``indptr[row] ..
+* **CSR packing** — :class:`PackedCoverage` is the coverage index's
+  one stored form, contiguous arrays: per-node slices ``indptr[row] ..
   indptr[row + 1]`` over ``flow_index`` / ``detour`` / ``position``
   columns, plus per-flow ``volume`` and ``attractiveness`` vectors.
   Batched marginal-gain queries become masked segment reductions
@@ -60,7 +60,6 @@ from ..graphs import INFINITY, NodeId
 from .placement import FlowOutcome, Placement
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
-    from .coverage import CoverageIndex
     from .scenario import Scenario
 
 #: Sentinel path position for flows no placed RAP serves yet (mirrors
@@ -75,13 +74,15 @@ _EMPTY = np.zeros(0)
 class PackedCoverage:
     """CSR-compiled coverage index.
 
-    Row ``r`` describes intersection ``nodes[r]``: its incidences occupy
+    Row ``r`` describes intersection ``nodes[r]`` (rows in order of each
+    node's first incidence, flows taken in order): its incidences occupy
     ``indptr[r]:indptr[r + 1]`` in the ``flow_index`` / ``detour`` /
-    ``position`` columns (entry order matches the Python index, i.e.
-    ascending flow index).  ``entry_row`` maps each incidence back to its
-    row for one-shot ``np.bincount`` segment reductions; ``volume`` and
-    ``attractiveness`` are per-flow vectors aligned with
-    ``CoverageIndex.flows``.
+    ``position`` columns, by ascending flow index.  ``entry_row`` maps
+    each incidence back to its row for one-shot ``np.bincount`` segment
+    reductions; ``volume`` and ``attractiveness`` are per-flow vectors
+    aligned with ``CoverageIndex.flows``.  A
+    :class:`~repro.core.coverage.CoverageIndex` builds its pack as it
+    walks the flows; :meth:`from_arrays` restores one from its columns.
     """
 
     nodes: Tuple[NodeId, ...]
@@ -93,53 +94,6 @@ class PackedCoverage:
     entry_row: "np.ndarray"
     volume: "np.ndarray"
     attractiveness: "np.ndarray"
-
-    @classmethod
-    def from_index(cls, index: "CoverageIndex") -> "PackedCoverage":
-        """One-time compilation of a :class:`CoverageIndex` into CSR form."""
-        nodes: List[NodeId] = list(index.nodes())
-        row_of: Dict[NodeId, int] = {node: row for row, node in enumerate(nodes)}
-        counts: List[int] = []
-        flow_index: List[int] = []
-        detour: List[float] = []
-        position: List[int] = []
-        for node in nodes:
-            entries = index.covering(node)
-            counts.append(len(entries))
-            for entry in entries:
-                flow_index.append(entry.flow_index)
-                detour.append(entry.detour)
-                position.append(entry.position)
-        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        np.cumsum(np.asarray(counts, dtype=np.int64), out=indptr[1:])
-        packed = cls(
-            nodes=tuple(nodes),
-            row_of=row_of,
-            indptr=indptr,
-            flow_index=np.asarray(flow_index, dtype=np.int64),
-            detour=np.asarray(detour, dtype=float),
-            position=np.asarray(position, dtype=np.int64),
-            entry_row=np.repeat(
-                np.arange(len(nodes), dtype=np.int64),
-                np.asarray(counts, dtype=np.int64),
-            ),
-            volume=np.asarray(
-                [flow.volume for flow in index.flows], dtype=float
-            ),
-            attractiveness=np.asarray(
-                [flow.attractiveness for flow in index.flows], dtype=float
-            ),
-        )
-        obs.count_many(
-            {
-                "pack.builds": 1,
-                "pack.rows": packed.row_count,
-                "pack.incidences": packed.incidence_count,
-                "pack.flows": packed.flow_count,
-                "pack.bytes": packed.nbytes,
-            }
-        )
-        return packed
 
     @classmethod
     def from_arrays(

@@ -25,7 +25,7 @@ decoded as they close, so no serving path builds the spec's dict tree.
 :class:`ArtifactStore` persists artifacts under ``<root>/<digest>/``
 (``meta.json`` with the spec + pack stats, ``arrays.npz`` with the CSR
 columns), so a restarted server skips recompilation: the coverage index
-is reassembled from the stored arrays
+adopts the stored arrays as its pack
 (:meth:`~repro.core.coverage.CoverageIndex.from_packed`) without a
 single Dijkstra run.
 """
@@ -385,7 +385,7 @@ class ScenarioArtifact:
             flows[index] = replace(flow, volume=flow.volume + float(raw_delta))
         patched_scenario = scenario.with_flows(flows)
         patched_scenario.attach_coverage(
-            CoverageIndex.from_packed(patched_scenario.flows, packed, lazy=True)
+            CoverageIndex.from_packed(patched_scenario.flows, packed)
         )
         with obs.span("serve.artifact.patch", flows_changed=len(volume_deltas)):
             stats = warm_kernel(patched_scenario)
@@ -500,13 +500,12 @@ class ScenarioArtifact:
                 # entry_row column; from_arrays rederives it then.
                 entry_row=columns.get("entry_row"),
             )
+            coverage = CoverageIndex.from_packed(scenario.flows, packed)
         except (KeyError, ReproError) as error:
             raise ServeArtifactError(
                 f"artifact {digest[:12]} arrays are inconsistent: {error}"
             ) from None
-        scenario.attach_coverage(
-            CoverageIndex.from_packed(scenario.flows, packed)
-        )
+        scenario.attach_coverage(coverage)
         with obs.span("serve.artifact.load"):
             stats = warm_kernel(scenario)
         obs.count("serve.artifact.loads")
@@ -524,9 +523,10 @@ class ScenarioArtifact:
         the CSR columns become read-only views straight over the shared
         buffer (``PackedCoverage.from_arrays`` adopts them, including
         the published ``entry_row``, without copying) and the coverage
-        index is rebuilt lazily, so a worker serving through the numpy
-        kernel holds private memory only for the per-incidence utility
-        values — the arrays themselves stay one physical copy per host.
+        index adopts that pack as it is, so a worker serving through the
+        numpy kernel holds private memory only for the per-incidence
+        utility values — the arrays themselves stay one physical copy
+        per host.
         The manifest's spec text is hashed as it is and parsed once.
 
         The returned artifact keeps the attachment alive via
@@ -572,13 +572,12 @@ class ScenarioArtifact:
                     attractiveness=arrays["attractiveness"],
                     entry_row=arrays["entry_row"],
                 )
+                coverage = CoverageIndex.from_packed(scenario.flows, packed)
             except (KeyError, ReproError) as error:
                 raise ServeArtifactError(
                     f"shm arrays for {digest[:12]} are inconsistent: {error}"
                 ) from None
-            scenario.attach_coverage(
-                CoverageIndex.from_packed(scenario.flows, packed, lazy=True)
-            )
+            scenario.attach_coverage(coverage)
             with obs.span("serve.artifact.attach"):
                 stats = warm_kernel(scenario)
         except BaseException:  # rapflow: noqa[RAP003] detach-and-reraise cleanup

@@ -638,7 +638,8 @@ class PlacementFleet(JsonService):
         return self._config
 
     async def start(self) -> None:
-        """Spawn every worker, bind the front, start the supervisor."""
+        """Spawn every worker, bind the front, start the supervisor;
+        a start that fails stops the workers it started."""
         from ..devtools import sanitize  # local: opt-in tooling, lazy
 
         sanitize.install_async_if_enabled()
@@ -646,7 +647,11 @@ class PlacementFleet(JsonService):
         self._slots = await self._spawn(
             [(shard, self._shards[shard]) for shard in self.shard_digests]
         )
-        await self._listen()
+        try:
+            await self._listen()
+        except BaseException:  # rapflow: noqa[RAP003] stop-and-reraise cleanup
+            await self._stop_slots(self._slots, "fleet.shutdown_errors")
+            raise
         self._supervisor = self._loop.create_task(self._supervise())
 
     async def shutdown(self) -> None:
@@ -670,7 +675,8 @@ class PlacementFleet(JsonService):
 
         Slot indices continue after the fleet's highest.  Each new slot
         is marked ``up`` or ``down`` by how its start went; a shard with
-        no replica up raises :class:`ServeWorkerError`.
+        no replica up raises :class:`ServeWorkerError`, after every new
+        slot is stopped.
         """
         first = max((slot.index for slot in self._slots), default=-1) + 1
         slots = [
@@ -700,6 +706,7 @@ class PlacementFleet(JsonService):
             if not any(
                 slot.state == "up" for slot in slots if slot.digest == digest
             ):
+                await self._stop_slots(slots, "fleet.spawn_stop_errors")
                 raise ServeWorkerError(
                     f"no worker came up for shard {digest[:12]}"
                 )

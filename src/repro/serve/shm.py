@@ -22,8 +22,8 @@ number of processes attach zero-copy views:
 ``ScenarioArtifact.attach`` (in :mod:`repro.serve.artifacts`) completes
 the zero-copy restore path: the manifest's spec text hashed as it is
 and parsed once → shm views → ``PackedCoverage.from_arrays`` (adoption,
-no copy) → lazy ``CoverageIndex`` → ``warm_kernel``.  A worker serving
-through the numpy kernel then holds private memory only for the
+no copy) → ``CoverageIndex.from_packed`` → ``warm_kernel``.  A worker
+serving through the numpy kernel then holds private memory only for the
 per-incidence utility values — not the coverage arrays.  A publisher
 and its attachers run the same code, so a manifest of another version
 is refused rather than read.

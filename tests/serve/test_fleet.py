@@ -9,12 +9,19 @@ sleeps so they stay fast on a quiet machine and robust on a loaded one.
 """
 
 import logging
+import socket
+import threading
 import time
 
 import pytest
 
 from repro.core.reference import evaluate_placement
-from repro.errors import ServeClientError, ServeRequestError, ServeWorkerError
+from repro.errors import (
+    ServeClientError,
+    ServeError,
+    ServeRequestError,
+    ServeWorkerError,
+)
 from repro.reliability import FaultConfig, FaultInjector
 from repro.serve import (
     FleetConfig,
@@ -71,6 +78,53 @@ class TestShutdown:
                 assert client.evaluate([["V3", "V5"]]) == [21.0]
         client.close()
         assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+
+def serve_threads():
+    """The live service threads (fronts and in-process workers alike)."""
+    return {t for t in threading.enumerate() if t.name == "rapflow-serve"}
+
+
+class TestFailedStart:
+    """A fleet that cannot finish starting leaves no worker running."""
+
+    def test_a_front_that_cannot_bind_stops_its_workers(self, artifact):
+        before = serve_threads()
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            fleet = make_fleet(
+                artifact, config=fast_config(port=taken.getsockname()[1])
+            )
+            with pytest.raises(ServeError, match="server failed to start"):
+                ServerThread(fleet).__enter__()
+        assert wait_until(lambda: serve_threads() <= before), (
+            serve_threads() - before
+        )
+
+    def test_a_shard_with_no_worker_up_stops_the_other_shard(
+        self, artifact, linear_artifact
+    ):
+        def no_engine():
+            raise ServeWorkerError("this engine never starts")
+
+        before = serve_threads()
+        fleet = PlacementFleet(
+            None,
+            digest=artifact.digest,
+            shards={
+                artifact.digest: local_worker_factory(
+                    lambda: QueryEngine(artifact)
+                ),
+                linear_artifact.digest: local_worker_factory(no_engine),
+            },
+            config=fast_config(),
+        )
+        with pytest.raises(ServeError, match="no worker came up for shard"):
+            ServerThread(fleet).__enter__()
+        assert wait_until(lambda: serve_threads() <= before), (
+            serve_threads() - before
+        )
 
 
 class TestRouting:
