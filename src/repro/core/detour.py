@@ -13,10 +13,10 @@ the paper's ``O(|V|^3)`` all-pairs step:
 * one reverse field anchored at the shop  -> ``dist(v, shop)``;
 * one forward field anchored at the shop  -> ``dist(shop, j)``;
 * one record per *distinct flow destination*  -> ``dist(v, j)``: a flow
-  asks only about the nodes on its own path, so a reverse sweep toward
-  ``j`` runs only until those nodes are settled, their distances are
-  recorded, and the sweep is dropped (real workloads share destinations
-  heavily, so one sweep serves every flow ending there).
+  asks only about the nodes on its own path, so an A* run backwards from
+  ``j`` toward the flows' origins settles only until those nodes are
+  settled, and their distances are recorded (real workloads share
+  destinations heavily, so one search serves every flow ending there).
 
 Two modes are supported for ``d'''``:
 
@@ -38,9 +38,9 @@ from ..errors import InvalidScenarioError
 from ..graphs import (
     INFINITY,
     NodeId,
-    ReverseSweep,
     RoadNetwork,
     distances_from,
+    distances_to,
     distances_to_target,
 )
 from .flow import TrafficFlow
@@ -53,14 +53,13 @@ class DetourCalculator:
 
     ``d'''`` is kept as one record per distinct destination: a dict from
     each node asked about to its distance to the destination.  A record
-    is filled by a :class:`~repro.graphs.ReverseSweep` over the
-    network's integer :meth:`~repro.graphs.RoadNetwork.reverse_adjacency`,
-    run only until every node asked for is settled and then dropped, so
-    the calculator holds memory in proportion to the recorded path
-    nodes, not to destinations × nodes.  A question the record cannot
-    answer (a node off the recorded paths, a flow never warmed) restarts
-    a sweep.  Every value equals the full reverse Dijkstra field's bit
-    for bit.
+    is filled by :func:`~repro.graphs.distances_to`, an A* run backwards
+    from the destination toward the origins of the paths asked about,
+    only until every node asked for is settled, so the calculator holds
+    memory in proportion to the recorded path nodes, not to
+    destinations × nodes.  A question the record cannot answer (a node
+    off the recorded paths, a flow never warmed) runs one more search.
+    Every value equals the full reverse Dijkstra field's bit for bit.
 
     Safe to share between threads: records are extended under one lock
     per calculator, by replacing a record with an extended copy, so a
@@ -84,7 +83,6 @@ class DetourCalculator:
         self._mode = mode
         self._to_shop = distances_to_target(network, shop)
         self._from_shop = distances_from(network, shop)
-        self._adjacency = network.reverse_adjacency()
         self._records: Dict[NodeId, Dict[NodeId, float]] = {}
         self._lock = threading.Lock()
 
@@ -112,32 +110,39 @@ class DetourCalculator:
         return self._from_shop[node]
 
     def _record(
-        self, destination: NodeId, nodes: Sequence[NodeId]
+        self, destination: NodeId, paths: Sequence[Sequence[NodeId]]
     ) -> Dict[NodeId, float]:
-        """The destination's record, extended to hold every one of ``nodes``.
+        """The destination's record, extended to hold every node of ``paths``.
 
         A record that holds them already is returned without the lock.
-        Otherwise one sweep toward the destination settles the missing
-        nodes, an extended copy replaces the record, and the sweep is
-        dropped.  A node the sweep runs out without reaching, or one not
-        on the network, records ``inf``.  Raises
-        :class:`~repro.errors.NodeNotFoundError` when the destination is
-        not on the network.
+        Otherwise one search from the destination, aimed at the first
+        node of each path with a missing node, settles the missing nodes,
+        and an extended copy replaces the record.  A node that cannot
+        reach the destination, or one not on the network, records
+        ``inf``.  Raises :class:`~repro.errors.NodeNotFoundError` when the
+        destination is not on the network.
         """
         record = self._records.get(destination)
-        if record is not None and all(node in record for node in nodes):
+        if record is not None and all(
+            node in record for path in paths for node in path
+        ):
             return record
         with self._lock:
             record = self._records.get(destination, {})
-            missing = [node for node in nodes if node not in record]
+            missing = [
+                path for path in paths if any(node not in record for node in path)
+            ]
             if not missing:
                 return record
-            sweep = ReverseSweep(self._adjacency, destination)
-            slots = self._adjacency.slots
             extended = dict(record)
-            for node in missing:
-                slot = slots.get(node)
-                extended[node] = INFINITY if slot is None else sweep.settle(slot)
+            extended.update(
+                distances_to(
+                    self._network,
+                    destination,
+                    [node for path in missing for node in path if node not in record],
+                    toward=[path[0] for path in missing],
+                )
+            )
             self._records[destination] = extended
             return extended
 
@@ -145,32 +150,32 @@ class DetourCalculator:
         """``d''' = dist(node, flow.destination)``, read from the record.
 
         A miss records the flow's whole path along with ``node``, so
-        walking an unwarmed flow node by node restarts one sweep, not
-        one per node.
+        walking an unwarmed flow node by node runs one search, not one
+        per node.
         """
         record = self._records.get(flow.destination)
         distance = None if record is None else record.get(node)
         if distance is None:
-            distance = self._record(flow.destination, flow.path + (node,))[node]
+            distance = self._record(flow.destination, (flow.path, (node,)))[node]
         return distance
 
     def warm_up(self, flows: Sequence[TrafficFlow]) -> None:
         """Record ``d'''`` for every node on the flows' paths, eagerly.
 
-        One destination group at a time: a sweep settles the group's
-        path nodes, they are recorded, and the sweep is dropped before
-        the next group starts.  Optional, since queries record what they
+        One search per destination group, aimed at the group's origins,
+        settles the group's path nodes, and they are recorded before the
+        next group starts.  Optional, since queries record what they
         need; :class:`~repro.core.coverage.CoverageIndex` calls it before
         it builds, and calling it first makes its cost visible on its
         own.  ``"along-path"`` mode has nothing to settle.
         """
         if self._mode != "shortest":
             return
-        groups: Dict[NodeId, List[NodeId]] = {}
+        groups: Dict[NodeId, List[Sequence[NodeId]]] = {}
         for flow in flows:
-            groups.setdefault(flow.destination, []).extend(flow.path)
-        for destination, nodes in groups.items():
-            self._record(destination, nodes)
+            groups.setdefault(flow.destination, []).append(flow.path)
+        for destination, paths in groups.items():
+            self._record(destination, paths)
 
     def detour(self, node: NodeId, flow: TrafficFlow) -> float:
         """Detour distance if flow ``flow`` receives the ad at ``node``.
@@ -204,7 +209,7 @@ class DetourCalculator:
     def detours_along(self, flow: TrafficFlow) -> Iterator[Tuple[NodeId, float]]:
         """``(node, detour)`` for every intersection on the flow's path."""
         if self._mode == "shortest":
-            record = self._record(flow.destination, flow.path)
+            record = self._record(flow.destination, (flow.path,))
             d_from_shop = self._from_shop[flow.destination]
             for node in flow.path:
                 d_to_shop = self._to_shop[node]

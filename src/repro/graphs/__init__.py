@@ -3,7 +3,7 @@
 This subpackage is self-contained (no dependency on the rest of the
 library) and implements everything the placement model needs from graph
 theory: a directed weighted road network embedded in the plane, Dijkstra
-variants, shortest-path DAG queries, strongly-connected-component
+and goal-directed A* searches, shortest-path DAG queries, strongly-connected-component
 validation, and synthetic city generators matching the paper's Dublin /
 Seattle / Manhattan-grid settings.
 """
@@ -12,12 +12,8 @@ from typing import TYPE_CHECKING
 
 from .._lazy import lazy_exports
 
-# Eager: the export ``astar`` shares its submodule's name, and importing
-# ``repro.graphs.astar`` binds the module over a name not yet resolved.
-from .astar import astar, bidirectional_dijkstra
-
 if TYPE_CHECKING:
-    from .digraph import NodeId, ReverseAdjacency, RoadNetwork
+    from .digraph import NodeId, RoadNetwork
     from .geometry import (
         BoundingBox,
         Point,
@@ -48,11 +44,12 @@ if TYPE_CHECKING:
     from .shortest_paths import (
         INFINITY,
         DistanceField,
-        ReverseSweep,
         all_pairs_distances,
         dijkstra,
         distances_from,
+        distances_to,
         distances_to_target,
+        goal_scale,
         is_shortest_path,
         shortest_path,
         shortest_path_length,
@@ -66,7 +63,7 @@ if TYPE_CHECKING:
     )
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    ".digraph": ("NodeId", "ReverseAdjacency", "RoadNetwork"),
+    ".digraph": ("NodeId", "RoadNetwork"),
     ".geometry": ("BoundingBox", "Point", "interpolate", "midpoint", "polyline_length"),
     ".generators": (
         "GridNode", "dublin_like_city", "grid_center_node", "manhattan_grid",
@@ -77,9 +74,9 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "NetworkMetrics", "circuity", "network_metrics", "orientation_entropy",
     ),
     ".shortest_paths": (
-        "INFINITY", "DistanceField", "ReverseSweep", "all_pairs_distances", "dijkstra",
-        "distances_from", "distances_to_target", "is_shortest_path", "shortest_path",
-        "shortest_path_length",
+        "INFINITY", "DistanceField", "all_pairs_distances", "dijkstra", "distances_from",
+        "distances_to", "distances_to_target", "goal_scale", "is_shortest_path",
+        "shortest_path", "shortest_path_length",
     ),
     ".spdag": ("ShortestPathDag",),
     ".validation": (
@@ -96,20 +93,18 @@ __all__ = [
     "NetworkMetrics",
     "NodeId",
     "Point",
-    "ReverseAdjacency",
-    "ReverseSweep",
     "RoadNetwork",
     "circuity",
     "network_metrics",
     "orientation_entropy",
     "ShortestPathDag",
     "all_pairs_distances",
-    "astar",
-    "bidirectional_dijkstra",
     "dijkstra",
     "distances_from",
+    "distances_to",
     "distances_to_target",
     "dublin_like_city",
+    "goal_scale",
     "grid_center_node",
     "interpolate",
     "is_shortest_path",

@@ -13,8 +13,7 @@ cross-check it against networkx as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import (
     DuplicateNodeError,
@@ -25,24 +24,6 @@ from ..errors import (
 from .geometry import BoundingBox, Point
 
 NodeId = Hashable
-
-
-@dataclass(frozen=True, eq=False)
-class ReverseAdjacency:
-    """A network's incoming streets over integer slots, for reverse searches.
-
-    Slot ``i`` is the ``i``-th intersection in insertion order:
-    ``nodes[i]`` is its id and ``slots`` maps ids back to slots.
-    ``predecessors[i]`` lists ``(tail slot, length)`` in
-    :meth:`RoadNetwork.predecessors` order, so a search over slots breaks
-    ties exactly as one over ids, without hashing a node id per street.
-    Read-only: it is a snapshot that later edits of the network leave
-    as it was.
-    """
-
-    nodes: Tuple[NodeId, ...]
-    slots: Dict[NodeId, int]
-    predecessors: Tuple[List[Tuple[int, float]], ...]
 
 
 class RoadNetwork:
@@ -62,7 +43,7 @@ class RoadNetwork:
         self._positions: Dict[NodeId, Point] = {}
         self._succ: Dict[NodeId, Dict[NodeId, float]] = {}
         self._pred: Dict[NodeId, Dict[NodeId, float]] = {}
-        self._reverse: Optional[ReverseAdjacency] = None
+        self._extremes: Optional[Tuple[float, float, float]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -77,7 +58,7 @@ class RoadNetwork:
         self._positions[node] = position
         self._succ[node] = {}
         self._pred[node] = {}
-        self._reverse = None
+        self._extremes = None
 
     def add_road(
         self, tail: NodeId, head: NodeId, length: Optional[float] = None
@@ -104,7 +85,7 @@ class RoadNetwork:
             )
         self._succ[tail][head] = float(length)
         self._pred[head][tail] = float(length)
-        self._reverse = None
+        self._extremes = None
 
     def add_street(
         self, a: NodeId, b: NodeId, length: Optional[float] = None
@@ -119,7 +100,7 @@ class RoadNetwork:
             raise EdgeNotFoundError(tail, head)
         del self._succ[tail][head]
         del self._pred[head][tail]
-        self._reverse = None
+        self._extremes = None
 
     def remove_intersection(self, node: NodeId) -> None:
         """Remove ``node`` and every incident segment."""
@@ -132,7 +113,7 @@ class RoadNetwork:
         del self._succ[node]
         del self._pred[node]
         del self._positions[node]
-        self._reverse = None
+        self._extremes = None
 
     # ------------------------------------------------------------------
     # inspection
@@ -202,27 +183,46 @@ class RoadNetwork:
             raise NodeNotFoundError(node) from None
         return iter(items.items())
 
-    def reverse_adjacency(self) -> ReverseAdjacency:
-        """The incoming streets over integer slots (:class:`ReverseAdjacency`).
+    def adjacency(
+        self, reverse: bool = False
+    ) -> Mapping[NodeId, Mapping[NodeId, float]]:
+        """Each node's outgoing streets as ``{head: length}``.
 
-        Built on first use and kept until the next edit, so every reverse
-        search on an unchanged network shares one snapshot.
+        With ``reverse``, its incoming streets as ``{tail: length}``.
+        Both are in :meth:`successors` / :meth:`predecessors` order.  The
+        network's own maps, handed to searches so that they skip a
+        method call per node: read them, never edit them.
         """
-        reverse = self._reverse
-        if reverse is None:
-            nodes = tuple(self._positions)
-            slots = {node: slot for slot, node in enumerate(nodes)}
-            pred = self._pred
-            reverse = ReverseAdjacency(
-                nodes=nodes,
-                slots=slots,
-                predecessors=tuple(
-                    [(slots[tail], length) for tail, length in pred[node].items()]
-                    for node in nodes
-                ),
-            )
-            self._reverse = reverse
-        return reverse
+        return self._pred if reverse else self._succ
+
+    def positions(self) -> Mapping[NodeId, Point]:
+        """Every intersection's position, in insertion order: the
+        network's own map, handed to searches; read it, never edit it."""
+        return self._positions
+
+    def street_extremes(self) -> Tuple[float, float, float]:
+        """``(shortest street, total street length, smallest ratio)``.
+
+        The smallest ratio is the least ``length / chord`` over streets
+        whose ends sit apart, the chord being the straight line between
+        them (``inf`` when no street has one).  Computed on first use
+        and kept until the next edit; the A* heuristic is derived from
+        it (:func:`~repro.graphs.shortest_paths.goal_scale`).
+        """
+        extremes = self._extremes
+        if extremes is None:
+            shortest, total, ratio = math.inf, 0.0, math.inf
+            positions = self._positions
+            for tail, heads in self._succ.items():
+                start = positions[tail]
+                for head, length in heads.items():
+                    shortest = min(shortest, length)
+                    total += length
+                    chord = start.distance_to(positions[head])
+                    if chord > 0.0:
+                        ratio = min(ratio, length / chord)
+            extremes = self._extremes = (shortest, total, ratio)
+        return extremes
 
     def out_degree(self, node: NodeId) -> int:
         """Number of outgoing segments at ``node``."""

@@ -1,35 +1,43 @@
 """Shortest-path machinery for :class:`~repro.graphs.digraph.RoadNetwork`.
 
-Everything the placement model needs reduces to Dijkstra runs:
+Everything the placement model needs reduces to one search,
+:func:`_settle`, run forward along the streets or backward against them:
 
 * :func:`dijkstra` — one source, distances (and parents) to all nodes;
-* :class:`ReverseSweep` — reverse Dijkstra toward one target that settles
-  nodes on demand and resumes where it stopped (used for "distance to the
-  flow destination", which each flow asks only along its own path);
-* :func:`distances_to_target` — a drained :class:`ReverseSweep`, distances
-  from all nodes *to* one target (used for "distance to the shop");
-* :func:`shortest_path` — a single reconstructed path, from a search
-  that stops at the target;
+* :func:`distances_to_target` — distances from all nodes *to* one target
+  (used for "distance to the shop");
+* :func:`shortest_path` — a single reconstructed path, from an A* search
+  that stops at the target (route draws, map matching);
+* :func:`distances_to` — distances *to* one target from the nodes asked
+  about, from an A* run backwards from the target that stops once they
+  are settled (used for "distance to the flow destination", which each
+  flow asks only along its own path);
+* :func:`goal_scale` — the A* estimate's factor, and the rule under
+  which every A* answer equals Dijkstra's bit for bit;
 * :func:`all_pairs_distances` — the paper's ``O(|V|^3)`` preprocessing,
   kept for small instances and for tests;
 * :class:`DistanceField` — an immutable mapping wrapper tagging a Dijkstra
   result with its orientation.
 
-Edge lengths are validated non-negative at insertion time, so Dijkstra's
+Edge lengths are validated positive at insertion time, so Dijkstra's
 invariants hold by construction.
 """
 
 from __future__ import annotations
 
-import heapq
-from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from heapq import heappop, heappush
+from math import hypot
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import NodeNotFoundError, NoPathError
-from .digraph import NodeId, ReverseAdjacency, RoadNetwork
+from .digraph import NodeId, RoadNetwork
 
 INFINITY = float("inf")
+
+#: How far below the network's smallest street-length/chord ratio the A*
+#: estimate's factor sits, as a share of that ratio (see :func:`goal_scale`).
+GOAL_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -68,49 +76,131 @@ def dijkstra(
     *,
     with_parents: bool = False,
     cutoff: Optional[float] = None,
-    target: Optional[NodeId] = None,
 ) -> Tuple[Dict[NodeId, float], Dict[NodeId, NodeId]]:
     """Single-source Dijkstra.
 
     Returns ``(distances, parents)``; ``parents`` is empty unless
     ``with_parents`` is set.  ``cutoff`` prunes the search once settled
     distances exceed it (the returned map still contains every node whose
-    distance is ``<= cutoff``).  ``target`` stops the search once the
-    target is settled and so is every node within the tight-edge
-    tolerance of its distance: every tight predecessor of a node no
-    farther than the target is then settled, so parents recovered for
-    such nodes match the full search's.
+    distance is ``<= cutoff``).
     """
     if source not in network:
         raise NodeNotFoundError(source)
+    distances = _settle(network, source, cutoff=cutoff)
+    parents = _exact_parents(network, distances, source) if with_parents else {}
+    return distances, parents
+
+
+def goal_scale(network: RoadNetwork) -> float:
+    """The factor ``c`` of the A* estimate ``h(v) = c·|pos(v) − pos(goal)|``.
+
+    ``c = ρ·(1 − m)``, where ``ρ`` is the network's smallest street
+    length/chord ratio and ``m`` is :data:`GOAL_MARGIN`.  For every
+    street ``u → v`` then ``c·|pos(u) − pos(v)| ≤ (1 − m)·len(u, v)``, so
+    by the triangle inequality ``h(u) ≤ h(v) + len(u, v) − m·len(u, v)``:
+    the estimate is consistent, and a search key (distance plus
+    estimate) rises by at least ``m·ℓ`` along every street, ``ℓ`` being
+    the shortest.  Estimates are capped at the total street length
+    ``L``, which bounds every shortest distance, so no key exceeds
+    ``2L`` and float rounding moves a key by about ``1e-15·L`` at most.
+
+    Returns 0, and the search is then Dijkstra push for push, unless
+    ``m·ℓ ≥ 2·τ(L)``, where ``τ(d) = 1e-9·max(1, d)`` is the tight-edge
+    tolerance of :func:`_tight_parent`.  When the rule holds:
+
+    * the predecessor that gives a node its Dijkstra distance has a key
+      at least ``m·ℓ`` minus rounding below the node's, so it settles
+      first; and of a node's entries the one with the least distance
+      pops first, as entries with equal keys pop by distance (adding the
+      estimate can round two distances a unit apart in the last place
+      to one key).  So every settled distance equals Dijkstra's bit for
+      bit;
+    * a predecessor ``u`` the walk may pick for ``x``
+      (``|dist(u) + len(u, x) − dist(x)| ≤ τ(dist(x))``) has a key at
+      least ``m·len(u, x) − τ(L) ≥ τ(L)`` minus rounding below ``x``'s,
+      so every node on a chain of tight streets into the target settles
+      before the target, as the walk needs; and as ``len(u, x) > 2τ(L)``
+      it is strictly nearer than ``x``, so the walk never consults the
+      settle order, which goal direction changes;
+    * the stop test settles only nodes with ``dist ≤ key ≤ dist(target)
+      + slack``, all of which Dijkstra settles too, so the walk meets no
+      candidate that Dijkstra's settled map lacks.
+
+    So every path and ``NoPathError`` is Dijkstra's.  A street shorter
+    than the tolerance, the only way a node can tie exactly with a tight
+    predecessor, fails the rule and turns goal direction off.
+    """
+    shortest, total, ratio = network.street_extremes()
+    if ratio == INFINITY or GOAL_MARGIN * shortest < 2.0 * _tolerance(total):
+        return 0.0
+    return ratio * (1.0 - GOAL_MARGIN)
+
+
+def _settle(
+    network: RoadNetwork,
+    source: NodeId,
+    *,
+    reverse: bool = False,
+    toward: Iterable[NodeId] = (),
+    target: Optional[NodeId] = None,
+    wanted: Collection[NodeId] = (),
+    cutoff: Optional[float] = None,
+) -> Dict[NodeId, float]:
+    """Settle nodes outward from ``source``, along the streets or, with
+    ``reverse``, against them.
+
+    Returns ``{node: distance}`` in settle order.  Entries pop by ``(key,
+    distance, push counter)``.  A key is the distance alone (Dijkstra)
+    unless a node of ``toward`` is on the network and :func:`goal_scale`
+    is positive; then it adds the estimate ``min(c·|pos(v) − pos(g)|,
+    L)``, ``g`` being the nearest node of ``toward`` (A*).  The search
+    stops at
+    the first pop with ``key - target_dist > slack``, where
+    ``target_dist`` is ``cutoff`` with no slack until ``target`` settles
+    and its distance with slack :func:`_tolerance` after; once every node
+    of ``wanted`` is settled; or when the heap runs out.
+    """
+    links = network.adjacency(reverse)
+    positions = network.positions()
+    goals = [(positions[g].x, positions[g].y) for g in toward if g in positions]
+    scale = goal_scale(network) if goals else 0.0
+    cap = network.street_extremes()[1]
     distances: Dict[NodeId, float] = {}
-    parents: Dict[NodeId, NodeId] = {}
-    heap: List[Tuple[float, int, NodeId]] = [(0.0, 0, source)]
+    heap: List[Tuple[float, float, int, NodeId]] = [(0.0, 0.0, 0, source)]
     counter = 0
-    target_dist: Optional[float] = None
+    target_dist = cutoff
     slack = 0.0
+    pending = len(wanted)
     while heap:
-        dist, _, node = heapq.heappop(heap)
+        key, dist, _, node = heappop(heap)
         if node in distances:
             continue
-        if cutoff is not None and dist > cutoff:
-            break
-        if target_dist is not None and dist - target_dist > slack:
+        if target_dist is not None and key - target_dist > slack:
             break
         distances[node] = dist
         if node == target:
             target_dist, slack = dist, _tolerance(dist)
-        for head, length in network.successors(node):
+        if node in wanted:
+            pending -= 1
+            if not pending:
+                break
+        for head, length in links[node].items():
             if head in distances:
                 continue
             candidate = dist + length
-            if cutoff is not None and candidate > cutoff:
-                continue
+            key = candidate
+            if scale:
+                here = positions[head]
+                nearest = INFINITY
+                for x, y in goals:
+                    straight = hypot(here.x - x, here.y - y)
+                    if straight < nearest:
+                        nearest = straight
+                estimate = scale * nearest
+                key += cap if estimate > cap else estimate
             counter += 1
-            heapq.heappush(heap, (candidate, counter, head))
-    if with_parents:
-        parents = _exact_parents(network, distances, source)
-    return distances, parents
+            heappush(heap, (key, candidate, counter, head))
+    return distances
 
 
 def _tolerance(dist: float) -> float:
@@ -129,7 +219,9 @@ def _tight_parent(
     children, so the parent graph is acyclic even where streets shorter
     than the tolerance form a cycle.  Dijkstra settles in nondecreasing
     distance, so only a predecessor at exactly ``dist(node)`` needs the
-    map's insertion order, which is the settle order.
+    map's insertion order, which is the settle order; where goal
+    direction is on, no tight predecessor is that near
+    (:func:`goal_scale`).
     """
     dist = distances[node]
     slack = _tolerance(dist)
@@ -182,82 +274,57 @@ def distances_from(network: RoadNetwork, source: NodeId) -> DistanceField:
 def distances_to_target(network: RoadNetwork, target: NodeId) -> DistanceField:
     """``dist(v, target)`` for every ``v`` that can reach ``target``.
 
-    Drains a :class:`ReverseSweep`, so the field lists nodes in settle
+    One search against the streets, so the field lists nodes in settle
     order, without materialising a reversed copy of the network.
     """
-    adjacency = network.reverse_adjacency()
-    sweep = ReverseSweep(adjacency, target)
-    nodes, dist = adjacency.nodes, sweep.distances
-    distances = {nodes[slot]: dist[slot] for slot in sweep}
+    if target not in network:
+        raise NodeNotFoundError(target)
+    distances = _settle(network, target, reverse=True)
     return DistanceField(origin=target, toward_origin=True, distances=distances)
 
 
-class ReverseSweep:
-    """A reverse Dijkstra toward one target that settles nodes on demand.
+def distances_to(
+    network: RoadNetwork,
+    target: NodeId,
+    nodes: Iterable[NodeId],
+    toward: Iterable[NodeId] = (),
+) -> Dict[NodeId, float]:
+    """``{v: dist(v, target)}`` for every ``v`` of ``nodes``.
 
-    ``distances[slot]`` is ``dist(v, target)`` for the node ``v`` at
-    ``slot`` of the :class:`~repro.graphs.digraph.ReverseAdjacency` once
-    ``settled[slot]`` is set, and ``inf`` before.  Iterating the sweep
-    resumes the search where it stopped and yields each newly settled
-    slot, nearest first; :meth:`settle` resumes it only until one slot
-    is settled.  The search pops ``(dist, push counter, slot)`` entries
-    just as a full search does, and a settled distance is final, so
-    every value equals the full field's bit for bit, whatever order the
-    queries come in.
-
-    Not thread-safe: callers that share a sweep must serialise
-    iteration and :meth:`settle`.  Reading a slot that is already
-    settled is safe without them, because a slot's distance is stored
-    before its ``settled`` flag.
+    ``inf`` for a node that cannot reach ``target`` or is not on the
+    network.  An A* runs backwards from ``target``, aimed at whichever
+    node of ``toward`` is nearest by :func:`goal_scale`'s estimate, and
+    stops once every node asked about is settled.  Each distance equals
+    the full reverse field's bit for bit whatever ``toward`` names, which
+    decides only how few nodes settle: name the nodes farthest from
+    ``target``, such as a flow's origin for the nodes on its path.
+    Raises :class:`NodeNotFoundError` when ``target`` is not on the
+    network.
     """
-
-    def __init__(self, adjacency: ReverseAdjacency, target: NodeId) -> None:
-        slot = adjacency.slots.get(target)
-        if slot is None:
-            raise NodeNotFoundError(target)
-        size = len(adjacency.nodes)
-        self.distances = array("d", [INFINITY]) * size
-        self.settled = bytearray(size)
-        self._search = _settle_nearest_first(
-            adjacency.predecessors, slot, self.distances, self.settled
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        return self._search
-
-    def settle(self, slot: int) -> float:
-        """``distances[slot]``, resuming the search until it is settled.
-
-        ``inf`` once the search runs out without reaching ``slot``: the
-        node cannot reach the target.
-        """
-        if not self.settled[slot]:
-            for settled in self._search:
-                if settled == slot:
-                    break
-        return self.distances[slot]
+    if target not in network:
+        raise NodeNotFoundError(target)
+    nodes = list(nodes)
+    wanted = {node for node in nodes if node in network}
+    settled = (
+        _settle(network, target, reverse=True, toward=toward, wanted=wanted)
+        if wanted
+        else {}
+    )
+    return {node: settled.get(node, INFINITY) for node in nodes}
 
 
-def _settle_nearest_first(
-    predecessors: Tuple[List[Tuple[int, float]], ...],
-    target: int,
-    distances: "array[float]",
-    settled: bytearray,
-) -> Iterator[int]:
-    """The reverse Dijkstra loop behind :class:`ReverseSweep`."""
-    heap: List[Tuple[float, int, int]] = [(0.0, 0, target)]
-    counter = 0
-    while heap:
-        dist, _, slot = heapq.heappop(heap)
-        if settled[slot]:
-            continue
-        distances[slot] = dist
-        settled[slot] = 1
-        yield slot
-        for tail, length in predecessors[slot]:
-            if not settled[tail]:
-                counter += 1
-                heapq.heappush(heap, (dist + length, counter, tail))
+def _route(
+    network: RoadNetwork, source: NodeId, target: NodeId
+) -> Dict[NodeId, float]:
+    """The settled map of an A* from ``source`` that stops at ``target``."""
+    if target not in network:
+        raise NodeNotFoundError(target)
+    if source not in network:
+        raise NodeNotFoundError(source)
+    distances = _settle(network, source, toward=(target,), target=target)
+    if target not in distances:
+        raise NoPathError(source, target)
+    return distances
 
 
 def shortest_path(
@@ -266,17 +333,13 @@ def shortest_path(
     """One shortest path from ``source`` to ``target`` as a node list.
 
     Deterministic for a fixed network (ties broken by predecessor
-    insertion order): the path a full Dijkstra's parents give, found by a
-    search that stops at the target.  Every parent settles before its
-    child, so the stopped search holds each parent on the path and
-    picks it as the full search would.  Raises :class:`NoPathError` when
-    unreachable.
+    insertion order): the path a full Dijkstra's parents give, found by
+    an A* that stops at the target and walks back from it through each
+    node's first tight predecessor.  :func:`goal_scale` states why the
+    stopped A* holds every parent on the path and picks it as the full
+    search would.  Raises :class:`NoPathError` when unreachable.
     """
-    if target not in network:
-        raise NodeNotFoundError(target)
-    distances, _ = dijkstra(network, source, target=target)
-    if target not in distances:
-        raise NoPathError(source, target)
+    distances = _route(network, source, target)
     path = [target]
     while path[-1] != source:
         parent = _tight_parent(network, distances, path[-1])
@@ -301,12 +364,7 @@ def shortest_path_length(
     network: RoadNetwork, source: NodeId, target: NodeId
 ) -> float:
     """Length of the shortest path from ``source`` to ``target``."""
-    if target not in network:
-        raise NodeNotFoundError(target)
-    distances, _ = dijkstra(network, source, target=target)
-    if target not in distances:
-        raise NoPathError(source, target)
-    return distances[target]
+    return _route(network, source, target)[target]
 
 
 def all_pairs_distances(

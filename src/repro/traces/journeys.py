@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import NoPathError
@@ -71,7 +72,9 @@ class EmissionConfig:
 def _center_weights(
     network: RoadNetwork, nodes: Sequence[NodeId], bias: float
 ) -> List[float]:
-    """Gravity weights: nodes near the geometric center weigh more."""
+    """Gravity weights, summed cumulatively: nodes near the geometric
+    center weigh more.  ``rng.choices(cum_weights=...)`` then draws what
+    ``weights=`` would, without re-adding every weight on each draw."""
     box = network.bounding_box()
     center = box.center
     scale = max(box.width, box.height) / 2.0 or 1.0
@@ -79,7 +82,7 @@ def _center_weights(
     for node in nodes:
         distance = network.position(node).distance_to(center) / scale
         weights.append(math.exp(-bias * distance))
-    return weights
+    return list(accumulate(weights))
 
 
 def generate_patterns(
@@ -103,7 +106,7 @@ def generate_patterns(
     nodes = list(network.nodes())
     if len(nodes) < 2:
         raise ValueError("network too small to route buses")
-    weights = _center_weights(network, nodes, center_bias)
+    cum_weights = _center_weights(network, nodes, center_bias)
     box = network.bounding_box()
     min_trip = min_trip_fraction * max(box.width, box.height) / 2.0
     patterns: List[JourneyPattern] = []
@@ -111,7 +114,7 @@ def generate_patterns(
     max_attempts = count * 200
     while len(patterns) < count and attempts < max_attempts:
         attempts += 1
-        origin, destination = rng.choices(nodes, weights=weights, k=2)
+        origin, destination = rng.choices(nodes, cum_weights=cum_weights, k=2)
         if origin == destination:
             continue
         if network.euclidean_distance(origin, destination) < min_trip:
@@ -283,7 +286,7 @@ def generate_grid_routes(
     patterns: List[JourneyPattern] = []
     attempts = 0
     max_attempts = count * 200
-    weights = _center_weights(network, nodes, bias=2.0)
+    cum_weights = _center_weights(network, nodes, bias=2.0)
     while len(patterns) < count and attempts < max_attempts:
         attempts += 1
         draw = rng.random()
@@ -304,7 +307,7 @@ def generate_grid_routes(
                 if origin != destination:
                     endpoints = (origin, destination)
         else:
-            origin, destination = rng.choices(nodes, weights=weights, k=2)
+            origin, destination = rng.choices(nodes, cum_weights=cum_weights, k=2)
             if origin != destination:
                 endpoints = (origin, destination)
         if endpoints is None:

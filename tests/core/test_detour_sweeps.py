@@ -1,38 +1,40 @@
-"""Differential and concurrency tests for the recorded destination sweeps.
+"""Differential and concurrency tests for the recorded destination searches.
 
-:class:`~repro.core.DetourCalculator` settles each destination's reverse
-Dijkstra only as far as its flows' path nodes, records those distances
-and drops the sweep; a question the record cannot answer restarts one.
-Whatever order the queries come in — warmed flows, unwarmed flows,
-off-path nodes, repeats — every distance must equal the full field's
-exactly (``==``, never approx), and threads sharing one calculator must
-agree with it.
+:class:`~repro.core.DetourCalculator` runs an A* backwards from each
+destination toward its flows' origins only until their path nodes are
+settled, and records those distances; a question the record cannot
+answer runs one more search.  Whatever order the queries come in —
+warmed flows, unwarmed flows, off-path nodes, repeats — every distance
+must equal the full field's exactly (``==``, never approx), and threads
+sharing one calculator must agree with it.
 """
 
 import random
 import sys
 import threading
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DetourCalculator, Scenario, TrafficFlow, utility_by_name
-from repro.core import detour as detour_module
 from repro.errors import NoPathError
 from repro.graphs import (
     INFINITY,
     Point,
-    ReverseSweep,
     RoadNetwork,
     dijkstra,
     distances_from,
+    distances_to,
     distances_to_target,
     dublin_like_city,
     shortest_path,
+    shortest_paths,
 )
 from repro.traces import generate_patterns
+from tests.oracle import ReverseSweep
 
 # Few distinct lengths, so that many distances tie exactly.
 LENGTHS = [1.0, 2.0, 3.0, 0.1, 0.2, 0.3]
@@ -61,29 +63,41 @@ def digraphs(draw) -> RoadNetwork:
     return net
 
 
+class Settled(dict):
+    """A search's settled map, in a type a weak reference can follow."""
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Every sweep a calculator starts, as ``(weak ref, settled flags, alive)``.
-
-    The flags outlive the sweep, so a test can count what each sweep
-    settled after the calculator dropped it; ``alive`` is how many
-    earlier sweeps were still referenced when this one started.
+    """Every record search a calculator runs, as a namespace of a weak
+    ref to its settled map, the nodes it was asked for, the nodes it
+    settled in order, and ``alive``: how many earlier searches' maps were
+    still referenced when this one started.
     """
     started = []
+    settle = shortest_paths._settle
 
-    class RecordedSweep(ReverseSweep):
-        def __init__(self, adjacency, target):
-            super().__init__(adjacency, target)
-            alive = sum(ref() is not None for ref, _, _ in started)
-            started.append((weakref.ref(self), self.settled, alive))
+    def recorded(*args, **kwargs):
+        alive = sum(search.ref() is not None for search in started)
+        settled = Settled(settle(*args, **kwargs))
+        if kwargs.get("wanted"):
+            started.append(
+                SimpleNamespace(
+                    ref=weakref.ref(settled),
+                    wanted=set(kwargs["wanted"]),
+                    order=list(settled),
+                    alive=alive,
+                )
+            )
+        return settled
 
-    monkeypatch.setattr(detour_module, "ReverseSweep", RecordedSweep)
+    monkeypatch.setattr(shortest_paths, "_settle", recorded)
     return started
 
 
 def retained(sweeps) -> int:
-    """How many of the recorded sweeps something still references."""
-    return sum(ref() is not None for ref, _, _ in sweeps)
+    """How many of the recorded searches' maps something still references."""
+    return sum(search.ref() is not None for search in sweeps)
 
 
 def expected_detour(to_shop, from_shop, full, node, destination) -> float:
@@ -103,23 +117,30 @@ class TestReverseSweep:
         n = net.node_count
         queries = data.draw(
             st.lists(
-                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                st.tuples(
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                ),
                 min_size=1,
                 max_size=60,
             )
         )
-        adjacency = net.reverse_adjacency()
         full = {j: distances_to_target(net, j) for j in net.nodes()}
         sweeps = {}
-        for node, destination in queries:
+        for node, destination, goal in queries:
+            # Whatever the search is aimed at, the value is exact.
+            assert distances_to(net, destination, [node], toward=[goal]) == {
+                node: full[destination][node]
+            }
             if destination not in sweeps:
-                sweeps[destination] = ReverseSweep(adjacency, destination)
-            slot = adjacency.slots[node]
+                sweeps[destination] = ReverseSweep(net, destination)
+            slot = sweeps[destination].slots[node]
             assert sweeps[destination].settle(slot) == full[destination][node]
         for destination, sweep in sweeps.items():
             list(sweep)  # drain what is left
             for node in net.nodes():
-                slot = adjacency.slots[node]
+                slot = sweep.slots[node]
                 assert sweep.distances[slot] == full[destination][node]
                 assert sweep.settled[slot] == (node in full[destination])
 
@@ -194,11 +215,15 @@ class TestCalculatorQueries:
         shop = sorted(net.nodes())[70]
         calc = DetourCalculator(net, shop)
         calc.warm_up(flows)
-        # One sweep per destination group, each dropped before the next
+        # One search per destination group, each dropped before the next
         # starts, and none retained.
         assert len(sweeps) == len({flow.destination for flow in flows})
-        assert [alive for _, _, alive in sweeps] == [0] * len(sweeps)
+        assert [search.alive for search in sweeps] == [0] * len(sweeps)
         assert retained(sweeps) == 0
+        # Each settled its group's path nodes and stopped at the last.
+        for search in sweeps:
+            assert search.wanted <= set(search.order)
+            assert search.order[-1] in search.wanted
         to_shop = distances_to_target(net, shop)
         from_shop = distances_from(net, shop)
         full = {flow.destination: distances_to_target(net, flow.destination)
@@ -208,9 +233,9 @@ class TestCalculatorQueries:
                 assert detour == expected_detour(
                     to_shop, from_shop, full, node, flow.destination
                 )
-        # Every answer came from the records: no sweep restarted.
+        # Every answer came from the records: no search ran again.
         assert len(sweeps) == len(full)
-        settled = sum(sum(flags) for _, flags, _ in sweeps)
+        settled = sum(len(search.order) for search in sweeps)
         assert settled < len(sweeps) * net.node_count
 
     def test_along_path_mode_settles_nothing(self, sweeps):
@@ -233,7 +258,7 @@ class TestCalculatorQueries:
         utility = utility_by_name("linear", 2_000.0)
         plain = Scenario(net, flows, shop, utility)
         built = plain.coverage.packed()
-        # The scenario and its calculator are alive; their sweeps are not.
+        # The scenario and its calculator are alive; their searches are not.
         assert sweeps and retained(sweeps) == 0
         warmed = Scenario(net, flows, shop, utility)
         warmed.detour_calculator.warm_up(flows)

@@ -2,7 +2,9 @@
 
 ``reaches`` must agree with the full sweep of ``reachable_from``,
 ``shortest_path`` with the path a full Dijkstra's parents give, and
-``shortest_path_length`` with the full search's distance.  Edge
+``shortest_path_length`` with the full search's distance.  The A*
+behind them must settle only nodes that the blind Dijkstra stopped at
+the target (tests/oracle.py) settles, at the same distances.  Edge
 lengths come from a small set so that many paths tie exactly, from
 sums like ``0.1 + 0.2`` that tie only within the tight-edge tolerance,
 and from streets shorter than that tolerance, which can form cycles of
@@ -21,12 +23,15 @@ from repro.graphs import (
     RoadNetwork,
     dijkstra,
     dublin_like_city,
+    goal_scale,
     is_shortest_path,
     manhattan_grid,
     shortest_path,
     shortest_path_length,
+    shortest_paths,
 )
 from repro.graphs.validation import reachable_from, reaches
+from tests.oracle import reference_dijkstra
 
 LENGTHS = [1.0, 2.0, 3.0, 0.1, 0.2, 0.3, 1e-12]
 
@@ -120,14 +125,20 @@ class TestShortestPathStopsAtTarget:
         source = data.draw(st.sampled_from(sorted(net.nodes())))
         target = data.draw(st.sampled_from(sorted(net.nodes())))
         full, _ = dijkstra(net, source)
-        stopped, _ = dijkstra(net, source, target=target)
+        stopped = reference_dijkstra(net, source, target=target)
         assert list(stopped.items()) == list(full.items())[: len(stopped)]
+        goal_directed = shortest_paths._settle(
+            net, source, toward=(target,), target=target
+        )
+        assert goal_directed.items() <= stopped.items()
         if target in full:
             assert stopped[target] == full[target]
             limit = full[target] + 1e-9 * max(1.0, full[target])
             assert {n for n, d in full.items() if d <= limit} <= set(stopped)
+            assert set(shortest_path(net, source, target)) <= set(goal_directed)
         else:
             assert stopped == full
+            assert goal_directed == full
 
     def test_grid_ties(self):
         net = manhattan_grid(6, 6, 100.0)
@@ -147,7 +158,7 @@ class TestShortestPathStopsAtTarget:
 
     def test_search_stops_early(self):
         net = manhattan_grid(12, 12, 100.0)
-        stopped, _ = dijkstra(net, (0, 0), target=(1, 1))
+        stopped = shortest_paths._route(net, (0, 0), (1, 1))
         assert (1, 1) in stopped
         assert len(stopped) < net.node_count // 4
 
@@ -168,7 +179,12 @@ class TestShortestPathStopsAtTarget:
         net.add_road("s", "u", 1.0 + 5e-10)
         net.add_road("u", "v", 1e-12)
         net.add_road("s", "v", 1.0)
-        stopped, _ = dijkstra(net, "s", target="v")
+        # The sub-tolerance streets turn goal direction off: the search is
+        # the blind Dijkstra, push for push.
+        assert goal_scale(net) == 0.0
+        stopped = shortest_paths._route(net, "s", "v")
+        reference = reference_dijkstra(net, "s", target="v")
+        assert list(stopped.items()) == list(reference.items())
         assert "u" in stopped and "w" not in stopped
         assert shortest_path(net, "s", "v") == ["s", "v"]
         assert shortest_path(net, "s", "v") == reference_path(net, "s", "v")

@@ -7,6 +7,7 @@ predecessors, counts add up, positions persist).
 
 import math
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -91,17 +92,20 @@ class RoadNetworkMachine(RuleBasedStateMachine):
                 assert dict(self.network.successors(tail))[node] == length
 
     @invariant()
-    def reverse_adjacency_follows_edits(self):
-        # Built after every step, so a stale snapshot surfaces at the next.
-        adjacency = self.network.reverse_adjacency()
-        assert list(adjacency.nodes) == list(self.network.nodes())
-        for slot, node in enumerate(adjacency.nodes):
-            assert adjacency.slots[node] == slot
-            incoming = [
-                (adjacency.nodes[tail], length)
-                for tail, length in adjacency.predecessors[slot]
-            ]
-            assert incoming == list(self.network.predecessors(node))
+    def street_extremes_follow_edits(self):
+        # Cached after every step, so a stale value surfaces at the next.
+        shortest, total, ratio = math.inf, 0.0, math.inf
+        for (tail, head), length in self.model_edges.items():
+            shortest = min(shortest, length)
+            total += length
+            chord = self.model_nodes[tail].distance_to(self.model_nodes[head])
+            if chord > 0.0:
+                ratio = min(ratio, length / chord)
+        assert self.network.street_extremes() == (
+            shortest,
+            pytest.approx(total),
+            ratio,
+        )
 
     @invariant()
     def positions_persist(self):

@@ -12,8 +12,18 @@ incidences per node, appended while walking the flows, then
 concatenated into CSR columns row by row.  It shares no code with
 :class:`~repro.core.coverage.CoverageIndex`, which packs typed column
 buffers with one stable sort.
+
+The blind searches (:func:`reference_dijkstra`, :func:`reference_path`,
+:class:`ReverseSweep`, :func:`reference_record`): the Dijkstra that
+stops at its target, the first-tight-predecessor walk and the resumable
+reverse Dijkstra that drew routes and filled the detour records before
+those became one goal-directed search
+(:mod:`repro.graphs.shortest_paths`).  They read the network through
+its public methods only and share no code with the library's searches.
 """
 
+import heapq
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +31,7 @@ import numpy as np
 from repro.algorithms import algorithm_by_name
 from repro.algorithms.greedy import ExhaustivePick, greedy, scalar_factors
 from repro.core.reference import IncrementalEvaluator
+from repro.errors import NodeNotFoundError, NoPathError
 from repro.graphs import INFINITY
 
 
@@ -94,3 +105,134 @@ def object_coverage(scenario):
         ],
         columns=columns,
     )
+
+
+def _tolerance(dist):
+    """Slack of the tight-edge test for a node at distance ``dist``."""
+    return 1e-9 * max(1.0, dist)
+
+
+def reference_dijkstra(network, source, *, target=None):
+    """``{node: dist}`` in settle order, from a blind Dijkstra.
+
+    With ``target``, the search stops once the target is settled and so
+    is every node within the tight-edge tolerance of its distance.
+    """
+    if source not in network:
+        raise NodeNotFoundError(source)
+    distances = {}
+    heap = [(0.0, 0, source)]
+    counter = 0
+    target_dist = None
+    slack = 0.0
+    while heap:
+        dist, _, node = heapq.heappop(heap)
+        if node in distances:
+            continue
+        if target_dist is not None and dist - target_dist > slack:
+            break
+        distances[node] = dist
+        if node == target:
+            target_dist, slack = dist, _tolerance(dist)
+        for head, length in network.successors(node):
+            if head in distances:
+                continue
+            counter += 1
+            heapq.heappush(heap, (dist + length, counter, head))
+    return distances
+
+
+def tight_parent(network, distances, node):
+    """The first predecessor of ``node``, in insertion order, settled
+    before it over a tight edge; ``None`` when there is none."""
+    dist = distances[node]
+    slack = _tolerance(dist)
+    for tail, length in network.predecessors(node):
+        tail_dist = distances.get(tail)
+        if tail_dist is None or abs(tail_dist + length - dist) > slack:
+            continue
+        if tail_dist < dist:
+            return tail
+        if tail_dist == dist and list(distances).index(tail) < list(
+            distances
+        ).index(node):
+            return tail
+    return None
+
+
+def reference_path(network, source, target):
+    """The path a stopped blind Dijkstra's tight parents give."""
+    if target not in network:
+        raise NodeNotFoundError(target)
+    distances = reference_dijkstra(network, source, target=target)
+    if target not in distances:
+        raise NoPathError(source, target)
+    path = [target]
+    while path[-1] != source:
+        parent = tight_parent(network, distances, path[-1])
+        if parent is None:
+            raise NoPathError(source, target)
+        path.append(parent)
+    path.reverse()
+    return path
+
+
+class ReverseSweep:
+    """A reverse Dijkstra toward ``target`` that settles nodes on demand.
+
+    ``distances[slot]`` is ``dist(v, target)`` for the node ``v`` at
+    ``slot`` (its index in ``network.nodes()``) once ``settled[slot]``
+    is set, and ``inf`` before.  Iterating resumes the search and yields
+    each newly settled slot, nearest first; :meth:`settle` resumes it
+    until one slot is settled.
+    """
+
+    def __init__(self, network, target):
+        if target not in network:
+            raise NodeNotFoundError(target)
+        self.nodes = list(network.nodes())
+        self.slots = {node: slot for slot, node in enumerate(self.nodes)}
+        predecessors = [
+            [(self.slots[tail], length) for tail, length in network.predecessors(node)]
+            for node in self.nodes
+        ]
+        self.distances = array("d", [INFINITY]) * len(self.nodes)
+        self.settled = bytearray(len(self.nodes))
+        self._search = self._run(predecessors, self.slots[target])
+
+    def _run(self, predecessors, target):
+        heap = [(0.0, 0, target)]
+        counter = 0
+        while heap:
+            dist, _, slot = heapq.heappop(heap)
+            if self.settled[slot]:
+                continue
+            self.distances[slot] = dist
+            self.settled[slot] = 1
+            yield slot
+            for tail, length in predecessors[slot]:
+                if not self.settled[tail]:
+                    counter += 1
+                    heapq.heappush(heap, (dist + length, counter, tail))
+
+    def __iter__(self):
+        return self._search
+
+    def settle(self, slot):
+        """``distances[slot]``, resuming the search until it is settled."""
+        if not self.settled[slot]:
+            for settled in self._search:
+                if settled == slot:
+                    break
+        return self.distances[slot]
+
+
+def reference_record(network, destination, nodes):
+    """``{v: dist(v, destination)}`` for ``nodes``, from one sweep settled
+    node by node; ``inf`` for a node off the network or one that cannot
+    reach the destination."""
+    sweep = ReverseSweep(network, destination)
+    return {
+        node: sweep.settle(sweep.slots[node]) if node in sweep.slots else INFINITY
+        for node in nodes
+    }

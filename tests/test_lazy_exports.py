@@ -44,14 +44,6 @@ EAGER_SUBMODULES = {
     "repro": {
         "repro._lazy": "the helper every package's lazy exports come from",
     },
-    "repro.graphs": {
-        "repro.graphs.astar": (
-            "its export astar shares the submodule's name, so a lazy one "
-            "would be shadowed by the module once anything imports it"
-        ),
-        "repro.graphs.digraph": "repro.graphs.astar imports it",
-        "repro.graphs.geometry": "repro.graphs.digraph imports it",
-    },
 }
 
 #: Checks the contract for the packages in argv[1:] and prints every
