@@ -22,13 +22,20 @@ temporary directory and pool that it removes.  At ``SIDE`` 28
 ``attach_peak_mb`` comes within about 1 MB of the benchmark's
 ``peak_rss_mb``.
 
+While the artifact is published, it also starts one real fleet worker
+on it (``python -m repro serve --shm-attach``), sends it one request of
+each kind and stops it: ``worker_ready_s`` is the time from its start
+to its ready file, and ``worker_rss_mb`` / ``worker_peak_mb`` its
+resident memory and high-water mark after the requests, read from
+``/proc/<pid>/status``.
+
 It prints one JSON row: the instance's size (nodes, routes, distinct
 destinations, coverage incidences, the bytes of the artifact's
-canonical spec text), the placement's attracted value, and for each
-stage its seconds (``<stage>_s``), the resident memory after it
-(``<stage>_rss_mb``) and the process's high-water mark after it
-(``<stage>_peak_mb``), in MB.  Memory is read from this process only,
-so run one size per process.
+canonical spec text), the placement's attracted value, the worker's
+three figures, and for each stage its seconds (``<stage>_s``), the
+resident memory after it (``<stage>_rss_mb``) and the process's
+high-water mark after it (``<stage>_peak_mb``), in MB.  Stage memory is
+read from this process only, so run one size per process.
 """
 
 from __future__ import annotations
@@ -36,13 +43,16 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import random
 import resource
+import signal
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, TypeVar
+from typing import Callable, Dict, Sequence, TypeVar
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_SIDE = 28
@@ -55,6 +65,52 @@ T = TypeVar("T")
 def _peak_mb() -> float:
     """This process's resident high-water mark, in MB (Linux reports KB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def serve_worker(
+    pool_root: Path, digest: str, scratch: Path, placement: Sequence[object]
+) -> Dict[str, float]:
+    """Start one shm worker, ask it each request kind, read its memory."""
+    from repro.serve import ServeClient
+
+    ready = scratch / "worker.ready"
+    started = time.perf_counter()
+    worker = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "--shm-attach", digest,
+            "--shm-dir", str(pool_root), "--port", "0", "--ready-file", str(ready),
+        ],
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        cwd=scratch,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        while not (ready.exists() and ready.read_text().strip()):
+            if worker.poll() is not None:
+                raise RuntimeError(f"worker exited with {worker.returncode}")
+            time.sleep(0.01)
+        ready_s = time.perf_counter() - started
+        host, port = ready.read_text().split()
+        with ServeClient(host, int(port)) as client:
+            client.place(k=len(placement))
+            client.evaluate([placement])
+            client.what_if(placement[:-1], add=placement[-1])
+            client.top_gains(placement[:1])
+        with open(f"/proc/{worker.pid}/status") as handle:
+            status = dict(line.split(":", 1) for line in handle)
+        worker.send_signal(signal.SIGTERM)
+        worker.wait(timeout=60)
+    finally:
+        if worker.poll() is None:
+            worker.kill()
+            worker.wait()
+    rss_kb, peak_kb = (int(status[key].split()[0]) for key in ("VmRSS", "VmHWM"))
+    return {
+        "worker_ready_s": round(ready_s, 4),
+        "worker_rss_mb": round(rss_kb / 1024.0, 1),
+        "worker_peak_mb": round(peak_kb / 1024.0, 1),
+    }
 
 
 def probe(side: int) -> Dict[str, object]:
@@ -137,6 +193,11 @@ def probe(side: int) -> Dict[str, object]:
                 pool.detach(artifact.digest)
 
             stage("attach", attach_and_detach)
+            row.update(
+                serve_worker(
+                    pool.root, artifact.digest, Path(scratch), placement.raps
+                )
+            )
         finally:
             pool.detach_all()
             pool.unlink_all()

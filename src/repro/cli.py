@@ -1681,9 +1681,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    from .devtools import sanitize
+    from .devtools import sanitizer
 
-    sanitize.install_if_enabled()
+    sanitize = sanitizer()
+    if sanitize is not None:
+        sanitize.install_if_enabled()
     try:
         if args.command == "profile":
             inner = args.profile_command

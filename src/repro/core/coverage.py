@@ -60,12 +60,12 @@ class CoverageIndex:
     def __init__(
         self, flows: Sequence[TrafficFlow], calculator: DetourCalculator
     ) -> None:
-        self._flows: Tuple[TrafficFlow, ...] = tuple(flows)
+        self._flows: Optional[Tuple[TrafficFlow, ...]] = tuple(flows)
         self._calculator: Optional[DetourCalculator] = calculator
         # Record every path node's d''' first, one destination at a
         # time, so the walk only reads and no sweep is retained.
-        calculator.warm_up(self._flows)
-        packed, best_by_flow = _compile(self._flows, calculator)
+        calculator.warm_up(self.flows)
+        packed, best_by_flow = _compile(self.flows, calculator)
         self._packed: "PackedCoverage" = packed
         self._best_by_flow: Optional[Sequence[float]] = best_by_flow
         self._by_node: Dict[NodeId, List[CoverageEntry]] = {}
@@ -75,7 +75,7 @@ class CoverageIndex:
     @classmethod
     def from_packed(
         cls,
-        flows: Sequence[TrafficFlow],
+        flows: Optional[Sequence[TrafficFlow]],
         packed: "PackedCoverage",
         calculator: Optional[DetourCalculator] = None,
     ) -> "CoverageIndex":
@@ -86,12 +86,16 @@ class CoverageIndex:
         from it in the order a build lists them, so evaluators walking a
         restored index accumulate bit-identical totals.  The pack must
         cover exactly ``flows`` (else
-        :class:`~repro.errors.InvalidScenarioError`).  Without a
+        :class:`~repro.errors.InvalidScenarioError`); with ``flows=None``
+        it covers its own flow count and :attr:`flows` raises, as a
+        deferred scenario's index does
+        (:meth:`~repro.core.scenario.Scenario.deferred`).  Without a
         ``calculator``, accessing :attr:`calculator` raises.
         """
         index = cls.__new__(cls)
-        index._flows = tuple(flows)
-        flow_count, referenced = len(index._flows), packed.flow_index
+        index._flows = None if flows is None else tuple(flows)
+        flow_count = packed.flow_count if flows is None else len(flows)
+        referenced = packed.flow_index
         if packed.flow_count != flow_count or (
             len(referenced)
             and not 0 <= referenced.min() <= referenced.max() < flow_count
@@ -114,7 +118,7 @@ class CoverageIndex:
         nodes = packed.nodes
         by_node: Dict[NodeId, List[CoverageEntry]] = {node: [] for node in nodes}
         positioned: List[List[Tuple[int, NodeId, float]]] = [
-            [] for _ in self._flows
+            [] for _ in range(packed.flow_count)
         ]
         for row, flow_index, detour, position in zip(
             packed.entry_row.tolist(),
@@ -144,13 +148,17 @@ class CoverageIndex:
 
     @property
     def flows(self) -> Tuple[TrafficFlow, ...]:
-        """The indexed traffic flows, in input order."""
+        """The indexed traffic flows, in input order (see :meth:`from_packed`)."""
+        if self._flows is None:
+            raise InvalidScenarioError(
+                "this coverage index was restored without its flows"
+            )
         return self._flows
 
     @property
     def flow_count(self) -> int:
         """Number of indexed flows."""
-        return len(self._flows)
+        return self._packed.flow_count
 
     @property
     def calculator(self) -> DetourCalculator:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 import sys
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -173,15 +173,19 @@ class PackedCoverage:
     @property
     def nbytes(self) -> int:
         """Total bytes held by the CSR columns and flow vectors."""
-        return int(
-            self.indptr.nbytes
-            + self.flow_index.nbytes
-            + self.detour.nbytes
-            + self.position.nbytes
-            + self.entry_row.nbytes
-            + self.volume.nbytes
-            + self.attractiveness.nbytes
-        )
+        return sum(column.nbytes for column in self.columns().values())
+
+    def columns(self) -> Dict[str, "np.ndarray"]:
+        """The seven arrays by name: what artifacts store and publish."""
+        return {
+            "indptr": self.indptr,
+            "flow_index": self.flow_index,
+            "detour": self.detour,
+            "position": self.position,
+            "entry_row": self.entry_row,
+            "volume": self.volume,
+            "attractiveness": self.attractiveness,
+        }
 
     def row_slice(self, row: int) -> slice:
         """The CSR slice of one node's incidences."""
@@ -218,17 +222,7 @@ class PackedCoverage:
                     f"to non-positive volume {updated!r}"
                 )
             volume[index] = updated
-        patched = PackedCoverage(
-            nodes=self.nodes,
-            row_of=self.row_of,
-            indptr=self.indptr,
-            flow_index=self.flow_index,
-            detour=self.detour,
-            position=self.position,
-            entry_row=self.entry_row,
-            volume=volume,
-            attractiveness=self.attractiveness,
-        )
+        patched = replace(self, volume=volume)
         obs.count_many(
             {"pack.delta_patches": 1, "pack.delta_flows": len(deltas)}
         )
@@ -251,45 +245,29 @@ class _Alignment:
     heap: List[Tuple[float, int, NodeId, int]]
 
 
-class _ScalarMirrors:
-    """Plain-list mirrors of the CSR columns for the scalar hot loops.
-
-    Interpreter loops beat NumPy dispatch on the few-entry rows a
-    single-site query touches, but the lists are *private* per-process
-    copies of the whole pack (a boxed float costs ~4x its array slot).
-    They are therefore built lazily on the first scalar query: a
-    shared-memory worker answering only batched ``evaluate`` traffic
-    never pays for them — which is what keeps its private RSS at
-    ~zero copies of the artifact (see :mod:`repro.serve.shm`).
-    """
-
-    __slots__ = ("indptr", "flow_index", "detour", "position", "value")
-
-    def __init__(self, packed: PackedCoverage, entry_value: "np.ndarray") -> None:
-        self.indptr: List[int] = packed.indptr.tolist()
-        self.flow_index: List[int] = packed.flow_index.tolist()
-        self.detour: List[float] = packed.detour.tolist()
-        self.position: List[int] = packed.position.tolist()
-        self.value: List[float] = entry_value.tolist()
-
-
 class _KernelStatic:
     """Immutable per-scenario kernel state shared by every evaluator.
 
     Holds the packed CSR index, the precomputed per-incidence
     contribution ``f(detour, attractiveness) * volume`` (constant for a
     fixed scenario — detours never change, so the utility is evaluated
-    exactly once, vectorized), lazily-built plain-list mirrors of the
-    CSR columns for the scalar hot loops (:class:`_ScalarMirrors`), and
-    per-candidate-tuple :class:`_Alignment` caches.
+    exactly once, vectorized), ``memoryview``s of the columns the scalar
+    hot loops index, and per-candidate-tuple :class:`_Alignment` caches.
+    Interpreter loops beat NumPy dispatch on the few-entry rows of a
+    single-site query, and a view yields the ``int``/``float`` a list
+    copy would, so the loops read the pack (shared memory included) in
+    place: ``entry_value`` is the one private incidence-sized array.
     """
 
     __slots__ = (
         "packed",
         "entry_value",
         "row_of",
-        "flow_count",
-        "_scalars",
+        "indptr",
+        "flow_of",
+        "detour",
+        "position",
+        "value",
         "_alignments",
     )
 
@@ -304,18 +282,12 @@ class _KernelStatic:
             * packed.volume[flow_index]
         )
         self.row_of = packed.row_of
-        self.flow_count = packed.flow_count
-        self._scalars: Optional[_ScalarMirrors] = None
+        self.indptr = memoryview(packed.indptr)
+        self.flow_of = memoryview(flow_index)
+        self.detour = memoryview(packed.detour)
+        self.position = memoryview(packed.position)
+        self.value = memoryview(self.entry_value)
         self._alignments: Dict[int, _Alignment] = {}
-
-    def scalars(self) -> _ScalarMirrors:
-        """The (lazily built, then cached) scalar-loop column mirrors."""
-        mirrors = self._scalars
-        if mirrors is None:
-            mirrors = _ScalarMirrors(self.packed, self.entry_value)
-            self._scalars = mirrors
-            obs.count("kernel.scalar_mirror_builds")
-        return mirrors
 
     def alignment(self, nodes: Sequence[NodeId]) -> _Alignment:
         """The (cached) alignment for one candidate tuple.
@@ -423,7 +395,7 @@ class ArrayEvaluator:
         self._utility = scenario.utility
         static = _static_for(scenario)
         self._static = static
-        flow_count = static.flow_count
+        flow_count = static.packed.flow_count
         self._best: List[float] = [INFINITY] * flow_count
         self._contribution: List[float] = [0.0] * flow_count
         self._touched: List[bool] = [False] * flow_count
@@ -475,14 +447,13 @@ class ArrayEvaluator:
         row = static.row_of.get(node)
         if row is None:
             return 0.0
-        scalars = static.scalars()
-        flow_of = scalars.flow_index
-        detour = scalars.detour
-        value = scalars.value
+        flow_of = static.flow_of
+        detour = static.detour
+        value = static.value
         best = self._best
         contribution = self._contribution
         total = 0.0
-        for j in range(scalars.indptr[row], scalars.indptr[row + 1]):
+        for j in range(static.indptr[row], static.indptr[row + 1]):
             flow_index = flow_of[j]
             if detour[j] < best[flow_index]:
                 delta = value[j] - contribution[flow_index]
@@ -498,15 +469,14 @@ class ArrayEvaluator:
         row = static.row_of.get(node)
         if row is None:
             return 0.0, 0.0
-        scalars = static.scalars()
-        flow_of = scalars.flow_index
-        detour = scalars.detour
-        value = scalars.value
+        flow_of = static.flow_of
+        detour = static.detour
+        value = static.value
         best = self._best
         contribution = self._contribution
         uncovered = 0.0
         covered = 0.0
-        for j in range(scalars.indptr[row], scalars.indptr[row + 1]):
+        for j in range(static.indptr[row], static.indptr[row + 1]):
             flow_index = flow_of[j]
             if detour[j] >= best[flow_index]:
                 continue
@@ -527,10 +497,9 @@ class ArrayEvaluator:
         row = static.row_of.get(node)
         if row is None:
             return False
-        scalars = static.scalars()
-        flow_of = scalars.flow_index
+        flow_of = static.flow_of
         touched = self._touched
-        for j in range(scalars.indptr[row], scalars.indptr[row + 1]):
+        for j in range(static.indptr[row], static.indptr[row + 1]):
             if not touched[flow_of[j]]:
                 return True
         return False
@@ -613,17 +582,16 @@ class ArrayEvaluator:
         static = self._static
         row = static.row_of.get(node)
         if row is not None:
-            scalars = static.scalars()
-            flow_of = scalars.flow_index
-            detour = scalars.detour
-            position = scalars.position
-            value = scalars.value
+            flow_of = static.flow_of
+            detour = static.detour
+            position = static.position
+            value = static.value
             best = self._best
             contribution = self._contribution
             touched = self._touched
             serving = self._serving
             serving_pos = self._serving_pos
-            for j in range(scalars.indptr[row], scalars.indptr[row + 1]):
+            for j in range(static.indptr[row], static.indptr[row + 1]):
                 flow_index = flow_of[j]
                 touched[flow_index] = True
                 entry_detour = detour[j]
@@ -805,7 +773,7 @@ def _check_sites(scenario: "Scenario", sites: List[NodeId]) -> None:
     if len(set(sites)) != len(sites):
         raise InvalidScenarioError(f"duplicate RAP sites in {sites!r}")
     for site in sites:
-        if site not in scenario.network:
+        if not scenario.is_intersection(site):
             raise InvalidScenarioError(f"RAP site {site!r} is not an intersection")
 
 

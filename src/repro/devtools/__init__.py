@@ -23,6 +23,34 @@ machine-checked as the code scales:
 
 Neither subsystem is imported by the library's hot paths; importing
 :mod:`repro` alone never pays for them.  Importing this package loads
-neither: the serving stack imports :mod:`~repro.devtools.sanitize` on
-its own, and a serving worker never needs the linter.
+neither: the CLI and the serving stack import the sanitizer only once
+opted in (:func:`sanitizer`), and a serving worker never needs the linter.
 """
+
+import os
+import sys
+from types import ModuleType
+from typing import Mapping, Optional
+
+#: Environment switch; any value other than ``"" / 0 / false / no`` enables.
+SANITIZE_ENV = "RAPFLOW_SANITIZE"
+
+
+def is_enabled(environ: Optional[Mapping[str, str]] = None) -> bool:
+    """Whether the environment opts into sanitized runs."""
+    env = os.environ if environ is None else environ
+    return env.get(SANITIZE_ENV, "").strip().lower() not in {
+        "", "0", "false", "no", "off",
+    }
+
+
+def sanitizer() -> Optional[ModuleType]:
+    """:mod:`~repro.devtools.sanitize` once opted in (env or import), else None."""
+    if is_enabled():
+        from . import sanitize
+
+        return sanitize
+    return sys.modules.get(f"{__name__}.sanitize")
+
+
+__all__ = ["SANITIZE_ENV", "is_enabled", "sanitizer"]

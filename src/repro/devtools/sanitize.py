@@ -60,9 +60,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ..errors import SanitizerViolation
 from ..graphs import INFINITY, NodeId
-
-#: Environment switch; any value other than ``"" / 0 / false / no`` enables.
-SANITIZE_ENV = "RAPFLOW_SANITIZE"
+from . import SANITIZE_ENV, is_enabled
 
 #: Environment override for the async slow-callback budget (seconds).
 ASYNC_BUDGET_ENV = "RAPFLOW_SANITIZE_BUDGET"
@@ -75,14 +73,6 @@ DEFAULT_ASYNC_BUDGET = 0.5
 
 #: Slack for float accumulation in objective comparisons.
 TOLERANCE = 1e-7
-
-
-def is_enabled(environ: Optional[dict] = None) -> bool:
-    """Whether the environment opts into sanitized runs."""
-    env = os.environ if environ is None else environ
-    return env.get(SANITIZE_ENV, "").strip().lower() not in {
-        "", "0", "false", "no", "off",
-    }
 
 
 @dataclass

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import (
@@ -45,6 +46,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Tuple,
     Union,
 )
 
@@ -62,7 +64,7 @@ from ..core.utility import (
     UtilityFunction,
 )
 from ..errors import ReproError, ServeArtifactError, ServeError
-from ..graphs import network_from_dict
+from ..graphs import RoadNetwork, network_from_dict
 from ..graphs.io import (
     _decode_id,
     _decode_tuple_id,
@@ -294,6 +296,17 @@ def scenario_from_spec(spec: Dict[str, object]) -> Scenario:
         raise ServeArtifactError(f"malformed scenario spec: {error}") from None
 
 
+def _rebuild(spec_text: str) -> Tuple[RoadNetwork, Tuple[TrafficFlow, ...]]:
+    """The network and flows of a spec text: an attached scenario's build."""
+    obs.count("serve.artifact.spec_rebuilds")
+    try:
+        spec = _parse(spec_text)
+    except json.JSONDecodeError as error:
+        raise ServeArtifactError(f"scenario spec is corrupt: {error}") from error
+    scenario = scenario_from_spec(spec)  # type: ignore[arg-type]
+    return scenario.network, scenario.flows
+
+
 def _spec_text(scenario: Scenario) -> str:
     """The canonical text of ``scenario``'s spec (what digests hash)."""
     return "".join(_encode(_spec_skeleton(scenario), _CANONICAL))
@@ -341,6 +354,18 @@ class ScenarioArtifact:
     def spec(self) -> Dict[str, object]:
         """The scenario spec, parsed afresh from :attr:`spec_text`."""
         return json.loads(self.spec_text)
+
+    def header(self) -> Dict[str, object]:
+        """What :meth:`attach` restores a scenario from (shm manifest v3)."""
+        scenario = self.scenario
+        return {
+            "shop": _encode_id(scenario.shop),
+            "utility": utility_to_spec(scenario.utility),
+            "detour_mode": scenario.detour_mode,
+            "flow_count": scenario.flow_count,
+            "intersections": list(map(_encode_id, scenario.network)),
+            "candidate_sites": list(map(_encode_id, scenario.candidate_sites)),
+        }
 
     @classmethod
     def compile(cls, scenario: Scenario) -> "ScenarioArtifact":
@@ -410,16 +435,7 @@ class ScenarioArtifact:
         directory.mkdir(parents=True, exist_ok=True)
         packed = self.scenario.coverage.packed()
         try:
-            np.savez(
-                directory / "arrays.npz",
-                indptr=packed.indptr,
-                flow_index=packed.flow_index,
-                detour=packed.detour,
-                position=packed.position,
-                entry_row=packed.entry_row,
-                volume=packed.volume,
-                attractiveness=packed.attractiveness,
-            )
+            np.savez(directory / "arrays.npz", **packed.columns())
             meta = {
                 "format": FORMAT_NAME,
                 "version": FORMAT_VERSION,
@@ -488,20 +504,13 @@ class ScenarioArtifact:
                 f"{actual[:12]}"
             )
         try:
+            # Artifacts saved before the shm plane carry no entry_row
+            # column; from_arrays rederives it then.
             packed = PackedCoverage.from_arrays(
-                nodes=[_decode_id(raw) for raw in packed_nodes],
-                indptr=columns["indptr"],
-                flow_index=columns["flow_index"],
-                detour=columns["detour"],
-                position=columns["position"],
-                volume=columns["volume"],
-                attractiveness=columns["attractiveness"],
-                # Artifacts saved before the shm plane carry no
-                # entry_row column; from_arrays rederives it then.
-                entry_row=columns.get("entry_row"),
+                nodes=[_decode_id(raw) for raw in packed_nodes], **columns
             )
             coverage = CoverageIndex.from_packed(scenario.flows, packed)
-        except (KeyError, ReproError) as error:
+        except (TypeError, ReproError) as error:
             raise ServeArtifactError(
                 f"artifact {digest[:12]} arrays are inconsistent: {error}"
             ) from None
@@ -527,7 +536,13 @@ class ScenarioArtifact:
         numpy kernel holds private memory only for the per-incidence
         utility values — the arrays themselves stay one physical copy
         per host.
-        The manifest's spec text is hashed as it is and parsed once.
+
+        The manifest's spec text must hash to ``digest`` but is not
+        parsed: the scenario answers from the manifest's :meth:`header`
+        and builds its network and flows from the text on their first
+        read (``serve.artifact.spec_rebuilds``), which no request kind
+        with default arguments makes; a text that does not rebuild
+        raises :class:`~repro.errors.ServeArtifactError` there.
 
         The returned artifact keeps the attachment alive via
         :attr:`shm`; drop it with ``pool.detach(digest)`` when done.
@@ -551,33 +566,34 @@ class ScenarioArtifact:
                 raise ServeArtifactError(
                     f"shm manifest for {digest[:12]} has no packed node list"
                 )
-            try:
-                spec = _parse(spec_text)
-            except json.JSONDecodeError as error:
+            header = meta.get("scenario")
+            if not isinstance(header, dict):
                 raise ServeArtifactError(
-                    f"shm manifest for {digest[:12]} has a corrupt spec: "
-                    f"{error}"
-                ) from None
-            scenario = scenario_from_spec(spec)  # type: ignore[arg-type]
-            del spec  # the parsed tree, freed before the kernel warms
+                    f"shm manifest for {digest[:12]} has no scenario header"
+                )
             arrays = attachment.arrays
             try:
                 packed = PackedCoverage.from_arrays(
-                    nodes=[_decode_id(raw) for raw in packed_nodes],
-                    indptr=arrays["indptr"],
-                    flow_index=arrays["flow_index"],
-                    detour=arrays["detour"],
-                    position=arrays["position"],
-                    volume=arrays["volume"],
-                    attractiveness=arrays["attractiveness"],
-                    entry_row=arrays["entry_row"],
+                    nodes=[_decode_id(raw) for raw in packed_nodes], **arrays
                 )
-                coverage = CoverageIndex.from_packed(scenario.flows, packed)
-            except (KeyError, ReproError) as error:
+                if header["flow_count"] != packed.flow_count:
+                    raise ServeArtifactError(
+                        f"the header counts {header['flow_count']} flows, "
+                        f"the pack {packed.flow_count}"
+                    )
+                scenario = Scenario.deferred(
+                    partial(_rebuild, spec_text),
+                    CoverageIndex.from_packed(None, packed),
+                    shop=_decode_id(header["shop"]),
+                    utility=utility_from_spec(header["utility"]),
+                    candidate_sites=map(_decode_id, header["candidate_sites"]),
+                    intersections=map(_decode_id, header["intersections"]),
+                    detour_mode=str(header["detour_mode"]),
+                )
+            except (KeyError, TypeError, ReproError) as error:
                 raise ServeArtifactError(
-                    f"shm arrays for {digest[:12]} are inconsistent: {error}"
+                    f"shm artifact {digest[:12]} is inconsistent: {error}"
                 ) from None
-            scenario.attach_coverage(coverage)
             with obs.span("serve.artifact.attach"):
                 stats = warm_kernel(scenario)
         except BaseException:  # rapflow: noqa[RAP003] detach-and-reraise cleanup

@@ -19,12 +19,13 @@ differential tests in ``tests/serve`` pin exactly that, and check both
 against the reference evaluator.
 
 Requests may override the artifact's utility (``{"utility": {"name",
-"threshold"}}``); the engine caches one
-:meth:`~repro.core.scenario.Scenario.with_utility` clone per distinct
-utility so the kernel's per-scenario static cache is reused across
-requests.  Responses for identical requests are served from a bounded
-LRU keyed by the canonical request JSON, with hit/miss counters wired
-into :mod:`repro.obs`.
+"threshold"}}``); the engine keeps the
+:meth:`~repro.core.scenario.Scenario.with_utility` clones of the
+:data:`UTILITY_CLONES` utilities used last, so the kernel's
+per-scenario static cache is reused across requests without every
+utility ever asked for pinning its own.  Responses for identical
+requests are served from a bounded LRU keyed by the canonical request
+JSON, with hit/miss counters wired into :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ REQUEST_KINDS = ("place", "evaluate", "what_if", "top_gains")
 #: Algorithms with a stochastic or exponential-time select are still
 #: callable, but ``place`` requests must opt in explicitly.
 _DEFAULT_ALGORITHM = "composite-greedy"
+
+#: Utility-override clones an engine keeps (least recently used first
+#: out); each holds kernel state as large as the pack's incidences.
+UTILITY_CLONES = 8
 
 
 def decode_site(raw: object) -> NodeId:
@@ -237,11 +242,13 @@ class QueryEngine:
         except ReproError as error:
             raise ServeRequestError(str(error)) from None
         key = (type(utility).__name__, utility.threshold)
-        clone = self._utilities.get(key)
+        clone = self._utilities.pop(key, None)
         if clone is None:
             clone = self._artifact.scenario.with_utility(utility)
-            self._utilities[key] = clone
             obs.count("serve.utility_clones")
+        self._utilities[key] = clone  # re-inserted: dicts keep use order
+        if len(self._utilities) > UTILITY_CLONES:
+            del self._utilities[next(iter(self._utilities))]
         return clone
 
     # ------------------------------------------------------------------
@@ -408,6 +415,7 @@ class QueryEngine:
 __all__ = [
     "QueryEngine",
     "REQUEST_KINDS",
+    "UTILITY_CLONES",
     "decode_site",
     "encode_site",
 ]

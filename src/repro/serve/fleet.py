@@ -75,6 +75,7 @@ from typing import (
 )
 
 from .. import obs
+from ..devtools import sanitizer
 from ..errors import ObsError, ServeRequestError, ServeWorkerError
 from ..obs import trace as obs_trace
 from ..obs.clock import Clock, SystemClock
@@ -640,9 +641,9 @@ class PlacementFleet(JsonService):
     async def start(self) -> None:
         """Spawn every worker, bind the front, start the supervisor;
         a start that fails stops the workers it started."""
-        from ..devtools import sanitize  # local: opt-in tooling, lazy
-
-        sanitize.install_async_if_enabled()
+        sanitize = sanitizer()
+        if sanitize is not None:
+            sanitize.install_async_if_enabled()
         self._loop = asyncio.get_running_loop()
         self._slots = await self._spawn(
             [(shard, self._shards[shard]) for shard in self.shard_digests]

@@ -68,6 +68,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from .. import obs
+from ..devtools import sanitizer
 from ..errors import (
     ReproError,
     ServeOverloadError,
@@ -302,9 +303,8 @@ def sanitizer_health() -> Optional[Dict[str, object]]:
     operator curling ``/healthz`` sees slow-callback and leaked-task
     counts without a profiling run.
     """
-    from ..devtools import sanitize  # local: opt-in tooling, lazy
-
-    report = sanitize.async_report()
+    sanitize = sanitizer()
+    report = sanitize.async_report() if sanitize is not None else None
     if report is None:
         return None
     return {
@@ -429,9 +429,9 @@ class JsonService:
         """Close the trace segment and check the loop for leftover tasks."""
         if self._tracer is not None:
             self._tracer.close()
-        from ..devtools import sanitize  # local: opt-in tooling, lazy
-
-        sanitize.check_loop_shutdown(where)
+        sanitize = sanitizer()
+        if sanitize is not None:
+            sanitize.check_loop_shutdown(where)
 
     def _trace_health(self) -> Dict[str, object]:
         """The ``trace`` block of ``/healthz``."""
@@ -588,9 +588,9 @@ class PlacementServer(JsonService):
 
     async def start(self) -> None:
         """Bind and start accepting connections."""
-        from ..devtools import sanitize  # local: opt-in tooling, lazy
-
-        sanitize.install_async_if_enabled()
+        sanitize = sanitizer()
+        if sanitize is not None:
+            sanitize.install_async_if_enabled()
         self._idle = asyncio.Event()
         self._idle.set()
         await self._listen()

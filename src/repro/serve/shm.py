@@ -11,22 +11,25 @@ number of processes attach zero-copy views:
     Owner-side registry rooted at a manifest directory.  ``publish``
     packs a compiled artifact's seven CSR columns into a single segment
     (name ``rf-<digest prefix>``) and writes a JSON manifest (segment
-    name, column table, owner pid, and the artifact's canonical spec
-    text as one JSON string).  ``attach`` opens the segment read-only
-    and rebuilds numpy views straight over the shared buffer —
-    refcounted per process, so repeated attaches are free.
+    name, column table, owner pid, the artifact's canonical spec text as
+    one JSON string, and its scenario header).  ``attach`` opens the
+    segment read-only and rebuilds numpy views straight over the shared
+    buffer — refcounted per process, so repeated attaches are free.
     ``unlink``/``unlink_all`` retire segments deterministically on fleet
     drain; ``sweep`` reclaims segments whose owner died without
     unlinking (manifests record the owner pid).
 
 ``ScenarioArtifact.attach`` (in :mod:`repro.serve.artifacts`) completes
-the zero-copy restore path: the manifest's spec text hashed as it is
-and parsed once → shm views → ``PackedCoverage.from_arrays`` (adoption,
-no copy) → ``CoverageIndex.from_packed`` → ``warm_kernel``.  A worker
-serving through the numpy kernel then holds private memory only for the
-per-incidence utility values — not the coverage arrays.  A publisher
-and its attachers run the same code, so a manifest of another version
-is refused rather than read.
+the zero-copy restore path: the manifest's spec text hashed as it is,
+not parsed → shm views → ``PackedCoverage.from_arrays`` (adoption, no
+copy) → ``CoverageIndex.from_packed`` → a deferred ``Scenario`` that
+answers from the header → ``warm_kernel``.  A worker serving the four
+request kinds then holds privately only the per-incidence utility
+values and the CELF seed heap: the kernel's scalar loops read the
+shared columns through views, and the network and flows are built
+from the text only if something reads them.  A publisher and its
+attachers run the same code, so a manifest of another version is
+refused rather than read.
 
 Lifecycle invariants (tested in ``tests/serve/test_shm.py``):
 
@@ -46,7 +49,7 @@ import _posixshmem
 import json
 import mmap
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
@@ -63,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PathLike = Union[str, Path]
 
 MANIFEST_FORMAT = "rapflow-shm"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 #: Segment names are digest-keyed: two pools publishing the same spec
 #: collide on purpose (the arrays are identical), unrelated artifacts
@@ -210,13 +213,7 @@ class ShmColumn:
     nbytes: int
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "dtype": self.dtype,
-            "shape": list(self.shape),
-            "offset": self.offset,
-            "nbytes": self.nbytes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, raw: Dict[str, object]) -> "ShmColumn":
@@ -242,9 +239,13 @@ class ShmManifest:
     pool's segments from a crashed one's.  ``meta`` carries everything
     ``ScenarioArtifact.attach`` needs that is not an array —
     ``spec_text`` (the artifact's canonical spec text, verbatim, which
-    its digest hashes), the packed node ids, and the compile stats — so
-    the attach path never touches the npz cache.  Version 2 carries
-    ``spec_text``; version 1 carried the spec as a JSON object.
+    its digest hashes), the compile stats, the packed node ids, and
+    ``scenario``, the header the attached scenario answers from until
+    something reads its network or flows
+    (:meth:`~repro.serve.artifacts.ScenarioArtifact.header`) — so the
+    attach path never touches the npz cache.  Version 3 adds the
+    header; version 2 carried ``spec_text`` alone, and version 1 the
+    spec as a JSON object.
     """
 
     digest: str
@@ -428,15 +429,7 @@ class ShmArtifactPool:
             # republish over it.
             existing.unlink(missing_ok=True)
         packed = artifact.scenario.coverage.packed()
-        sources: Dict[str, "np.ndarray"] = {
-            "indptr": packed.indptr,
-            "flow_index": packed.flow_index,
-            "detour": packed.detour,
-            "position": packed.position,
-            "entry_row": packed.entry_row,
-            "volume": packed.volume,
-            "attractiveness": packed.attractiveness,
-        }
+        sources = packed.columns()
         columns: List[ShmColumn] = []
         offset = 0
         for key, dtype in _COLUMN_DTYPES:
@@ -490,6 +483,7 @@ class ShmArtifactPool:
                 "spec_text": artifact.spec_text,
                 "stats": artifact.stats,
                 "packed_nodes": [_encode_id(node) for node in packed.nodes],
+                "scenario": artifact.header(),
             },
         )
         tmp = existing.with_suffix(".json.tmp")

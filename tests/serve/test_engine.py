@@ -1,12 +1,18 @@
 """QueryEngine request kinds, validation, LRU, and fault hooks."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.algorithms import CompositeGreedy
+from repro.core import Scenario
 from repro.core.kernel import ArrayEvaluator, evaluate_placement_many
 from repro.errors import ServeFaultError, ServeRequestError
+from repro.obs import ObsContext
 from repro.reliability import FaultConfig, FaultInjector
 from repro.serve import QueryEngine
+from repro.serve.engine import UTILITY_CLONES
 
 
 class TestDispatch:
@@ -78,6 +84,38 @@ class TestEvaluate:
         assert response["totals"] == evaluate_placement_many(
             paper_linear_scenario, [["V3", "V2"]]
         )
+
+
+class TestUtilityClones:
+    def test_only_the_last_used_clones_stay_alive(self, artifact, monkeypatch):
+        made = []
+        with_utility = Scenario.with_utility
+
+        def recording(scenario, utility):
+            clone = with_utility(scenario, utility)
+            made.append(weakref.ref(clone))
+            return clone
+
+        monkeypatch.setattr(Scenario, "with_utility", recording)
+        requests = [
+            {
+                "kind": "top_gains",
+                "limit": 3,
+                "utility": {"name": "linear", "threshold": 6.0 + index},
+            }
+            for index in range(3 * UTILITY_CLONES)
+        ]
+        engine = QueryEngine(artifact, cache_size=0)
+        with ObsContext() as ctx:
+            replies = [engine.handle(dict(request)) for request in requests]
+            gc.collect()
+            assert sum(ref() is not None for ref in made) == UTILITY_CLONES
+            # The last one used is kept; the first was evicted long ago.
+            for request in (requests[-1], requests[0]):
+                assert engine.handle(dict(request)) == replies[requests.index(request)]
+        assert ctx.counters["serve.utility_clones"] == len(requests) + 1
+        fresh = [QueryEngine(artifact).handle(dict(r)) for r in requests]
+        assert replies == fresh
 
 
 class TestWhatIf:

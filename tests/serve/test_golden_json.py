@@ -6,6 +6,7 @@ The digests were recorded from ``json.dump``'s pure-Python encoder.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -53,10 +54,20 @@ def test_shm_manifest_bytes(artifact, tmp_path):
     # The publisher's pid is the one field that differs between runs.
     owner = f'"owner_pid": {os.getpid()},'.encode()
     assert raw.count(owner) == 1
-    # Manifest version 2: ``meta["spec_text"]`` carries the canonical
-    # spec text in place of the version 1 ``meta["spec"]`` object.
-    assert _sha256(raw.replace(owner, b'"owner_pid": 0,')) == (
+    raw = raw.replace(owner, b'"owner_pid": 0,')
+    # Manifest version 3 ends with ``meta["scenario"]``, the header an
+    # attached scenario answers from.  Without it, and at version 2, the
+    # manifest is version 2's byte for byte: ``meta["spec_text"]``
+    # carries the canonical spec text in place of the version 1
+    # ``meta["spec"]`` object.
+    header = f', "scenario": {json.dumps(artifact.header())}}}}}'.encode()
+    assert raw.endswith(header)
+    version_2 = raw[: -len(header)].replace(b'"version": 3', b'"version": 2', 1)
+    assert _sha256(version_2 + b"}}") == (
         "1653009beef7105a2379a78df2dc22ef5c62627a5a2603221bc4566510bc8619"
+    )
+    assert _sha256(raw) == (
+        "5a9e9865a21267d68b9bcf1649200908d58177e7d6f835c13b578536e1df40b7"
     )
 
 

@@ -26,14 +26,16 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Modules (and their submodules) a serving worker must never import:
 #: the reference evaluator (a test oracle, once ``core.evaluation``),
-#: the figure harness and the other offline packages, the trace
-#: generators and the ingest pipeline, the fleet front and its test
-#: harnesses, the client, the linter, the span loader and renderer
-#: (only ``rapflow trace``, ``traces`` and ``profile`` need them), and
-#: the stdlib modules that only ``--version`` and an HTTP client load.
+#: the runtime sanitizer unless the environment opts in, the figure
+#: harness and the other offline packages, the trace generators and the
+#: ingest pipeline, the fleet front and its test harnesses, the client,
+#: the linter, the span loader and renderer (only ``rapflow trace``,
+#: ``traces`` and ``profile`` need them), and the stdlib modules that
+#: only ``--version`` and an HTTP client load.
 NOT_IN_A_WORKER = (
     "repro.core.evaluation",
     "repro.core.reference",
+    "repro.devtools.sanitize",
     "repro.experiments",
     "repro.analysis",
     "repro.sim",
@@ -131,9 +133,14 @@ def test_shm_worker_imports_only_what_serving_runs(artifact, tmp_path):
     assert worker.returncode == 0, stderr
     loaded = json.loads(report.read_text())
     assert "repro.serve.server" in loaded["modules"]
-    # The worker inherits RAPFLOW_SANITIZE; a sanitized worker audits on
-    # the reference evaluator, so it loads that one at start-up.
-    allowed = ("repro.core.reference",) if sanitize.is_enabled() else ()
+    # The worker inherits RAPFLOW_SANITIZE; a sanitized worker loads the
+    # sanitizer and audits on the reference evaluator, so it loads both
+    # at start-up.
+    allowed = (
+        ("repro.core.reference", "repro.devtools.sanitize")
+        if sanitize.is_enabled()
+        else ()
+    )
     leaked = [
         name
         for name in loaded["modules"]

@@ -3,7 +3,8 @@
 The probe sizes the set-up of scaled copies of the benchmark city
 (ROADMAP item 6).  Its large sizes take minutes, so this runs it once
 at a side of 8, the smallest grid with room for its 40 sites, and
-checks the row it prints: every column is there and every value is
+checks the row it prints: every column is there, the fleet worker it
+starts reported its start-up time and memory, and every value is
 finite.
 """
 
@@ -21,6 +22,7 @@ STAGES = (
 SIZES = (
     "nodes", "routes", "destinations", "incidences", "spec_text_bytes", "attracted",
 )
+WORKER = ("worker_ready_s", "worker_rss_mb", "worker_peak_mb")
 
 
 def test_probe_prints_one_finite_row():
@@ -35,7 +37,7 @@ def test_probe_prints_one_finite_row():
     lines = done.stdout.strip().splitlines()
     assert len(lines) == 1, done.stdout
     row = json.loads(lines[0])
-    expected = {"side", "start_rss_mb", *SIZES}
+    expected = {"side", "start_rss_mb", *SIZES, *WORKER}
     for stage in STAGES:
         expected |= {f"{stage}_s", f"{stage}_rss_mb", f"{stage}_peak_mb"}
     assert set(row) == expected
@@ -43,3 +45,4 @@ def test_probe_prints_one_finite_row():
     assert row["side"] == 8 and row["nodes"] == 64
     assert row["attracted"] > 0
     assert row["spec_text_bytes"] > 0
+    assert all(row[name] > 0 for name in WORKER)
