@@ -358,13 +358,15 @@ class ScenarioArtifact:
     def header(self) -> Dict[str, object]:
         """What :meth:`attach` restores a scenario from (shm manifest v3)."""
         scenario = self.scenario
+        order = {node: index for index, node in enumerate(scenario.network)}
         return {
             "shop": _encode_id(scenario.shop),
             "utility": utility_to_spec(scenario.utility),
             "detour_mode": scenario.detour_mode,
             "flow_count": scenario.flow_count,
-            "intersections": list(map(_encode_id, scenario.network)),
-            "candidate_sites": list(map(_encode_id, scenario.candidate_sites)),
+            "intersections": list(map(_encode_id, order)),
+            # By position in ``intersections``: ints are cheaper than ids.
+            "candidate_sites": [order[site] for site in scenario.candidate_sites],
         }
 
     @classmethod
@@ -581,16 +583,17 @@ class ScenarioArtifact:
                         f"the header counts {header['flow_count']} flows, "
                         f"the pack {packed.flow_count}"
                     )
+                nodes = [_decode_id(raw) for raw in header["intersections"]]
                 scenario = Scenario.deferred(
                     partial(_rebuild, spec_text),
                     CoverageIndex.from_packed(None, packed),
                     shop=_decode_id(header["shop"]),
                     utility=utility_from_spec(header["utility"]),
-                    candidate_sites=map(_decode_id, header["candidate_sites"]),
-                    intersections=map(_decode_id, header["intersections"]),
+                    candidate_sites=[nodes[i] for i in header["candidate_sites"]],
+                    intersections=nodes,
                     detour_mode=str(header["detour_mode"]),
                 )
-            except (KeyError, TypeError, ReproError) as error:
+            except (KeyError, IndexError, TypeError, ReproError) as error:
                 raise ServeArtifactError(
                     f"shm artifact {digest[:12]} is inconsistent: {error}"
                 ) from None

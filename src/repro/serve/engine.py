@@ -51,8 +51,7 @@ REQUEST_KINDS = ("place", "evaluate", "what_if", "top_gains")
 #: callable, but ``place`` requests must opt in explicitly.
 _DEFAULT_ALGORITHM = "composite-greedy"
 
-#: Utility-override clones an engine keeps (least recently used first
-#: out); each holds kernel state as large as the pack's incidences.
+#: Utility-override clones kept (LRU): each pins kernel state sized like the pack.
 UTILITY_CLONES = 8
 
 

@@ -67,7 +67,7 @@ def test_shm_manifest_bytes(artifact, tmp_path):
         "1653009beef7105a2379a78df2dc22ef5c62627a5a2603221bc4566510bc8619"
     )
     assert _sha256(raw) == (
-        "5a9e9865a21267d68b9bcf1649200908d58177e7d6f835c13b578536e1df40b7"
+        "f70adad5554a6f993e4f7d296ad4bc56dabf80053fc380a1a2689e3d93833bcd"
     )
 
 
