@@ -86,7 +86,7 @@ class Scenario:
     @classmethod
     def deferred(
         cls,
-        build: Callable[[], "_Built"],
+        build: Callable[[], _Built],
         coverage: CoverageIndex,
         shop: NodeId,
         utility: UtilityFunction,
@@ -115,7 +115,7 @@ class Scenario:
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    def _build(self) -> "_Built":
+    def _build(self) -> _Built:
         """A deferred scenario's network and flows, kept once built."""
         assert self._source is not None  # only a deferred scenario lacks them
         built = self._source()
